@@ -30,6 +30,7 @@ from . import __version__
 from .algebra import run_all_checks
 from .errors import (
     ConfigError,
+    DimensionError,
     FitDomainError,
     FlatDistributionError,
     InvalidParameterError,
@@ -122,6 +123,7 @@ class RunManifest:
     files: dict  # name -> sha256
     duration_s: float
     version: str
+    propagators: list  # one entry per exp(L dt) built, see Trajectory
 
 
 def _coerce_param(name: str, raw: str):
@@ -341,6 +343,7 @@ def run(config: RunConfig) -> RunManifest:
         files=files,
         duration_s=time.monotonic() - t_start,
         version=__version__,
+        propagators=traj.propagators,
     )
     (out / "manifest.json").write_text(
         json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n"
@@ -440,7 +443,12 @@ def main(argv=None) -> int:
         out = config.resolve_out_dir()
         print(f"wrote {len(manifest.files) + 1} files to {out}")
         return 0
-    except (ConfigError, InvalidParameterError, ScheduleInfeasibleError) as exc:
+    except (
+        ConfigError,
+        DimensionError,
+        InvalidParameterError,
+        ScheduleInfeasibleError,
+    ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailureError, FitDomainError, FlatDistributionError) as exc:

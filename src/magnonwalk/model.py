@@ -287,10 +287,9 @@ class DissipatorSpec:
 
 
 def dissipators(p: PhysicalParams) -> DissipatorSpec:
-    """The three decay channels: mode decay, qubit relaxation, qubit dephasing."""
-    for name in ("gamma1", "gamma_phi", "Gamma"):
-        if getattr(p, name) < 0:
-            raise InvalidParameterError(f"rate {name} must be >= 0")
+    """The three decay channels: mode decay, qubit relaxation, qubit dephasing.
+
+    The rates are non-negative: ``PhysicalParams`` rejects negative ones."""
     c, idq, idb, q, _, lower_op = _composite_parts(p.fock_dim)
     return DissipatorSpec(
         channels=(

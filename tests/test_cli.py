@@ -149,6 +149,30 @@ class TestRunArtifacts:
         assert written["derived"]["t_p"] == d.t_p
         assert set(written["files"]) == set(manifest.files)
 
+    def test_manifest_records_propagation_path(self, tmp_path):
+        # base (fock_dim 17): the drive breaks the excitation-number
+        # symmetry, so drive-on is one dense block; drive-off splits into
+        # one block per k = N_row - N_col in -17..17
+        config = cli.RunConfig(
+            preset="base",
+            steps=1,
+            samples_per_segment=1,
+            emit_wigner=False,
+            out_dir=str(tmp_path / "base"),
+        )
+        manifest = cli.run(config)
+        written = json.loads((tmp_path / "base" / "manifest.json").read_text())
+        assert written["propagators"] == manifest.propagators
+        by_flag = {entry["drive_on"]: entry for entry in manifest.propagators}
+        assert len(manifest.propagators) == 2
+        assert by_flag[True]["blocks"] == 1
+        assert by_flag[True]["largest_block"] == 34 ** 2
+        assert by_flag[False]["blocks"] == 35
+        assert by_flag[False]["largest_block"] == 66
+        d = model.derive(config.resolve_params())
+        assert by_flag[True]["dt"] == pytest.approx(d.t_H)
+        assert by_flag[False]["dt"] == pytest.approx(d.t_p - d.t_H)
+
     def test_wigner_long_form(self, completed_run):
         config, _ = completed_run
         out = config.resolve_out_dir()
@@ -235,6 +259,11 @@ class TestMainEntry:
         assert rc == 0
         assert "PASS" in out
         assert "all checks passed" in out
+
+    def test_verify_oversized_fock_dim_is_config_error(self, capsys):
+        rc = cli.main(["verify", "--fock-dim", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))

@@ -2,6 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from magnonwalk import model, solver
 from magnonwalk import operators as ops
@@ -56,6 +59,72 @@ class TestLiouvillian:
         spec = model.DissipatorSpec(channels=((0.1, c),))
         with pytest.raises(Exception):
             solver.liouvillian(np.zeros((6, 6), dtype=complex), spec)
+
+
+def _dense(P):
+    return P.toarray() if sp.issparse(P) else P
+
+
+def _excitation_difference(fock_dim):
+    """k = N_row - N_col for every column-stacked vec index, where
+    N = c^dag c + |e><e| on the qubit (x) boson space."""
+    raise_q, lower_q = ops.qubit_ladder()
+    n_exc = np.diag(
+        ops.tensor(ops.identity(2), ops.number_op(fock_dim))
+        + ops.tensor(raise_q @ lower_q, ops.identity(fock_dim))
+    ).real.round().astype(int)
+    return np.subtract.outer(n_exc, n_exc).reshape(-1, order="F")
+
+
+class TestBlockwisePropagator:
+    @pytest.mark.parametrize("drive_on", [True, False])
+    @pytest.mark.parametrize("name", ["base", "realistic"])
+    def test_matches_dense_expm(self, name, drive_on):
+        p = model.preset(name)
+        d = model.derive(p)
+        L = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, drive_on), model.dissipators(p)
+        )
+        dt = (d.t_H if drive_on else d.t_p - d.t_H) / 10
+        P = solver.propagator(L, dt)
+        assert np.max(np.abs(_dense(P) - expm(L.toarray() * dt))) <= 1e-12
+
+        labels = solver.sectors(L)
+        if drive_on:
+            assert labels.max() == 0 and isinstance(P, np.ndarray)
+            return
+        assert labels.max() + 1 >= 2 * p.fock_dim + 1
+        k = _excitation_difference(p.fock_dim)
+        for comp in range(labels.max() + 1):
+            assert len(np.unique(k[labels == comp])) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fock_dim=st.integers(3, 6),
+        rates=st.tuples(
+            *[st.one_of(st.just(0.0), st.floats(1e-4, 0.05)) for _ in range(3)]
+        ),
+        drive_on=st.booleans(),
+        dt=st.floats(1e-3, 3.0),
+    )
+    def test_random_parameters(self, fock_dim, rates, drive_on, dt):
+        gamma1, gamma_phi, Gamma = rates
+        p = model.preset(
+            "base",
+            fock_dim=fock_dim,
+            alpha=1.0 + 0.0j,
+            gamma1=gamma1,
+            gamma_phi=gamma_phi,
+            Gamma=Gamma,
+        )
+        d = model.derive(p)
+        L = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, drive_on), model.dissipators(p)
+        )
+        P = _dense(solver.propagator(L, dt))
+        assert np.max(np.abs(P - expm(L.toarray() * dt))) <= 1e-12
+        trace_vec = solver.vec(np.eye(2 * fock_dim))
+        assert np.max(np.abs(trace_vec @ P - trace_vec)) <= 1e-12
 
 
 class TestPropagate:
@@ -217,3 +286,4 @@ class TestEvolve:
         )
         diff = np.abs(t_a.snapshots[0][2] - t_b.snapshots[0][2])
         assert diff.max() < 1e-7
+        assert t_b.propagators == []
