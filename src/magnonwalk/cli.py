@@ -49,6 +49,7 @@ from .model import (
 )
 from .observables import (
     SpreadSeries,
+    WignerGrid,
     loglog_slope,
     phase_distribution,
     reduce_boson,
@@ -124,6 +125,8 @@ class RunManifest:
     duration_s: float
     version: str
     propagators: list  # one entry per exp(L dt) built, see Trajectory
+    health: dict  # worst solver health over the samples, see Trajectory.health
+    timings: dict  # stage -> wall seconds; not part of the artifacts
 
 
 def _coerce_param(name: str, raw: str):
@@ -188,22 +191,31 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(values) -> list[str]:
+    """Each value to 17 significant digits, the lossless float round-trip."""
+    return list(map("{:.17g}".format, np.asarray(values, dtype=float).tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
+def _csv(header: list[str], columns: list[list[str]]) -> str:
+    """CSV text from equally long columns of formatted cells."""
+    lines = [",".join(header), *map(",".join, zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _wigner_csv(grid: WignerGrid) -> str:
+    """The grid in long form, x-major; each axis value is formatted once."""
+    xs, ps = _fmt(grid.x), _fmt(grid.p)
+    return _csv(
+        ["x", "p", "W"],
+        [[x for x in xs for _ in ps], ps * len(xs), _fmt(grid.w.ravel())],
+    )
+
+
+def _write(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8 and return the sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _params_dict(p: PhysicalParams) -> dict:
@@ -213,8 +225,13 @@ def _params_dict(p: PhysicalParams) -> dict:
 
 
 def run(config: RunConfig) -> RunManifest:
-    """Execute one full experiment and write the requested artifacts."""
+    """Execute one full experiment and write the requested artifacts.
+
+    The stages run one after another (build, evolve, observables,
+    emission) and their wall times go to the manifest's ``timings``.
+    """
     t_start = time.monotonic()
+    t_build = time.perf_counter()
     p = config.resolve_params()
     if config.method not in ("expm", "rk4"):
         raise ConfigError(f"unknown method {config.method!r}")
@@ -227,6 +244,7 @@ def run(config: RunConfig) -> RunManifest:
     h_off = hamiltonian_rotframe(p, d, drive_on=False)
     diss = dissipators(p)
     rho0 = initial_state(p)
+    t_evolve = time.perf_counter()
 
     traj = evolve(
         schedule,
@@ -238,26 +256,10 @@ def run(config: RunConfig) -> RunManifest:
         method=config.method,
         dt_max=config.dt_max,
     )
-
-    out = config.resolve_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-
-    if config.emit_timeseries:
-        path = out / "timeseries.csv"
-        _write_csv(
-            path,
-            ["t_ns", "n_c", "P_e", "P_g", "drive_on"],
-            (
-                (float(t), float(n), float(pe), float(pg), int(flag))
-                for t, n, pe, pg, flag in zip(
-                    traj.times, traj.n_c, traj.p_e, traj.p_g, traj.drive_on
-                )
-            ),
-        )
-        files[path.name] = _sha256(path)
+    t_observables = time.perf_counter()
 
     steps, times, sharps, sigmas = [], [], [], []
+    phases, grids = {}, {}  # step -> PhaseDistribution / WignerGrid
     for step, t_boundary, rho in traj.snapshots:
         rho_m = reduce_boson(rho)
         dist = phase_distribution(rho_m, p.m_phase)
@@ -272,41 +274,14 @@ def run(config: RunConfig) -> RunManifest:
             else rho_m
         )
         if config.emit_phase and step <= MAX_PHASE_FILES:
-            view = phase_distribution(rho_view, p.m_phase)
-            path = out / f"phase_step{step}.csv"
-            _write_csv(
-                path,
-                ["phi_rad", "P"],
-                zip(map(float, view.phi), map(float, view.p)),
-            )
-            files[path.name] = _sha256(path)
+            phases[step] = phase_distribution(rho_view, p.m_phase)
         if config.emit_wigner:
-            grid = wigner(
+            grids[step] = wigner(
                 rho_view,
                 x_min=config.wigner_min,
                 x_max=config.wigner_max,
                 points=config.wigner_points,
             )
-            path = out / f"wigner_step{step}.csv"
-            _write_csv(
-                path,
-                ["x", "p", "W"],
-                (
-                    (float(grid.x[i]), float(grid.p[j]), float(grid.w[i, j]))
-                    for i in range(len(grid.x))
-                    for j in range(len(grid.p))
-                ),
-            )
-            files[path.name] = _sha256(path)
-
-    if config.emit_holevo and steps:
-        path = out / "holevo.csv"
-        _write_csv(
-            path,
-            ["step", "t_ns", "sharpness", "sigma_H"],
-            zip(steps, map(float, times), map(float, sharps), map(float, sigmas)),
-        )
-        files[path.name] = _sha256(path)
 
     fit_payload = None
     if config.emit_fit and steps and config.resolve_fit_steps(len(steps)) >= 2:
@@ -322,9 +297,51 @@ def run(config: RunConfig) -> RunManifest:
             "steps": steps[:k],
             "abscissa": "step_boundary_time_ns",
         }
-        path = out / "fit.json"
-        path.write_text(json.dumps(fit_payload, indent=2, sort_keys=True) + "\n")
-        files[path.name] = _sha256(path)
+    t_emission = time.perf_counter()
+
+    out = config.resolve_out_dir()
+    out.mkdir(parents=True, exist_ok=True)
+    files: dict[str, str] = {}
+
+    def emit(name: str, text: str) -> None:
+        files[name] = _write(out / name, text)
+
+    if config.emit_timeseries:
+        emit(
+            "timeseries.csv",
+            _csv(
+                ["t_ns", "n_c", "P_e", "P_g", "drive_on"],
+                [
+                    _fmt(traj.times),
+                    _fmt(traj.n_c),
+                    _fmt(traj.p_e),
+                    _fmt(traj.p_g),
+                    list(map(str, traj.drive_on.astype(int).tolist())),
+                ],
+            ),
+        )
+    for step in steps:
+        if step in phases:
+            view = phases[step]
+            emit(
+                f"phase_step{step}.csv",
+                _csv(["phi_rad", "P"], [_fmt(view.phi), _fmt(view.p)]),
+            )
+        if step in grids:
+            emit(f"wigner_step{step}.csv", _wigner_csv(grids[step]))
+
+    if config.emit_holevo and steps:
+        emit(
+            "holevo.csv",
+            _csv(
+                ["step", "t_ns", "sharpness", "sigma_H"],
+                [list(map(str, steps)), _fmt(times), _fmt(sharps), _fmt(sigmas)],
+            ),
+        )
+
+    if fit_payload is not None:
+        emit("fit.json", json.dumps(fit_payload, indent=2, sort_keys=True) + "\n")
+    t_end = time.perf_counter()
 
     manifest = RunManifest(
         preset=config.preset,
@@ -344,6 +361,13 @@ def run(config: RunConfig) -> RunManifest:
         duration_s=time.monotonic() - t_start,
         version=__version__,
         propagators=traj.propagators,
+        health=traj.health(),
+        timings={
+            "build": t_evolve - t_build,
+            "evolve": t_observables - t_evolve,
+            "observables": t_emission - t_observables,
+            "emission": t_end - t_emission,
+        },
     )
     (out / "manifest.json").write_text(
         json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n"

@@ -28,7 +28,9 @@ so magnitudes and signed values coincide.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -122,8 +124,22 @@ class PhysicalParams:
                 f" budget (|alpha|^2 = {abs(self.alpha) ** 2:.3g},"
                 f" fock_dim = {self.fock_dim})",
                 TruncationWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings`` stacklevel, seen from the function calling this
+    one, of the nearest frame outside this module, ``dataclasses`` and
+    the ``__init__`` that dataclasses generates (its file is ``<string>``)."""
+    internal = (__file__, dataclasses.__file__)
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and (
+        frame.f_code.co_filename in internal
+        or frame.f_code is PhysicalParams.__init__.__code__
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -352,7 +368,22 @@ def initial_state(p: PhysicalParams) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-_BASE = PhysicalParams(
+def _stock(base: PhysicalParams | None = None, **fields) -> PhysicalParams:
+    """Build a parameter set without the truncation warning.
+
+    The stock coherent amplitude and cutoff (alpha = 3, fock_dim = 17) sit
+    at the edge of the budget on purpose; a warning about them on every
+    run would say nothing.  Overrides that leave alpha and fock_dim alone
+    keep that budget and build silently too.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        if base is None:
+            return PhysicalParams(**fields)
+        return replace(base, **fields)
+
+
+_BASE = _stock(
     nu_q=7.0,
     nu_D=2.87,
     nu_eta=0.1,
@@ -374,19 +405,25 @@ _BASE = PhysicalParams(
 #                  dephasing level.
 _PRESETS: dict[str, PhysicalParams] = {
     "base": _BASE,
-    "realistic": replace(_BASE, Gamma=2.78e-3, nu_eps0=10.0),
-    "realistic_gamma1": replace(_BASE, Gamma=2.78e-3, nu_eps0=10.0, gamma1=0.31e-3),
+    "realistic": _stock(_BASE, Gamma=2.78e-3, nu_eps0=10.0),
+    "realistic_gamma1": _stock(_BASE, Gamma=2.78e-3, nu_eps0=10.0, gamma1=0.31e-3),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, **overrides) -> PhysicalParams:
-    """Look up a named parameter set, optionally overriding fields."""
+    """Look up a named parameter set, optionally overriding fields.
+
+    Overriding ``alpha`` or ``fock_dim`` re-checks the truncation budget
+    and warns at the edge of it; other overrides keep the stock budget.
+    """
     try:
         base = _PRESETS[name]
     except KeyError:
         raise InvalidParameterError(
             f"unknown preset {name!r}; available: {', '.join(_PRESETS)}"
         ) from None
-    return replace(base, **overrides) if overrides else base
+    if {"alpha", "fock_dim"} & overrides.keys():
+        return replace(base, **overrides)
+    return _stock(base, **overrides)

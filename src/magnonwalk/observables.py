@@ -8,6 +8,7 @@ density matrix of dimension 2*F reduces to an F-dimensional mode state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,20 +154,35 @@ class WignerGrid:
     w: np.ndarray  # shape (len(x), len(p))
 
 
-def _displacement_elements(beta: np.ndarray, fock: int) -> np.ndarray:
-    """<m|D(beta)|n> for m >= n over an array of displacement amplitudes.
+@functools.lru_cache(maxsize=4)
+def _displacement_table(
+    fock: int, x_min: float, x_max: float, points: int, p_min: float, p_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """<m|D(beta)|n> for m >= n at beta = -2 (x + i p) over one grid.
 
     Closed form sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2),
     evaluated with the associated-Laguerre three-term recurrence.  Using
     the exact (untruncated) matrix elements avoids the corner artifacts a
     truncated matrix exponential develops once |beta|^2 rivals the cutoff.
 
-    Returns an array of shape (fock, fock) + beta.shape; entries with
-    m < n are left at zero.
+    Returns (m, n, re, im): the row and column of each of the
+    fock (fock + 1) / 2 lower-triangle entries, and the real and imaginary
+    parts of the elements, shape (entries, points**2) with the grid
+    flattened x-major.  Every snapshot on the same grid shares one table,
+    so the arrays are read-only.
     """
+    xs = np.linspace(x_min, x_max, points)
+    ps = np.linspace(p_min, p_max, points)
+    X, P = np.meshgrid(xs, ps, indexing="ij")
+    beta = (-2.0 * (X + 1j * P)).ravel()
     x = np.abs(beta) ** 2
     env = np.exp(-0.5 * x)
-    out = np.zeros((fock, fock) + beta.shape, dtype=complex)
+    entries = fock * (fock + 1) // 2
+    m_idx = np.empty(entries, dtype=np.intp)
+    n_idx = np.empty(entries, dtype=np.intp)
+    re = np.empty((entries, beta.size))
+    im = np.empty((entries, beta.size))
+    row = 0
     for k in range(fock):  # k = m - n
         # prefactor sqrt(n!/(n+k)!) * beta^k, built up with the recurrence
         lag_prev = np.zeros_like(x)  # L_{-1}
@@ -182,8 +198,13 @@ def _displacement_elements(beta: np.ndarray, fock: int) -> np.ndarray:
             pref = np.sqrt(
                 np.prod(1.0 / np.arange(n + 1, n + k + 1)) if k > 0 else 1.0
             )
-            out[m, n] = pref * beta_k * env * lag
-    return out
+            d = pref * beta_k * env * lag
+            m_idx[row], n_idx[row] = m, n
+            re[row], im[row] = d.real, d.imag
+            row += 1
+    for arr in (m_idx, n_idx, re, im):
+        arr.flags.writeable = False
+    return m_idx, n_idx, re, im
 
 
 def wigner(
@@ -199,25 +220,24 @@ def wigner(
     Evaluated through the identity D(alpha) Pi D(alpha)^dag = Pi D(-2 alpha)
     with exact displacement matrix elements, so |W| <= 2/pi holds on the
     whole grid and the vacuum gives (2/pi) exp(-2|alpha|^2) to machine
-    precision.
+    precision.  Since rho and the parity are Hermitian,
+    Tr[rho Pi D] = sum_n rho_nn (-1)^n D_nn + 2 Re sum_{m>n} rho_nm (-1)^m D_mn,
+    two real matrix-vector products of the per-grid lower-triangle table
+    with the weighted coefficients of rho.
     """
     fock = rho_m.shape[0]
     if p_min is None:
         p_min = x_min
     if p_max is None:
         p_max = x_max
-    xs = np.linspace(x_min, x_max, points)
-    ps = np.linspace(p_min, p_max, points)
-    X, P = np.meshgrid(xs, ps, indexing="ij")
-    beta = -2.0 * (X + 1j * P)
-    D = _displacement_elements(beta, fock)
-    signs = (-1.0) ** np.arange(fock)
-    w = np.zeros_like(X)
-    for n in range(fock):
-        w += (rho_m[n, n].real * signs[n]) * D[n, n].real
-        for m in range(n + 1, fock):
-            w += 2.0 * (rho_m[n, m] * signs[m] * D[m, n]).real
-    return WignerGrid(x=xs, p=ps, w=w * (2.0 / np.pi))
+    m, n, d_re, d_im = _displacement_table(fock, x_min, x_max, points, p_min, p_max)
+    coef = np.where(m == n, 1.0, 2.0) * (-1.0) ** m * rho_m[n, m]
+    w = (coef.real @ d_re - coef.imag @ d_im).reshape(points, points)
+    return WignerGrid(
+        x=np.linspace(x_min, x_max, points),
+        p=np.linspace(p_min, p_max, points),
+        w=w * (2.0 / np.pi),
+    )
 
 
 @dataclass(frozen=True)

@@ -149,20 +149,26 @@ def _rk4_advance(v: np.ndarray, L, dt: float, dt_max: float) -> np.ndarray:
     return v
 
 
-def _condition(rho: np.ndarray) -> np.ndarray:
-    """Re-hermitize, renormalize drifting trace, and police positivity."""
+def _condition(rho: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Re-hermitize, renormalize drifting trace, and police positivity.
+
+    Returns the repaired state, the trace drift |Tr rho - 1| seen before
+    the repair (above TRACE_RENORM_THRESHOLD the state was renormalized)
+    and the smallest eigenvalue of the repaired state.
+    """
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_RENORM_THRESHOLD:
+    drift = abs(tr - 1.0)
+    if drift > TRACE_RENORM_THRESHOLD:
         if abs(tr) < 1e-6:
             raise NumericalFailureError(f"state trace collapsed to {tr:.3e}")
         rho = rho / tr
-    min_eig = np.linalg.eigvalsh(rho)[0]
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < POSITIVITY_FLOOR:
         raise NumericalFailureError(
             f"density matrix lost positivity (min eigenvalue {min_eig:.3e})"
         )
-    return rho
+    return rho, drift, min_eig
 
 
 def propagate(
@@ -185,7 +191,7 @@ def propagate(
         v = _rk4_advance(v, L, dt, dt_max)
     else:
         raise ValueError(f"unknown method {method!r}; use 'expm' or 'rk4'")
-    return _condition(unvec(v, dim))
+    return _condition(unvec(v, dim))[0]
 
 
 @dataclass
@@ -197,7 +203,9 @@ class Trajectory:
     step when snapshots are enabled.  ``propagators`` describes each
     exp(L dt) built, in build order: drive flag, sub-interval ``dt``, the
     number of independent blocks and the size of the largest one (1 block
-    of the full size means the dense path ran).
+    of the full size means the dense path ran).  ``trace_err`` is the
+    trace drift of each sample before ``_condition`` repaired it and
+    ``min_eig`` the smallest eigenvalue after; :meth:`health` sums them up.
     """
 
     times: np.ndarray
@@ -206,8 +214,21 @@ class Trajectory:
     p_g: np.ndarray
     drive_on: np.ndarray  # bool per sample
     trace_err: np.ndarray
+    min_eig: np.ndarray
     snapshots: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
     propagators: list[dict] = field(default_factory=list)
+
+    def health(self) -> dict:
+        """Worst case over the samples: the largest trace drift before
+        repair, the number of samples renormalized, the smallest
+        eigenvalue."""
+        return {
+            "max_trace_drift": float(self.trace_err.max()),
+            "renormalizations": int(
+                np.count_nonzero(self.trace_err > TRACE_RENORM_THRESHOLD)
+            ),
+            "min_eigenvalue": float(self.min_eig.min()),
+        }
 
 
 def evolve(
@@ -233,6 +254,8 @@ def evolve(
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
+    if method not in ("expm", "rk4"):
+        raise ValueError(f"unknown method {method!r}; use 'expm' or 'rk4'")
     liouvillians = {True: None, False: None}
 
     def get_liouvillian(flag: bool):
@@ -243,7 +266,7 @@ def evolve(
     propagators: dict[tuple[bool, float], np.ndarray | sp.csr_matrix] = {}
     paths: list[dict] = []
     dim = rho0.shape[0]
-    rho = _condition(rho0.astype(complex))
+    rho, drift, min_eig = _condition(rho0.astype(complex))
 
     first_flag = schedule.segments[0].drive_on if schedule.segments else False
     times = [0.0]
@@ -253,7 +276,8 @@ def evolve(
     p_e_list.append(pe)
     p_g_list.append(pg)
     flags = [first_flag]
-    trace_err = [abs(np.trace(rho).real - 1.0)]
+    trace_err = [drift]
+    min_eigs = [min_eig]
     snapshots: list[tuple[int, float, np.ndarray]] = []
 
     n_segments = len(schedule.segments)
@@ -277,9 +301,10 @@ def evolve(
         for j in range(samples_per_segment):
             try:
                 if method == "expm":
-                    rho = _condition(unvec(P @ vec(rho), dim))
+                    v = P @ vec(rho)
                 else:
-                    rho = propagate(rho, L, dt_sub, method=method, dt_max=dt_max)
+                    v = _rk4_advance(vec(rho), L, dt_sub, dt_max)
+                rho, drift, min_eig = _condition(unvec(v, dim))
             except NumericalFailureError as exc:
                 raise NumericalFailureError(
                     f"propagation failed in segment {i} (step {seg.step}): {exc}"
@@ -290,7 +315,8 @@ def evolve(
             p_e_list.append(pe)
             p_g_list.append(pg)
             flags.append(seg.drive_on)
-            trace_err.append(abs(np.trace(rho).real - 1.0))
+            trace_err.append(drift)
+            min_eigs.append(min_eig)
         last_of_step = i + 1 == n_segments or schedule.segments[i + 1].step != seg.step
         if keep_snapshots and last_of_step:
             snapshots.append((seg.step, seg.t_start + seg.duration, rho.copy()))
@@ -302,6 +328,7 @@ def evolve(
         p_g=np.asarray(p_g_list),
         drive_on=np.asarray(flags, dtype=bool),
         trace_err=np.asarray(trace_err),
+        min_eig=np.asarray(min_eigs),
         snapshots=snapshots,
         propagators=paths,
     )

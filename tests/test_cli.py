@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from magnonwalk import cli, model
+from magnonwalk import observables as obs
 from magnonwalk.errors import ConfigError
 
 pytestmark = pytest.mark.filterwarnings("ignore::magnonwalk.errors.TruncationWarning")
@@ -269,3 +272,92 @@ class TestMainEntry:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = cli.RunConfig(preset="base")
         assert cfg.resolve_out_dir() == tmp_path / "run_base"
+
+
+def _per_cell_csv(path, header, rows):
+    """The row-by-row writer: every float cell through f"{x:.17g}"."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                + "\n"
+            )
+
+
+EDGE_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.nan, np.inf, 1 / 3, 2.5e-17, 7.0]
+)
+
+
+class TestEmission:
+    def test_columns_match_per_cell_writer(self, tmp_path):
+        flags = np.arange(len(EDGE_VALUES)) % 3 == 0
+        values = EDGE_VALUES[::-1].copy()
+        _per_cell_csv(
+            tmp_path / "old.csv",
+            ["t_ns", "n_c", "drive_on"],
+            zip(map(float, EDGE_VALUES), map(float, values), map(int, flags)),
+        )
+        sha = cli._write(
+            tmp_path / "new.csv",
+            cli._csv(
+                ["t_ns", "n_c", "drive_on"],
+                [
+                    cli._fmt(EDGE_VALUES),
+                    cli._fmt(values),
+                    list(map(str, flags.astype(int).tolist())),
+                ],
+            ),
+        )
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "old.csv").read_bytes()
+        assert b"-0," in data and b"nan" in data
+        assert sha == hashlib.sha256(data).hexdigest()
+
+    def test_wigner_long_form_matches_per_cell_writer(self, tmp_path):
+        xs = np.array([-0.0, 5e-324, 1e300, -4.5])
+        ps = np.array([np.nan, 0.1, -2.0])
+        w = np.arange(12.0).reshape(4, 3) / 7.0
+        w[1, 2], w[3, 0] = -0.0, 5e-324
+        grid = obs.WignerGrid(x=xs, p=ps, w=w)
+        _per_cell_csv(
+            tmp_path / "old.csv",
+            ["x", "p", "W"],
+            (
+                (float(grid.x[i]), float(grid.p[j]), float(grid.w[i, j]))
+                for i in range(len(grid.x))
+                for j in range(len(grid.p))
+            ),
+        )
+        assert cli._wigner_csv(grid).encode() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_columns_give_header_only(self):
+        assert cli._csv(["a", "b"], [[], []]) == "a,b\n"
+
+    def test_manifest_sha_is_of_file_on_disk(self, completed_run):
+        config, manifest = completed_run
+        out = config.resolve_out_dir()
+        for name, sha in manifest.files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
+
+
+class TestManifestTelemetry:
+    def test_timings_per_stage(self, completed_run):
+        config, manifest = completed_run
+        written = json.loads((config.resolve_out_dir() / "manifest.json").read_text())
+        assert written["timings"] == manifest.timings
+        assert set(manifest.timings) == {"build", "evolve", "observables", "emission"}
+        assert all(t >= 0 for t in manifest.timings.values())
+        assert sum(manifest.timings.values()) <= manifest.duration_s
+        assert not set(manifest.timings) & set(manifest.files)
+
+    def test_health(self, completed_run):
+        config, manifest = completed_run
+        written = json.loads((config.resolve_out_dir() / "manifest.json").read_text())
+        health = written["health"]
+        assert health == manifest.health
+        assert set(health) == {"max_trace_drift", "renormalizations", "min_eigenvalue"}
+        assert 0 <= health["max_trace_drift"] < 1e-10
+        assert health["renormalizations"] == 0
+        assert health["min_eigenvalue"] > -1e-10

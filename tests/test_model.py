@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -88,6 +92,39 @@ class TestPhysicalParams:
                 gamma1=0.0, gamma_phi=0.0, Gamma=0.0,
                 alpha=3.0, d_sites=16, fock_dim=17, n_steps=1, m_phase=256,
             )
+
+    def test_tight_truncation_warning_points_at_caller(self):
+        with pytest.warns(TruncationWarning) as record:
+            model.PhysicalParams(
+                nu_q=7.0, nu_D=2.87, nu_eta=0.1, nu_eps0=1.0,
+                gamma1=0.0, gamma_phi=0.0, Gamma=0.0,
+                alpha=3.0, d_sites=16, fock_dim=17, n_steps=1, m_phase=256,
+            )
+        with pytest.warns(TruncationWarning) as record_preset:
+            model.preset("realistic", alpha=3.0)
+        for rec in (*record, *record_preset):
+            assert rec.filename == __file__
+
+    def test_stock_truncation_budget_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in model.PRESET_NAMES:
+                model.preset(name)
+                model.preset(name, n_steps=32, Gamma=1e-3)
+
+    def test_import_is_silent(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        # -W error turns the TruncationWarning (and any other) into an error
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "import magnonwalk.cli"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_unknown_preset(self):
         with pytest.raises(InvalidParameterError):

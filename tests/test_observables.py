@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnonwalk import observables as obs
 from magnonwalk import operators as ops
@@ -301,3 +303,101 @@ class TestLoglogSlope:
     def test_rejects_single_point(self):
         with pytest.raises(FitDomainError):
             obs.loglog_slope(self._series(1.0), 1)
+
+
+def _wigner_loop_oracle(
+    rho_m, x_min=-4.5, x_max=4.5, points=101, p_min=None, p_max=None
+):
+    """The per-snapshot evaluation: displacement elements recomputed on the
+    grid, then summed over m >= n in a Python double loop."""
+    fock = rho_m.shape[0]
+    p_min = x_min if p_min is None else p_min
+    p_max = x_max if p_max is None else p_max
+    X, P = np.meshgrid(
+        np.linspace(x_min, x_max, points),
+        np.linspace(p_min, p_max, points),
+        indexing="ij",
+    )
+    beta = -2.0 * (X + 1j * P)
+    x = np.abs(beta) ** 2
+    env = np.exp(-0.5 * x)
+    D = np.zeros((fock, fock) + beta.shape, dtype=complex)
+    for k in range(fock):
+        lag_prev, lag = np.zeros_like(x), np.ones_like(x)
+        for n in range(fock - k):
+            if n > 0:
+                lag, lag_prev = (
+                    ((2 * n - 1 + k - x) * lag - (n - 1 + k) * lag_prev) / n,
+                    lag,
+                )
+            pref = np.sqrt(np.prod(1.0 / np.arange(n + 1, n + k + 1)) if k > 0 else 1.0)
+            D[n + k, n] = pref * beta**k * env * lag
+    signs = (-1.0) ** np.arange(fock)
+    w = np.zeros_like(X)
+    for n in range(fock):
+        w += (rho_m[n, n].real * signs[n]) * D[n, n].real
+        for m in range(n + 1, fock):
+            w += 2.0 * (rho_m[n, m] * signs[m] * D[m, n]).real
+    return w * (2.0 / np.pi)
+
+
+def _random_density(fock, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(fock, fock)) + 1j * rng.normal(size=(fock, fock))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class TestWignerTable:
+    """The per-grid displacement table against the double-loop oracle."""
+
+    @pytest.mark.parametrize("fock", [6, 17])
+    @pytest.mark.parametrize(
+        "grid",
+        [{}, {"p_min": -2.0, "p_max": 3.5}, {"x_min": -1.0, "x_max": 2.0, "points": 7}],
+    )
+    def test_matches_loop_oracle(self, fock, grid):
+        rho = _random_density(fock, seed=fock)
+        got = obs.wigner(rho, **grid)
+        npt.assert_allclose(got.w, _wigner_loop_oracle(rho, **grid), rtol=0, atol=1e-14)
+
+    def test_coherent_state_matches_loop_oracle(self):
+        rho = density(ops.coherent_state(2.0 - 1.0j, 17))
+        npt.assert_allclose(
+            obs.wigner(rho).w, _wigner_loop_oracle(rho), rtol=0, atol=1e-14
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(fock=st.integers(2, 17), seed=st.integers(0, 2**32 - 1))
+    def test_random_states_match_loop_oracle(self, fock, seed):
+        rho = _random_density(fock, seed)
+        grid = {"x_min": -3.0, "x_max": 2.5, "points": 15, "p_min": -1.5, "p_max": 4.0}
+        npt.assert_allclose(
+            obs.wigner(rho, **grid).w,
+            _wigner_loop_oracle(rho, **grid),
+            rtol=0,
+            atol=1e-14,
+        )
+
+    def test_grids_do_not_share_a_table(self):
+        default = obs._displacement_table(17, -4.5, 4.5, 101, -4.5, 4.5)
+        shifted = obs._displacement_table(17, -4.5, 4.5, 101, -2.0, 3.5)
+        assert shifted is not default
+        assert not np.array_equal(shifted[2], default[2])
+        assert obs._displacement_table(17, -4.5, 4.5, 101, -4.5, 4.5) is default
+        rho = _random_density(17, seed=5)
+        npt.assert_allclose(
+            obs.wigner(rho, p_min=-2.0, p_max=3.5).w,
+            _wigner_loop_oracle(rho, p_min=-2.0, p_max=3.5),
+            rtol=0,
+            atol=1e-14,
+        )
+
+    def test_table_is_read_only(self):
+        obs.wigner(_random_density(6, seed=1))
+        table = obs._displacement_table(6, -4.5, 4.5, 101, -4.5, 4.5)
+        assert len(table[0]) == 6 * 7 // 2
+        for arr in table:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0

@@ -287,3 +287,38 @@ class TestEvolve:
         diff = np.abs(t_a.snapshots[0][2] - t_b.snapshots[0][2])
         assert diff.max() < 1e-7
         assert t_b.propagators == []
+
+
+class TestHealth:
+    def test_condition_reports_drift_before_repair(self):
+        rho = np.diag([0.66, 0.44]).astype(complex)  # trace 1.1
+        out, drift, min_eig = solver._condition(rho)
+        assert drift == pytest.approx(0.1, abs=1e-15)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-15)
+        assert min_eig == pytest.approx(0.4, abs=1e-15)
+
+    def test_condition_leaves_small_drift_alone(self):
+        rho = np.diag([0.5 + 4e-11, 0.5]).astype(complex)
+        out, drift, _ = solver._condition(rho)
+        assert drift == pytest.approx(4e-11, rel=1e-4)
+        npt.assert_array_equal(out, rho)
+
+    def test_evolve_reports_drifted_initial_state(self, small):
+        p2 = model.preset("base", fock_dim=6, alpha=1.0, n_steps=1)
+        d = model.derive(p2)
+        traj = solver.evolve(
+            model.pulse_schedule(p2, d),
+            1.01 * model.initial_state(p2),
+            model.hamiltonian_rotframe(p2, d, True),
+            model.hamiltonian_rotframe(p2, d, False),
+            model.dissipators(p2),
+            samples_per_segment=2,
+        )
+        assert traj.trace_err[0] == pytest.approx(0.01, abs=1e-12)
+        assert np.all(traj.trace_err[1:] < 1e-12)
+        health = traj.health()
+        assert health["max_trace_drift"] == traj.trace_err[0]
+        assert health["renormalizations"] == 1
+        assert health["min_eigenvalue"] == traj.min_eig.min()
+        assert -1e-12 < health["min_eigenvalue"] < 1e-12  # a pure state
+        assert len(traj.min_eig) == len(traj.times)
