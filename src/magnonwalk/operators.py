@@ -23,7 +23,6 @@ from .errors import DimensionError
 
 __all__ = [
     "annihilation",
-    "creation",
     "number_op",
     "identity",
     "QubitOperators",
@@ -47,10 +46,6 @@ def annihilation(dim: int) -> np.ndarray:
     ns = np.arange(1, dim)
     c[ns - 1, ns] = np.sqrt(ns)
     return c
-
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).conj().T
 
 
 def number_op(dim: int) -> np.ndarray:

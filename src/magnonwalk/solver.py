@@ -13,9 +13,15 @@ The Liouvillian for dρ/dt = -i[H, rho] + sum_k gamma_k D[x_k] rho is then
 Within one schedule segment the Hamiltonian is constant (square-wave
 drive), so exp(L dt) propagates exactly up to floating point; this is the
 default method.  A fixed-step RK4 integrator is provided as an
-independent cross-check.  For a linear constant-coefficient system RK4
-reduces to multiplying by the degree-4 Taylor polynomial of exp(L h),
-which preserves the trace identically because vec(1)^T L = 0.
+independent cross-check.  For a linear constant-coefficient system one
+RK4 sub-step of length h multiplies by the degree-4 Taylor polynomial
+T4(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so n sub-steps are the
+step matrix T4(hL)^n, computed by binary powering in about 2 log2 n
+products (the Taylor and scaling-and-squaring family of Moler & Van
+Loan, SIAM Rev. 45, 3 (2003)).  It is still Taylor-4, not Padé, so it
+stays independent of the expm reference, and it preserves the trace
+identically because vec(1)^T L = 0.  Both methods build their step matrix
+on the same blocks (below) and are applied as P @ vec(rho).
 
 Block-wise exponential
 ----------------------
@@ -31,6 +37,8 @@ exponentiated densely by the same Padé scaling and squaring.  Nothing
 about the model is assumed, so the split is exact for any parameters,
 zero rates included.  The drive eps (c + c^dag) connects every sector,
 so the drive-on generator is one component and one dense exponential.
+The RK4 step matrix is block diagonal in the same blocks, because a
+polynomial in L is, and is built block by block the same way.
 """
 
 from __future__ import annotations
@@ -54,15 +62,19 @@ __all__ = [
     "unvec",
     "sectors",
     "propagator",
+    "rk4_propagator",
     "propagate",
     "Trajectory",
     "evolve",
 ]
 
 # RK4 sub-step ceiling (ns).  The spectral radius of the Liouvillians here
-# is a few hundred rad/ns, and RK4's imaginary-axis stability interval is
-# 2*sqrt(2), so sub-steps must stay around 1e-3 ns.
-DT_MAX_DEFAULT = 1e-3
+# is about 440 rad/ns (base) and 930 rad/ns (realistic).  RK4 is stable up
+# to h*radius = 2*sqrt(2) on the imaginary axis but not accurate there: at
+# 1e-3 ns (h*radius ~ 0.44) a base segment loses positivity.  1e-5 ns keeps
+# h*radius below 0.01; since the step matrix is powered, the ~1e5 sub-steps
+# of a segment cost a few dozen matrix products.
+DT_MAX_DEFAULT = 1e-5
 
 TRACE_RENORM_THRESHOLD = 1e-10
 POSITIVITY_FLOOR = -1e-5
@@ -109,44 +121,60 @@ def sectors(L) -> np.ndarray:
     return connected_components(pattern, directed=False)[1]
 
 
-def propagator(L, dt: float):
-    """exp(L dt), one independent block of L at a time.
-
-    The blocks are the components found by :func:`sectors`.  When L is a
-    single component the result is the dense ``expm(L dt)`` as an array,
-    because a dense matvec is several times faster than a sparse one at
-    full density.  Otherwise each block is exponentiated densely and the
-    result is a CSR matrix in the original vec ordering; since
-    exp(diag(B_1, B_2, ...)) = diag(exp B_1, exp B_2, ...), it equals the
-    dense exponential to rounding.  Either result is applied as P @ v.
-    """
-    L = sp.csr_matrix(L)
-    labels = sectors(L)
+def _blockwise(A, kernel):
+    """``kernel`` applied to each independent block of A (the components
+    of :func:`sectors`, densely), reassembled in A's vec ordering as CSR.
+    A single component gives ``kernel`` of the dense A as an array, since
+    a dense matvec is several times faster than a sparse one at full
+    density.  Exact for any kernel that acts block by block on a
+    block-diagonal matrix, such as a power series."""
+    A = sp.csr_matrix(A)
+    labels = sectors(A)
     sizes = np.bincount(labels)
     if len(sizes) == 1:
-        return expm(L.toarray() * dt)
+        return kernel(A.toarray())
     order = np.argsort(labels, kind="stable")
-    Lp = L[order[:, None], order]
+    Ap = A[order[:, None], order]
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     blocks = sp.block_diag(
-        [expm(Lp[a:b, a:b].toarray() * dt) for a, b in zip(bounds[:-1], bounds[1:])],
+        [kernel(Ap[a:b, a:b].toarray()) for a, b in zip(bounds[:-1], bounds[1:])],
         format="coo",
     )
     return sp.csr_matrix(
-        (blocks.data, (order[blocks.row], order[blocks.col])), shape=L.shape
+        (blocks.data, (order[blocks.row], order[blocks.col])), shape=A.shape
     )
 
 
-def _rk4_advance(v: np.ndarray, L, dt: float, dt_max: float) -> np.ndarray:
+def propagator(L, dt: float):
+    """exp(L dt), one independent block of L at a time (see
+    :func:`_blockwise`): a dense array when L is one component, CSR
+    otherwise.  It equals the dense exponential to rounding, since
+    exp(diag(B_1, B_2, ...)) = diag(exp B_1, exp B_2, ...).  Apply as P @ v.
+    """
+    return _blockwise(L * dt, expm)
+
+
+def rk4_propagator(L, dt: float, dt_max: float = DT_MAX_DEFAULT):
+    """The RK4 step matrix over dt: n = ceil(dt / dt_max) fixed sub-steps
+    of h = dt / n, each the Taylor polynomial T4(hL), so T4(hL)^n, built
+    block by block like :func:`propagator` and applied the same way."""
     n_sub = max(1, math.ceil(dt / dt_max))
-    h = dt / n_sub
-    for _ in range(n_sub):
-        k1 = L @ v
-        k2 = L @ (v + 0.5 * h * k1)
-        k3 = L @ (v + 0.5 * h * k2)
-        k4 = L @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+
+    def taylor4_power(A):
+        eye = np.eye(len(A))
+        T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
+        return np.linalg.matrix_power(T, n_sub)
+
+    return _blockwise(L * (dt / n_sub), taylor4_power)
+
+
+def _builder(method: str, dt_max: float):
+    """The step-matrix builder (L, dt) -> P for an integration method."""
+    if method == "expm":
+        return propagator
+    if method == "rk4":
+        return lambda L, dt: rk4_propagator(L, dt, dt_max)
+    raise ValueError(f"unknown method {method!r}; use 'expm' or 'rk4'")
 
 
 def _condition(rho: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -179,19 +207,13 @@ def propagate(
     dt_max: float = DT_MAX_DEFAULT,
 ) -> np.ndarray:
     """Advance a density matrix by dt under a constant Liouvillian."""
+    build = _builder(method, dt_max)
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     if dt == 0:
         return rho.copy()
-    dim = rho.shape[0]
-    v = vec(rho.astype(complex))
-    if method == "expm":
-        v = propagator(L, dt) @ v
-    elif method == "rk4":
-        v = _rk4_advance(v, L, dt, dt_max)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'expm' or 'rk4'")
-    return _condition(unvec(v, dim))[0]
+    v = build(L, dt) @ vec(rho.astype(complex))
+    return _condition(unvec(v, rho.shape[0]))[0]
 
 
 @dataclass
@@ -200,12 +222,13 @@ class Trajectory:
 
     ``times`` are strictly increasing and include the t=0 sample;
     ``snapshots`` holds one (step, time, rho) triple per completed walk
-    step when snapshots are enabled.  ``propagators`` describes each
-    exp(L dt) built, in build order: drive flag, sub-interval ``dt``, the
-    number of independent blocks and the size of the largest one (1 block
-    of the full size means the dense path ran).  ``trace_err`` is the
-    trace drift of each sample before ``_condition`` repaired it and
-    ``min_eig`` the smallest eigenvalue after; :meth:`health` sums them up.
+    step when snapshots are enabled.  ``propagators`` describes each step
+    matrix built (exp(L dt) or the powered RK4 polynomial), in build order:
+    drive flag, sub-interval ``dt``, the number of independent blocks and
+    the size of the largest one (1 block of the full size means the dense
+    path ran).  ``trace_err`` is the trace drift of each sample before
+    ``_condition`` repaired it and ``min_eig`` the smallest eigenvalue
+    after; :meth:`health` sums them up.
     """
 
     times: np.ndarray
@@ -246,23 +269,18 @@ def evolve(
 
     Each segment uses the Liouvillian built from H_on or H_off and is
     subdivided into ``samples_per_segment`` equal sub-intervals; the state
-    is recorded after each one.  exp(L dt) propagators are cached per
-    (drive flag, sub-interval) pair, so a run builds two propagators
-    regardless of step count: one dense exponential of the drive-on
-    generator, and one small dense exponential per excitation-number block
-    of the drive-off generator (see :func:`propagator`).
+    is recorded after each one.  The step matrix of a sub-interval is
+    exp(L dt) for ``method="expm"`` and the powered RK4 polynomial
+    T4(hL)^n for ``method="rk4"`` (sub-steps h <= ``dt_max``).  Either is
+    cached per (drive flag, sub-interval) pair, so a run builds two step
+    matrices regardless of step count: one dense matrix for the drive-on
+    generator, and one small dense matrix per excitation-number block of
+    the drive-off generator (see :func:`propagator`).
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    if method not in ("expm", "rk4"):
-        raise ValueError(f"unknown method {method!r}; use 'expm' or 'rk4'")
-    liouvillians = {True: None, False: None}
-
-    def get_liouvillian(flag: bool):
-        if liouvillians[flag] is None:
-            liouvillians[flag] = liouvillian(H_on if flag else H_off, diss)
-        return liouvillians[flag]
-
+    build = _builder(method, dt_max)
+    liouvillians: dict[bool, sp.csr_matrix] = {}
     propagators: dict[tuple[bool, float], np.ndarray | sp.csr_matrix] = {}
     paths: list[dict] = []
     dim = rho0.shape[0]
@@ -283,28 +301,27 @@ def evolve(
     n_segments = len(schedule.segments)
     for i, seg in enumerate(schedule.segments):
         dt_sub = seg.duration / samples_per_segment
-        L = get_liouvillian(seg.drive_on)
-        if method == "expm":
-            key = (seg.drive_on, dt_sub)
-            if key not in propagators:
-                propagators[key] = propagator(L, dt_sub)
-                sizes = np.bincount(sectors(L))
-                paths.append(
-                    {
-                        "drive_on": seg.drive_on,
-                        "dt": dt_sub,
-                        "blocks": len(sizes),
-                        "largest_block": int(sizes.max()),
-                    }
+        key = (seg.drive_on, dt_sub)
+        if key not in propagators:
+            if seg.drive_on not in liouvillians:
+                liouvillians[seg.drive_on] = liouvillian(
+                    H_on if seg.drive_on else H_off, diss
                 )
-            P = propagators[key]
+            L = liouvillians[seg.drive_on]
+            propagators[key] = build(L, dt_sub)
+            sizes = np.bincount(sectors(L))
+            paths.append(
+                {
+                    "drive_on": seg.drive_on,
+                    "dt": dt_sub,
+                    "blocks": len(sizes),
+                    "largest_block": int(sizes.max()),
+                }
+            )
+        P = propagators[key]
         for j in range(samples_per_segment):
             try:
-                if method == "expm":
-                    v = P @ vec(rho)
-                else:
-                    v = _rk4_advance(vec(rho), L, dt_sub, dt_max)
-                rho, drift, min_eig = _condition(unvec(v, dim))
+                rho, drift, min_eig = _condition(unvec(P @ vec(rho), dim))
             except NumericalFailureError as exc:
                 raise NumericalFailureError(
                     f"propagation failed in segment {i} (step {seg.step}): {exc}"

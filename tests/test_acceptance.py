@@ -312,10 +312,10 @@ def test_criterion_9_phase_skew_direction(base_run):
     assert consistent
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name,dt_max", [("base", 4e-5), ("realistic", 1.5e-5)])
 def test_full_rk4_boundary_invariants(name, dt_max):
-    """Complete 8-step fixed-step RK4 runs (tens of minutes)."""
+    """Complete 8-step fixed-step RK4 runs; the two cached step matrices
+    make each run a few seconds."""
     p = model.preset(name)
     d = model.derive(p)
     traj = solver.evolve(

@@ -256,6 +256,20 @@ class TestMainEntry:
         lines = (tmp_path / "wg" / "wigner_step1.csv").read_text().splitlines()
         assert len(lines) == 1 + 7 * 7
 
+    @pytest.mark.parametrize("name", ["base", "realistic"])
+    def test_rk4_default_dt_max_tracks_expm(self, tmp_path, name):
+        # at the full cutoff the default sub-step must be accurate, not
+        # just stable
+        series = {}
+        for method in ("expm", "rk4"):
+            out = tmp_path / method
+            argv = ["run", "--preset", name, "--method", method, "--steps", "2"]
+            assert cli.main([*argv, "--no-wigner", "--out", str(out)]) == 0
+            series[method] = np.loadtxt(
+                out / "timeseries.csv", delimiter=",", skiprows=1
+            )
+        assert np.max(np.abs(series["rk4"] - series["expm"])) <= 1e-8
+
     def test_verify_subcommand(self, capsys):
         rc = cli.main(["verify", "--fock-dim", "5"])
         out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -76,6 +78,47 @@ def _excitation_difference(fock_dim):
     return np.subtract.outer(n_exc, n_exc).reshape(-1, order="F")
 
 
+def _small_liouvillian(fock_dim, rates, drive_on):
+    """Generator of the base preset at a small cutoff with the given
+    (gamma1, gamma_phi, Gamma)."""
+    gamma1, gamma_phi, Gamma = rates
+    p = model.preset(
+        "base",
+        fock_dim=fock_dim,
+        alpha=1.0 + 0.0j,
+        gamma1=gamma1,
+        gamma_phi=gamma_phi,
+        Gamma=Gamma,
+    )
+    d = model.derive(p)
+    return solver.liouvillian(
+        model.hamiltonian_rotframe(p, d, drive_on), model.dissipators(p)
+    )
+
+
+def _random_density(dim, seed, rank=None):
+    g = np.random.default_rng(seed).normal(size=(dim, rank or dim, 2)) @ [1.0, 1j]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _rk4_loop(v, L, dt, dt_max):
+    """Fixed-step RK4 as a loop over the sub-steps: the oracle for the
+    powered step matrix."""
+    n_sub = max(1, math.ceil(dt / dt_max))
+    h = dt / n_sub
+    for _ in range(n_sub):
+        k1 = L @ v
+        k2 = L @ (v + 0.5 * h * k1)
+        k3 = L @ (v + 0.5 * h * k2)
+        k4 = L @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
+_rates = st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-4, 0.05)) for _ in range(3)])
+
+
 class TestBlockwisePropagator:
     @pytest.mark.parametrize("drive_on", [True, False])
     @pytest.mark.parametrize("name", ["base", "realistic"])
@@ -101,30 +144,81 @@ class TestBlockwisePropagator:
     @settings(max_examples=30, deadline=None)
     @given(
         fock_dim=st.integers(3, 6),
-        rates=st.tuples(
-            *[st.one_of(st.just(0.0), st.floats(1e-4, 0.05)) for _ in range(3)]
-        ),
+        rates=_rates,
         drive_on=st.booleans(),
         dt=st.floats(1e-3, 3.0),
     )
     def test_random_parameters(self, fock_dim, rates, drive_on, dt):
-        gamma1, gamma_phi, Gamma = rates
-        p = model.preset(
-            "base",
-            fock_dim=fock_dim,
-            alpha=1.0 + 0.0j,
-            gamma1=gamma1,
-            gamma_phi=gamma_phi,
-            Gamma=Gamma,
-        )
-        d = model.derive(p)
-        L = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, drive_on), model.dissipators(p)
-        )
+        L = _small_liouvillian(fock_dim, rates, drive_on)
         P = _dense(solver.propagator(L, dt))
         assert np.max(np.abs(P - expm(L.toarray() * dt))) <= 1e-12
         trace_vec = solver.vec(np.eye(2 * fock_dim))
         assert np.max(np.abs(trace_vec @ P - trace_vec)) <= 1e-12
+
+
+class TestRK4StepMatrix:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fock_dim=st.integers(3, 6),
+        rates=_rates,
+        drive_on=st.booleans(),
+        dt=st.floats(1e-3, 3.0),
+        h_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_substep_loop(self, fock_dim, rates, drive_on, dt, h_frac, seed):
+        L = _small_liouvillian(fock_dim, rates, drive_on)
+        # dt_max log-uniform between dt/2000 (at most ~2000 sub-steps) and
+        # the accurate regime h ||L||_1 <= 1
+        lo = dt / 2000
+        hi = min(dt, 1.0 / abs(L).sum(axis=0).max())
+        dt_max = lo * (hi / lo) ** h_frac
+        P = solver.rk4_propagator(L, dt, dt_max)
+        v = solver.vec(_random_density(2 * fock_dim, seed))
+        assert np.max(np.abs(P @ v - _rk4_loop(v, L, dt, dt_max))) <= 1e-11
+        trace_vec = solver.vec(np.eye(2 * fock_dim))
+        assert np.max(np.abs(trace_vec @ P - trace_vec)) <= 1e-12
+
+
+class TestStepMatrixProperties:
+    """Invariants of the raw step P @ vec(rho), before _condition repairs
+    anything, over small random parameters."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fock_dim=st.integers(3, 6),
+        rates=_rates,
+        drive_on=st.booleans(),
+        dt=st.floats(1e-3, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 6),
+    )
+    def test_hermitian_and_positive(self, fock_dim, rates, drive_on, dt, seed, rank):
+        # a low-rank state starts on the boundary of positivity.  RK4 at the
+        # default dt_max powers its step matrix up to ~3e5 sub-steps, and
+        # the Hermiticity defect grows to ~1e-12 by rounding
+        L = _small_liouvillian(fock_dim, rates, drive_on)
+        dim = 2 * fock_dim
+        v = solver.vec(_random_density(dim, seed, rank))
+        for build in (solver.propagator, solver.rk4_propagator):
+            rho = solver.unvec(build(L, dt) @ v, dim)
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+            if build is solver.propagator:
+                assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fock_dim=st.integers(3, 6),
+        rates=_rates,
+        drive_on=st.booleans(),
+        t1=st.floats(1e-3, 3.0),
+        t2=st.floats(1e-3, 3.0),
+    )
+    def test_semigroup(self, fock_dim, rates, drive_on, t1, t2):
+        L = _small_liouvillian(fock_dim, rates, drive_on)
+        both = _dense(solver.propagator(L, t1 + t2))
+        split = _dense(solver.propagator(L, t2) @ solver.propagator(L, t1))
+        assert np.max(np.abs(both - split)) <= 1e-10
 
 
 class TestPropagate:
@@ -286,7 +380,7 @@ class TestEvolve:
         )
         diff = np.abs(t_a.snapshots[0][2] - t_b.snapshots[0][2])
         assert diff.max() < 1e-7
-        assert t_b.propagators == []
+        assert t_b.propagators == t_a.propagators
 
 
 class TestHealth:
