@@ -22,11 +22,14 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.stats import linregress
 
-from . import operators as ops
 from .errors import DimensionError, InvalidParameterError
 from .model import (
+    LOWER,
+    RAISE,
+    SIGMA_X,
     DerivedParams,
     PhysicalParams,
+    annihilation,
     derive,
     hamiltonian_effective,
     hamiltonian_rotframe,
@@ -113,8 +116,8 @@ def schwinger_ensemble(n_sites: int, trunc: int = 3) -> EnsembleOperators:
         raise DimensionError(
             f"per-mode truncation {trunc} cannot hold {n_sites} quanta exactly"
         )
-    a = ops.annihilation(trunc)
-    eye = ops.identity(trunc)
+    a = annihilation(trunc)
+    eye = np.eye(trunc, dtype=complex)
     mode = {
         "+": np.kron(np.kron(a, eye), eye),
         "0": np.kron(np.kron(eye, a), eye),
@@ -248,6 +251,11 @@ def _multimode(n_modes: int) -> list[np.ndarray]:
     return out
 
 
+def _exchange(m: np.ndarray) -> np.ndarray:
+    """RAISE (x) m + LOWER (x) m^dag: the qubit exchange coupling to mode m."""
+    return np.kron(RAISE, m) + np.kron(LOWER, m.conj().T)
+
+
 def _vacuum_sector_norm(m: np.ndarray, vacuum_states: np.ndarray) -> float:
     """Norm of an operator restricted to a small exact subspace."""
     block = vacuum_states.conj().T @ m @ vacuum_states
@@ -280,14 +288,8 @@ def check_mode_decoupling(
     a = modes[0::2]
     b = modes[1::2]
     boson_dim = modes[0].shape[0]
-    raise_q, lower_q = ops.qubit_ladder()
-    eye_b = np.eye(boson_dim, dtype=complex)
-
-    def coupling(m: np.ndarray) -> np.ndarray:
-        return np.kron(raise_q, m) + np.kron(lower_q, m.conj().T)
-
     h_int = sum(
-        g * math.sqrt(pops[f]) * coupling(a[f] + b[f]) for f in range(4)
+        g * math.sqrt(pops[f]) * _exchange(a[f] + b[f]) for f in range(4)
     )
     c = sum(math.sqrt(pops[f]) * (a[f] + b[f]) for f in range(4)) / math.sqrt(
         2.0 * total
@@ -297,7 +299,7 @@ def check_mode_decoupling(
     reports = [
         ResidualReport.bounded(
             f"decoupling.interaction_identity[{pops}]",
-            _opnorm(h_int - eta * coupling(c)),
+            _opnorm(h_int - eta * _exchange(c)),
         )
     ]
 
@@ -341,7 +343,7 @@ def check_mode_decoupling(
         )
     )
 
-    canon = c @ c.conj().T - c.conj().T @ c - eye_b
+    canon = c @ c.conj().T - c.conj().T @ c - np.eye(boson_dim)
     reports.append(
         ResidualReport.bounded(
             f"decoupling.canonical_commutator[{pops}]",
@@ -378,11 +380,6 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
     a = modes[0::2]
     b = modes[1::2]
     boson_dim = modes[0].shape[0]
-    raise_q, lower_q = ops.qubit_ladder()
-
-    def coupling_term(m: np.ndarray) -> np.ndarray:
-        return np.kron(raise_q, m) + np.kron(lower_q, m.conj().T)
-
     h_int = np.zeros((2 * boson_dim, 2 * boson_dim), dtype=complex)
     center = 0
     class_modes = []
@@ -390,7 +387,7 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
         g_f = math.sqrt(2.0 * sum(gi**2 for gi in cl))
         c_f = np.zeros((boson_dim, boson_dim), dtype=complex)
         for gi in cl:
-            h_int = h_int + gi * coupling_term(a[center] + b[center])
+            h_int = h_int + gi * _exchange(a[center] + b[center])
             c_f = c_f + gi * (a[center] + b[center])
             center += 1
         class_modes.append((g_f, c_f / g_f if g_f > 0 else c_f))
@@ -401,7 +398,7 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
     reports = [
         ResidualReport.bounded(
             f"inhomogeneous.interaction_identity[{label},G={big_g:.4g}]",
-            _opnorm(h_int - big_g * coupling_term(c)),
+            _opnorm(h_int - big_g * _exchange(c)),
         )
     ]
     vac = np.zeros(boson_dim)
@@ -437,14 +434,13 @@ def frohlich_residual(
         raise DimensionError("use fock_dim <= 8 so exact exponentials stay cheap")
     d1 = derived if derived is not None else derive(p)
     delta_qm = d1.delta_c - d1.delta_d  # = omega_q - omega_D exactly
-    raise_q, lower_q = ops.qubit_ladder()
-    c = ops.annihilation(p.fock_dim)
+    c = annihilation(p.fock_dim)
     # Project below the cutoff: the top Fock level carries the truncated
     # [c, c^dag] artifact (it makes the commutator traceless), which would
     # cancel the coin coefficient out of a full-space projection.
-    low = ops.identity(p.fock_dim)
+    low = np.eye(p.fock_dim, dtype=complex)
     low[-1, -1] = 0.0
-    sx_low = ops.tensor(ops.qubit_operators().sigma_x, low)
+    sx_low = np.kron(SIGMA_X, low)
     sx_low_sq = 2.0 * (p.fock_dim - 1)
 
     scales = sorted(float(s) for s in eta_scales)
@@ -456,7 +452,7 @@ def frohlich_residual(
         h = hamiltonian_rotframe(p_s, d_s, drive_on=True)
         h_eff = hamiltonian_effective(p_s, d_s, drive_on=True)
         generator = (s * 2.0 * math.pi * p.nu_eta / delta_qm) * (
-            ops.tensor(lower_q, c.conj().T) - ops.tensor(raise_q, c)
+            np.kron(LOWER, c.conj().T) - np.kron(RAISE, c)
         )
         transformed = expm(-generator) @ h @ expm(generator)
         residuals.append(_opnorm(transformed - h_eff))

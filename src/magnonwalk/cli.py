@@ -18,6 +18,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -57,7 +58,7 @@ from .observables import (
     sharpness_holevo,
     wigner,
 )
-from .solver import DT_MAX_DEFAULT, evolve
+from .solver import DT_MAX_DEFAULT, METHODS, evolve
 
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
@@ -124,7 +125,7 @@ class RunManifest:
     files: dict  # name -> sha256
     duration_s: float
     version: str
-    propagators: list  # one entry per exp(L dt) built, see Trajectory
+    propagators: list  # one entry per step matrix built, see Trajectory
     health: dict  # worst solver health over the samples, see Trajectory.health
     timings: dict  # stage -> wall seconds; not part of the artifacts
 
@@ -233,10 +234,14 @@ def run(config: RunConfig) -> RunManifest:
     t_start = time.monotonic()
     t_build = time.perf_counter()
     p = config.resolve_params()
-    if config.method not in ("expm", "rk4"):
+    if config.method not in METHODS:
         raise ConfigError(f"unknown method {config.method!r}")
     if config.samples_per_segment < 1:
         raise ConfigError("samples_per_segment must be >= 1")
+    if not (math.isfinite(config.dt_max) and config.dt_max > 0):
+        raise ConfigError(f"dt_max must be finite and > 0, got {config.dt_max}")
+    if config.wigner_points < 1:
+        raise ConfigError(f"wigner points must be >= 1, got {config.wigner_points}")
 
     d = derive(p, use_omega_r0=config.use_omega_r0)
     schedule = pulse_schedule(p, d, drive_first=config.drive_first)
@@ -402,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--preset", default=None, choices=PRESET_NAMES)
     runp.add_argument("--config", default=None, help="INI config file")
     runp.add_argument("--steps", type=int, default=None)
-    runp.add_argument("--method", default=None, choices=("expm", "rk4"))
+    runp.add_argument("--method", default=None, choices=METHODS)
     runp.add_argument("--samples-per-segment", type=int, default=None)
     runp.add_argument("--fit-steps", type=int, default=None)
     runp.add_argument(

@@ -24,6 +24,12 @@ qubit-boson coupling at first order and reproduces the effective
 Hamiltonian below with the written signs (verified numerically by the
 ``algebra`` module).  For the presets both chi and Omega_R are positive,
 so magnitudes and signed values coincide.
+
+Operators
+---------
+Operators are dense complex arrays on the qubit (x) boson space, always in
+that order; the solver sparsifies where it pays off (superoperators).
+Qubit basis: ``|e> = (1, 0)``, ``|g> = (0, 1)``, so ``sigma_z |e> = +|e>``.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import operators as ops
 from .errors import (
+    DimensionError,
     DispersiveRegimeWarning,
     InvalidParameterError,
     ScheduleInfeasibleError,
@@ -46,6 +52,12 @@ from .errors import (
 
 __all__ = [
     "TWO_PI",
+    "SIGMA_X",
+    "SIGMA_Z",
+    "RAISE",
+    "LOWER",
+    "annihilation",
+    "coherent_state",
     "PhysicalParams",
     "DerivedParams",
     "DissipatorSpec",
@@ -66,6 +78,48 @@ TWO_PI = 2.0 * math.pi
 
 # Detuning-to-coupling ratio below which the dispersive picture is dubious.
 DISPERSIVE_RATIO_MIN = 10.0
+
+
+def _constant(rows) -> np.ndarray:
+    a = np.array(rows, dtype=complex)
+    a.flags.writeable = False
+    return a
+
+
+SIGMA_X = _constant([[0, 1], [1, 0]])
+SIGMA_Z = _constant([[1, 0], [0, -1]])
+# Unit-normalized qubit ladder |e><g| and |g><e|.  These carry the matrix
+# elements that make the Jaynes-Cummings coupling eta (c^dag LOWER + c RAISE)
+# produce the dispersive shift eta^2/detuning; the doubled ladder
+# sigma_x +- i sigma_y would quadruple it.
+RAISE = _constant([[0, 1], [0, 0]])
+LOWER = _constant([[0, 0], [1, 0]])
+
+
+def annihilation(dim: int) -> np.ndarray:
+    """Bosonic annihilation operator with <n-1|c|n> = sqrt(n), truncated at dim."""
+    if dim < 2:
+        raise DimensionError(f"annihilation operator needs dim >= 2, got {dim}")
+    c = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    c[ns - 1, ns] = np.sqrt(ns)
+    return c
+
+
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    """Truncated coherent state, renormalized to unit norm.
+
+    Amplitudes are proportional to alpha^n / sqrt(n!) for n < dim; the
+    renormalization keeps trace-one invariants exact downstream even when
+    the cutoff clips part of the Poisson tail.
+    """
+    if dim < 2:
+        raise DimensionError(f"coherent state needs dim >= 2, got {dim}")
+    amps = np.empty(dim, dtype=complex)
+    amps[0] = 1.0
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
+    return amps / np.linalg.norm(amps)
 
 
 @dataclass(frozen=True)
@@ -109,8 +163,10 @@ class PhysicalParams:
             raise InvalidParameterError("d_sites must be >= 2")
         if self.n_steps < 0:
             raise InvalidParameterError("n_steps must be >= 0")
-        if self.m_phase < 1:
-            raise InvalidParameterError("m_phase must be >= 1")
+        if self.m_phase < self.fock_dim:
+            raise InvalidParameterError(
+                f"m_phase = {self.m_phase} must be >= fock_dim = {self.fock_dim}"
+            )
         # Truncation adequacy: |alpha|^2 within half the Fock space (rounded
         # up, so the stock alpha=3 / dim=17 combination is admitted).
         if abs(self.alpha) ** 2 > math.ceil(self.fock_dim / 2):
@@ -223,15 +279,6 @@ def derive(p: PhysicalParams, use_omega_r0: bool = False) -> DerivedParams:
     )
 
 
-def _composite_parts(fock_dim: int):
-    c = ops.annihilation(fock_dim)
-    idq = ops.identity(2)
-    idb = ops.identity(fock_dim)
-    q = ops.qubit_operators()
-    raise_op, lower_op = ops.qubit_ladder()
-    return c, idq, idb, q, raise_op, lower_op
-
-
 def hamiltonian_rotframe(
     p: PhysicalParams, d: DerivedParams, drive_on: bool
 ) -> np.ndarray:
@@ -243,17 +290,17 @@ def hamiltonian_rotframe(
     with eps = eps0 while the pulse is on and 0 otherwise.  This is the
     Hamiltonian propagated for all production dynamics.
     """
-    c, idq, idb, q, raise_op, lower_op = _composite_parts(p.fock_dim)
+    c = annihilation(p.fock_dim)
+    idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
     eta = TWO_PI * p.nu_eta
     eps = TWO_PI * p.nu_eps0 if drive_on else 0.0
     n_b = c.conj().T @ c
-    h = (
-        -d.delta_c * ops.tensor(idq, n_b)
-        - 0.5 * d.delta_d * ops.tensor(q.sigma_z, idb)
-        + eta * (ops.tensor(lower_op, c.conj().T) + ops.tensor(raise_op, c))
-        + eps * ops.tensor(idq, c + c.conj().T)
+    return (
+        -d.delta_c * np.kron(idq, n_b)
+        - 0.5 * d.delta_d * np.kron(SIGMA_Z, idb)
+        + eta * (np.kron(LOWER, c.conj().T) + np.kron(RAISE, c))
+        + eps * np.kron(idq, c + c.conj().T)
     )
-    return h
 
 
 def hamiltonian_effective(
@@ -269,25 +316,24 @@ def hamiltonian_effective(
     The coin term and the drive are gated together by ``drive_on`` since
     both are proportional to the pulse amplitude.
     """
-    c, idq, idb, q, _, _ = _composite_parts(p.fock_dim)
+    c = annihilation(p.fock_dim)
+    idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
     eps = TWO_PI * p.nu_eps0 if drive_on else 0.0
     omega_r = d.Omega_R if drive_on else 0.0
     n_b = c.conj().T @ c
-    h = (
-        d.chi * ops.tensor(q.sigma_z, n_b)
-        + 0.5 * omega_r * ops.tensor(q.sigma_x, idb)
-        + eps * ops.tensor(idq, c + c.conj().T)
-        - d.delta_c * ops.tensor(idq, n_b)
-        - 0.5 * d.delta_d * ops.tensor(q.sigma_z, idb)
-        + 0.5 * d.chi * (ops.tensor(idq, idb) + ops.tensor(q.sigma_z, idb))
+    return (
+        d.chi * np.kron(SIGMA_Z, n_b)
+        + 0.5 * omega_r * np.kron(SIGMA_X, idb)
+        + eps * np.kron(idq, c + c.conj().T)
+        - d.delta_c * np.kron(idq, n_b)
+        - 0.5 * d.delta_d * np.kron(SIGMA_Z, idb)
+        + 0.5 * d.chi * (np.kron(idq, idb) + np.kron(SIGMA_Z, idb))
     )
-    return h
 
 
 def coin_hamiltonian(d: DerivedParams) -> np.ndarray:
     """Coin generator (Omega_R/2)(sigma_x + sigma_z); a Hadamard at t = t_H."""
-    q = ops.qubit_operators()
-    return 0.5 * d.Omega_R * (q.sigma_x + q.sigma_z)
+    return 0.5 * d.Omega_R * (SIGMA_X + SIGMA_Z)
 
 
 @dataclass(frozen=True)
@@ -306,12 +352,12 @@ def dissipators(p: PhysicalParams) -> DissipatorSpec:
     """The three decay channels: mode decay, qubit relaxation, qubit dephasing.
 
     The rates are non-negative: ``PhysicalParams`` rejects negative ones."""
-    c, idq, idb, q, _, lower_op = _composite_parts(p.fock_dim)
+    idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
     return DissipatorSpec(
         channels=(
-            (TWO_PI * p.Gamma, ops.tensor(idq, c)),
-            (TWO_PI * p.gamma1, ops.tensor(lower_op, idb)),
-            (0.5 * TWO_PI * p.gamma_phi, ops.tensor(q.sigma_z, idb)),
+            (TWO_PI * p.Gamma, np.kron(idq, annihilation(p.fock_dim))),
+            (TWO_PI * p.gamma1, np.kron(LOWER, idb)),
+            (0.5 * TWO_PI * p.gamma_phi, np.kron(SIGMA_Z, idb)),
         )
     )
 
@@ -363,8 +409,8 @@ def pulse_schedule(
 
 def initial_state(p: PhysicalParams) -> np.ndarray:
     """Pure initial density matrix: mode coherent, qubit in (|g> + i|e>)/sqrt(2)."""
-    qubit = (ops.basis_state(2, 1) + 1j * ops.basis_state(2, 0)) / math.sqrt(2.0)
-    psi = np.kron(qubit, ops.coherent_state(p.alpha, p.fock_dim))
+    qubit = np.array([1j, 1.0]) / math.sqrt(2.0)  # i|e> + |g>, |e> = (1, 0)
+    psi = np.kron(qubit, coherent_state(p.alpha, p.fock_dim))
     return np.outer(psi, psi.conj())
 
 

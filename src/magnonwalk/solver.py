@@ -57,6 +57,7 @@ from .observables import mean_number, qubit_populations
 
 __all__ = [
     "DT_MAX_DEFAULT",
+    "METHODS",
     "liouvillian",
     "vec",
     "unvec",
@@ -75,6 +76,8 @@ __all__ = [
 # h*radius below 0.01; since the step matrix is powered, the ~1e5 sub-steps
 # of a segment cost a few dozen matrix products.
 DT_MAX_DEFAULT = 1e-5
+
+METHODS = ("expm", "rk4")  # integration methods, see _builder
 
 TRACE_RENORM_THRESHOLD = 1e-10
 POSITIVITY_FLOOR = -1e-5
@@ -169,12 +172,13 @@ def rk4_propagator(L, dt: float, dt_max: float = DT_MAX_DEFAULT):
 
 
 def _builder(method: str, dt_max: float):
-    """The step-matrix builder (L, dt) -> P for an integration method."""
+    """The step-matrix builder (L, dt) -> P for one of :data:`METHODS`;
+    ``propagator`` is looked up at call time, so a wrapper of it runs."""
     if method == "expm":
         return propagator
     if method == "rk4":
         return lambda L, dt: rk4_propagator(L, dt, dt_max)
-    raise ValueError(f"unknown method {method!r}; use 'expm' or 'rk4'")
+    raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
 
 
 def _condition(rho: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -13,11 +13,8 @@ import numpy as np
 import pytest
 
 from magnonwalk import algebra, model, solver
-from magnonwalk import operators as ops
 from magnonwalk import observables as obs
 from magnonwalk.errors import FlatDistributionError
-
-pytestmark = pytest.mark.filterwarnings("ignore::magnonwalk.errors.TruncationWarning")
 
 RUNTIME_BUDGET_S = 300.0
 
@@ -247,13 +244,13 @@ def test_criterion_7_operator_algebra_verification():
 def test_criterion_8_observable_oracles():
     details = []
 
-    grid = obs.wigner(np.outer(*2 * [ops.basis_state(17, 0)]), points=51)
+    grid = obs.wigner(np.outer(*2 * [np.eye(17, dtype=complex)[0]]), points=51)
     i = np.argmin(np.abs(grid.x))
     peak = grid.w[i, i]
     ok_wigner = abs(peak - 2 / math.pi) < 1e-6
     details.append(f"vacuum Wigner peak = {peak:.8f} (2/pi = {2 / math.pi:.8f})")
 
-    state = ops.coherent_state(3.0, 17)
+    state = model.coherent_state(3.0, 17)
     phi = -np.pi + 2 * np.pi * np.arange(256) / 256
     oracle_amp = np.array(
         [sum(np.exp(-1j * n * f) * state[n] for n in range(17)) for f in phi]

@@ -7,8 +7,6 @@ import pytest
 from magnonwalk import algebra, model
 from magnonwalk.errors import DimensionError, InvalidParameterError
 
-pytestmark = pytest.mark.filterwarnings("ignore::magnonwalk.errors.TruncationWarning")
-
 
 class TestHubbardEnsemble:
     def test_single_site_matrix_units(self):
@@ -106,9 +104,7 @@ class TestModeDecoupling:
 
         modes = alg._multimode(8)
         a, b = modes[0::2], modes[1::2]
-        raise_q, lower_q = __import__(
-            "magnonwalk.operators", fromlist=["qubit_ladder"]
-        ).qubit_ladder()
+        raise_q, lower_q = model.RAISE, model.LOWER
 
         def coupling(m):
             return np.kron(raise_q, m) + np.kron(lower_q, m.conj().T)

@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from magnonwalk import cli, model
+from magnonwalk import cli, model, solver
 from magnonwalk import observables as obs
 from magnonwalk.errors import ConfigError
-
-pytestmark = pytest.mark.filterwarnings("ignore::magnonwalk.errors.TruncationWarning")
 
 
 def small_config(tmp_path, **kw):
@@ -286,6 +284,54 @@ class TestMainEntry:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = cli.RunConfig(preset="base")
         assert cfg.resolve_out_dir() == tmp_path / "run_base"
+
+    def test_method_flag_takes_the_solver_methods(self, capsys):
+        parser = cli._build_parser()
+        for method in solver.METHODS:
+            assert parser.parse_args(["run", "--method", method]).method == method
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--method", "bogus"])
+
+
+class TestConfigErrors:
+    """Bad settings exit 1 with a configuration error before any state is
+    propagated or any artifact is written."""
+
+    @pytest.fixture(autouse=True)
+    def _no_evolution(self, monkeypatch):
+        def evolve(*args, **kwargs):
+            raise AssertionError("the run got as far as the evolution")
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+
+    def _main(self, tmp_path, capsys, *argv, ini=None):
+        out = tmp_path / "out"
+        if ini is not None:
+            (tmp_path / "walk.ini").write_text(ini)
+            argv = (*argv, "--config", str(tmp_path / "walk.ini"))
+        rc = cli.main(["run", *argv, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    def test_unknown_method_in_config(self, tmp_path, capsys):
+        self._main(tmp_path, capsys, ini="[run]\nmethod = bogus\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1e-5", "nan", "inf"])
+    def test_bad_dt_max(self, tmp_path, capsys, value):
+        ini = f"[run]\nmethod = rk4\n[model]\ndt_max = {value}\n"
+        self._main(tmp_path, capsys, ini=ini)
+
+    @pytest.mark.parametrize("points", ["-3", "0"])
+    def test_bad_wigner_points_in_config(self, tmp_path, capsys, points):
+        self._main(tmp_path, capsys, ini=f"[wigner]\npoints = {points}\n")
+
+    @pytest.mark.parametrize("grid", ["-2:2:-1", "-2:2:0"])
+    def test_bad_wigner_grid_flag(self, tmp_path, capsys, grid):
+        self._main(tmp_path, capsys, f"--wigner-grid={grid}")
+
+    def test_m_phase_below_fock_dim(self, tmp_path, capsys):
+        self._main(tmp_path, capsys, "--param", "m_phase=8")
 
 
 def _per_cell_csv(path, header, rows):

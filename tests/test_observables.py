@@ -5,14 +5,20 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from magnonwalk import observables as obs
-from magnonwalk import operators as ops
 from magnonwalk.errors import (
     DimensionError,
     FitDomainError,
     FlatDistributionError,
 )
+from magnonwalk.model import annihilation, coherent_state
+
+
+def ket(dim, n):
+    """The Fock (or qubit) basis vector |n>."""
+    return np.eye(dim, dtype=complex)[n]
 
 
 def qubit_boson(qubit_rho, boson_rho):
@@ -24,34 +30,34 @@ def density(psi):
 
 
 MIXED_QUBIT = np.eye(2, dtype=complex) / 2
-GROUND = density(ops.basis_state(2, 1))
+GROUND = density(ket(2, 1))
 
 
 class TestMeanNumber:
     def test_vacuum(self):
-        rho = qubit_boson(MIXED_QUBIT, density(ops.basis_state(9, 0)))
+        rho = qubit_boson(MIXED_QUBIT, density(ket(9, 0)))
         assert obs.mean_number(rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_fock_five(self):
-        rho = qubit_boson(GROUND, density(ops.basis_state(9, 5)))
+        rho = qubit_boson(GROUND, density(ket(9, 5)))
         assert obs.mean_number(rho) == pytest.approx(5.0)
 
     def test_truncated_coherent_oracle(self):
         # independent truncated-Poisson oracle
         weights = [math.exp(-9.0) * 9.0**n / math.factorial(n) for n in range(17)]
         oracle = sum(n * w for n, w in enumerate(weights)) / sum(weights)
-        rho = qubit_boson(MIXED_QUBIT, density(ops.coherent_state(3.0, 17)))
+        rho = qubit_boson(MIXED_QUBIT, density(coherent_state(3.0, 17)))
         assert obs.mean_number(rho) == pytest.approx(oracle, rel=1e-12)
         assert obs.mean_number(rho) < 9.0
 
 
 class TestQubitPopulations:
     def test_excited(self):
-        rho = qubit_boson(density(ops.basis_state(2, 0)), density(ops.basis_state(5, 2)))
+        rho = qubit_boson(density(ket(2, 0)), density(ket(5, 2)))
         assert obs.qubit_populations(rho) == pytest.approx((1.0, 0.0))
 
     def test_mixed(self):
-        rho = qubit_boson(MIXED_QUBIT, density(ops.coherent_state(1.0, 8)))
+        rho = qubit_boson(MIXED_QUBIT, density(coherent_state(1.0, 8)))
         p_e, p_g = obs.qubit_populations(rho)
         assert p_e == pytest.approx(0.5)
         assert p_e + p_g == pytest.approx(1.0, abs=1e-10)
@@ -59,7 +65,7 @@ class TestQubitPopulations:
 
 class TestReduceBoson:
     def test_product_state(self):
-        boson = density(ops.coherent_state(1.5, 10))
+        boson = density(coherent_state(1.5, 10))
         rho = qubit_boson(MIXED_QUBIT, boson)
         npt.assert_allclose(obs.reduce_boson(rho), boson, atol=1e-14)
 
@@ -74,8 +80,8 @@ class TestReduceBoson:
         # (|g,0> + |e,1>)/sqrt(2)
         f = 4
         psi = (
-            np.kron(ops.basis_state(2, 1), ops.basis_state(f, 0))
-            + np.kron(ops.basis_state(2, 0), ops.basis_state(f, 1))
+            np.kron(ket(2, 1), ket(f, 0))
+            + np.kron(ket(2, 0), ket(f, 1))
         ) / math.sqrt(2)
         reduced = obs.reduce_boson(density(psi))
         expected = np.zeros((f, f), dtype=complex)
@@ -98,20 +104,20 @@ def phase_dist_oracle(state, M):
 
 class TestPhaseDistribution:
     def test_vacuum_is_flat(self):
-        dist = obs.phase_distribution(density(ops.basis_state(6, 0)), 64)
+        dist = obs.phase_distribution(density(ket(6, 0)), 64)
         npt.assert_allclose(dist.p, 1.0 / 64, atol=1e-14)
 
     def test_fock_state_is_flat(self):
-        dist = obs.phase_distribution(density(ops.basis_state(6, 4)), 64)
+        dist = obs.phase_distribution(density(ket(6, 4)), 64)
         npt.assert_allclose(dist.p, 1.0 / 64, atol=1e-14)
 
     def test_normalized(self):
-        dist = obs.phase_distribution(density(ops.coherent_state(3.0, 17)), 256)
+        dist = obs.phase_distribution(density(coherent_state(3.0, 17)), 256)
         assert dist.p.sum() == pytest.approx(1.0, abs=1e-10)
         assert dist.p.min() >= 0.0
 
     def test_against_direct_summation_oracle(self):
-        state = ops.coherent_state(3.0, 17)
+        state = coherent_state(3.0, 17)
         oracle = phase_dist_oracle(state, 64)
         dist = obs.phase_distribution(density(state), 64)
         npt.assert_allclose(dist.p, oracle, atol=1e-12)
@@ -119,23 +125,23 @@ class TestPhaseDistribution:
     def test_coherent_peaks_at_amplitude_phase(self):
         theta = 2 * math.pi * 37 / 256  # grid-commensurate
         dist = obs.phase_distribution(
-            density(ops.coherent_state(3.0 * np.exp(1j * theta), 17)), 256
+            density(coherent_state(3.0 * np.exp(1j * theta), 17)), 256
         )
         assert dist.phi[np.argmax(dist.p)] == pytest.approx(theta - math.pi + math.pi, abs=0.05)
 
     def test_resolution_error(self):
         with pytest.raises(DimensionError):
-            obs.phase_distribution(density(ops.coherent_state(1.0, 17)), 16)
+            obs.phase_distribution(density(coherent_state(1.0, 17)), 16)
 
     def test_refinement_invariance_of_sharpness(self):
-        rho = density(ops.coherent_state(3.0, 17))
+        rho = density(coherent_state(3.0, 17))
         s256, _ = obs.sharpness_holevo(obs.phase_distribution(rho, 256))
         s512, _ = obs.sharpness_holevo(obs.phase_distribution(rho, 512))
         assert abs(s256 - s512) < 1e-6
 
     def test_rotation_covariance(self):
         M = 128
-        rho = density(ops.coherent_state(2.0, 12))
+        rho = density(coherent_state(2.0, 12))
         j = 9  # grid-commensurate rotation by 2 pi j / M
         theta = 2 * math.pi * j / M
         rotated = obs.rotate_mode(rho, theta)
@@ -167,7 +173,7 @@ class TestSharpnessHolevo:
     def test_coherent_state_oracle(self):
         # sharpness from the direct-summation oracle, frozen band from the
         # Gaussian phase-width estimate exp(-1/(8 |alpha|^2))
-        state = ops.coherent_state(3.0, 17)
+        state = coherent_state(3.0, 17)
         oracle_p = phase_dist_oracle(state, 256)
         phi = -np.pi + 2 * np.pi * np.arange(256) / 256
         oracle_sharp = abs(np.sum(oracle_p * np.exp(1j * phi)))
@@ -218,52 +224,54 @@ class TestCircularSkewness:
 
 class TestWigner:
     def test_vacuum_peak(self):
-        grid = obs.wigner(density(ops.basis_state(17, 0)))
+        grid = obs.wigner(density(ket(17, 0)))
         i = np.argmin(np.abs(grid.x))
         j = np.argmin(np.abs(grid.p))
         assert grid.w[i, j] == pytest.approx(2 / math.pi, abs=1e-6)
 
     def test_vacuum_gaussian_profile(self):
-        grid = obs.wigner(density(ops.basis_state(10, 0)), points=41)
+        grid = obs.wigner(density(ket(10, 0)), points=41)
         X, P = np.meshgrid(grid.x, grid.p, indexing="ij")
         expected = (2 / math.pi) * np.exp(-2 * (X**2 + P**2))
         npt.assert_allclose(grid.w, expected, atol=1e-10)
 
     def test_normalization_riemann(self):
-        grid = obs.wigner(density(ops.coherent_state(1.0 + 0.5j, 17)))
+        grid = obs.wigner(density(coherent_state(1.0 + 0.5j, 17)))
         dx = grid.x[1] - grid.x[0]
         dp = grid.p[1] - grid.p[0]
         assert grid.w.sum() * dx * dp == pytest.approx(1.0, abs=0.02)
 
     def test_coherent_peak_location(self):
-        grid = obs.wigner(density(ops.coherent_state(3.0, 17)))
+        grid = obs.wigner(density(coherent_state(3.0, 17)))
         i, j = np.unravel_index(np.argmax(grid.w), grid.w.shape)
         assert grid.x[i] == pytest.approx(3.0, abs=0.1)
         assert grid.p[j] == pytest.approx(0.0, abs=0.1)
 
     def test_bounded_by_two_over_pi(self):
-        rho = density(ops.coherent_state(2.0, 17))
-        rho = 0.6 * rho + 0.4 * density(ops.basis_state(17, 3))
+        rho = density(coherent_state(2.0, 17))
+        rho = 0.6 * rho + 0.4 * density(ket(17, 3))
         grid = obs.wigner(rho)
         assert np.max(np.abs(grid.w)) <= 2 / math.pi + 1e-9
 
     def test_vacuum_marginal_is_quadrature_distribution(self):
-        grid = obs.wigner(density(ops.basis_state(12, 0)), points=121)
+        grid = obs.wigner(density(ket(12, 0)), points=121)
         dp = grid.p[1] - grid.p[0]
         marginal = grid.w.sum(axis=1) * dp
         expected = math.sqrt(2 / math.pi) * np.exp(-2 * grid.x**2)
         assert np.max(np.abs(marginal - expected)) < 0.02 * expected.max()
 
     def test_matches_truncated_displaced_parity(self):
-        # dual route: exact matrix elements vs displacement/parity operators
-        # built by matrix exponential, where truncation is comfortable
+        # dual route: exact matrix elements vs the parity (-1)^n and the
+        # displacement exp(alpha c^dag - alpha* c) built by matrix
+        # exponential, where truncation is comfortable
         fock = 14
-        rho = density(ops.coherent_state(0.8, fock))
+        rho = density(coherent_state(0.8, fock))
         pts = [(0.0, 0.0), (0.5, -0.3), (1.0, 0.7)]
-        pi_op = ops.parity(fock)
+        c = annihilation(fock)
+        pi_op = np.diag((-1.0 + 0j) ** np.arange(fock))
         for x, p in pts:
             alpha = x + 1j * p
-            d = ops.displacement(alpha, fock)
+            d = expm(alpha * c.conj().T - np.conj(alpha) * c)
             w_expm = (2 / math.pi) * np.trace(rho @ d @ pi_op @ d.conj().T).real
             grid = obs.wigner(rho, x_min=x, x_max=x, points=1, p_min=p, p_max=p)
             assert grid.w[0, 0] == pytest.approx(w_expm, abs=1e-8)
@@ -362,7 +370,7 @@ class TestWignerTable:
         npt.assert_allclose(got.w, _wigner_loop_oracle(rho, **grid), rtol=0, atol=1e-14)
 
     def test_coherent_state_matches_loop_oracle(self):
-        rho = density(ops.coherent_state(2.0 - 1.0j, 17))
+        rho = density(coherent_state(2.0 - 1.0j, 17))
         npt.assert_allclose(
             obs.wigner(rho).w, _wigner_loop_oracle(rho), rtol=0, atol=1e-14
         )

@@ -1,36 +1,45 @@
+"""The qubit and boson operators that ``model`` builds the walk from."""
+
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from magnonwalk import operators as ops
 from magnonwalk.errors import DimensionError
+from magnonwalk.model import (
+    LOWER,
+    RAISE,
+    SIGMA_X,
+    SIGMA_Z,
+    annihilation,
+    coherent_state,
+)
 
 
 class TestAnnihilation:
     def test_dim3_matrix_elements(self):
-        c = ops.annihilation(3)
+        c = annihilation(3)
         expected = np.array(
             [[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]], dtype=complex
         )
         npt.assert_allclose(c, expected)
 
     def test_vacuum_annihilated(self):
-        c = ops.annihilation(5)
-        npt.assert_array_equal(c @ ops.basis_state(5, 0), np.zeros(5))
+        c = annihilation(5)
+        npt.assert_array_equal(c @ np.eye(5)[0], np.zeros(5))
 
     def test_ladder_element(self):
-        c = ops.annihilation(4)
+        c = annihilation(4)
         assert c[2, 3] == pytest.approx(math.sqrt(3))
 
     def test_rejects_small_dim(self):
         with pytest.raises(DimensionError):
-            ops.annihilation(1)
+            annihilation(1)
 
     @pytest.mark.parametrize("dim", [2, 5, 17])
     def test_commutator_breaks_only_at_top(self, dim):
-        c = ops.annihilation(dim)
+        c = annihilation(dim)
         comm = c @ c.conj().T - c.conj().T @ c
         expected = np.eye(dim, dtype=complex)
         expected[-1, -1] = -(dim - 1)
@@ -39,62 +48,23 @@ class TestAnnihilation:
 
 class TestQubitOperators:
     def test_sigma_z_eigenbasis(self):
-        q = ops.qubit_operators()
         e = np.array([1, 0], dtype=complex)
         g = np.array([0, 1], dtype=complex)
-        npt.assert_allclose(q.sigma_z @ e, e)
-        npt.assert_allclose(q.sigma_z @ g, -g)
-
-    def test_sigma_plus_doubled_convention(self):
-        q = ops.qubit_operators()
-        nonzero = np.abs(q.sigma_plus[np.abs(q.sigma_plus) > 0])
-        assert nonzero.shape == (1,)
-        assert nonzero[0] == pytest.approx(2.0)
-        npt.assert_allclose(q.sigma_plus, q.sigma_x + 1j * q.sigma_y)
+        npt.assert_allclose(SIGMA_Z @ e, e)
+        npt.assert_allclose(SIGMA_Z @ g, -g)
 
     def test_pauli_algebra(self):
-        q = ops.qubit_operators()
-        npt.assert_allclose(
-            q.sigma_x @ q.sigma_y - q.sigma_y @ q.sigma_x, 2j * q.sigma_z
-        )
+        sigma_y = np.array([[0, -1j], [1j, 0]])
+        npt.assert_allclose(SIGMA_X @ sigma_y - sigma_y @ SIGMA_X, 2j * SIGMA_Z)
 
     def test_unit_ladder(self):
-        raise_op, lower_op = ops.qubit_ladder()
-        npt.assert_allclose(raise_op, [[0, 1], [0, 0]])
-        npt.assert_allclose(lower_op, raise_op.conj().T)
+        npt.assert_allclose(RAISE, [[0, 1], [0, 0]])
+        npt.assert_allclose(LOWER, RAISE.conj().T)
 
-
-class TestTensor:
-    def test_identity_composition(self):
-        npt.assert_allclose(
-            ops.tensor(ops.identity(2), ops.identity(17)), ops.identity(34)
-        )
-
-    def test_sigma_z_number_diagonal(self):
-        q = ops.qubit_operators()
-        n = ops.number_op(5)
-        t = ops.tensor(q.sigma_z, n)
-        npt.assert_allclose(t, np.diag(np.diag(t)))
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            a, c = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-            b, d = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-            npt.assert_allclose(
-                ops.tensor(a, b) @ ops.tensor(c, d),
-                ops.tensor(a @ c, b @ d),
-                atol=1e-12,
-            )
-
-    def test_preserves_hermiticity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            a = a + a.conj().T
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            b = b + b.conj().T
-            assert ops.is_hermitian(ops.tensor(a, b))
+    def test_constants_are_read_only(self):
+        for op in (SIGMA_X, SIGMA_Z, RAISE, LOWER):
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
 
 
 def poisson_weights(mean: float, n_max: int) -> list[float]:
@@ -107,7 +77,7 @@ def poisson_weights(mean: float, n_max: int) -> list[float]:
 
 class TestCoherentState:
     def test_vacuum_limit(self):
-        npt.assert_allclose(ops.coherent_state(0.0, 5), ops.basis_state(5, 0))
+        npt.assert_allclose(coherent_state(0.0, 5), np.eye(5)[0])
 
     def test_truncated_poisson_mass(self):
         # Captured probability before renormalization, against the direct
@@ -115,7 +85,7 @@ class TestCoherentState:
         weights = poisson_weights(9.0, 16)
         captured = sum(weights)
         assert round(captured, 4) == 0.9889
-        state = ops.coherent_state(3.0, 17)
+        state = coherent_state(3.0, 17)
         # reconstruct the un-normalized mass from the amplitude ratios
         raw = np.exp(-9.0) * np.cumprod(np.r_[1.0, 9.0 / np.arange(1, 17)])
         npt.assert_allclose(np.abs(state) ** 2, raw / captured, rtol=1e-12)
@@ -124,48 +94,10 @@ class TestCoherentState:
         weights = poisson_weights(9.0, 16)
         oracle_mean = sum(n * w for n, w in enumerate(weights)) / sum(weights)
         assert oracle_mean < 9.0
-        state = ops.coherent_state(3.0, 17)
+        state = coherent_state(3.0, 17)
         mean = float(np.sum(np.arange(17) * np.abs(state) ** 2))
         assert mean == pytest.approx(oracle_mean, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.5 + 0.5j, 3.0, -2.0j])
     def test_unit_norm(self, alpha):
-        assert np.linalg.norm(ops.coherent_state(alpha, 17)) == pytest.approx(1.0)
-
-
-class TestPhaseState:
-    def test_flat_amplitudes_at_zero_phase(self):
-        v = ops.phase_state(0.0, 8)
-        npt.assert_allclose(v, np.full(8, 1 / math.sqrt(8)))
-
-    def test_discrete_orthogonality(self):
-        dim = 7
-        states = [ops.phase_state(2 * math.pi * k / dim, dim) for k in range(dim)]
-        gram = np.array([[si.conj() @ sj for sj in states] for si in states])
-        npt.assert_allclose(gram, np.eye(dim), atol=1e-12)
-
-    def test_periodicity(self):
-        npt.assert_allclose(
-            ops.phase_state(0.7 + 2 * math.pi, 9), ops.phase_state(0.7, 9), atol=1e-12
-        )
-
-
-class TestDisplacementParity:
-    def test_zero_displacement_is_identity(self):
-        npt.assert_allclose(ops.displacement(0.0, 10), np.eye(10), atol=1e-14)
-
-    def test_displaced_vacuum_is_coherent(self):
-        d = ops.displacement(1.0, 17)
-        moved = d @ ops.basis_state(17, 0)
-        fidelity = abs(moved.conj() @ ops.coherent_state(1.0, 17)) ** 2
-        assert fidelity > 1 - 1e-6
-
-    def test_parity_squares_to_identity(self):
-        pi_op = ops.parity(9)
-        npt.assert_allclose(pi_op @ pi_op, np.eye(9), atol=1e-14)
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0 + 1.0j, 2.0])
-    def test_unitary_within_budget(self, alpha):
-        # |alpha|^2 <= dim/4 for dim 17
-        d = ops.displacement(alpha, 17)
-        npt.assert_allclose(d @ d.conj().T, np.eye(17), atol=1e-10)
+        assert np.linalg.norm(coherent_state(alpha, 17)) == pytest.approx(1.0)
