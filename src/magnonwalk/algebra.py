@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import linregress
 
 from .errors import DimensionError, InvalidParameterError
 from .model import (
@@ -34,6 +33,7 @@ from .model import (
     hamiltonian_effective,
     hamiltonian_rotframe,
 )
+from .observables import _ols
 
 __all__ = [
     "EnsembleOperators",
@@ -458,9 +458,9 @@ def frohlich_residual(
         residuals.append(_opnorm(transformed - h_eff))
         sx_coeffs.append(np.trace(transformed @ sx_low).real / sx_low_sq)
 
-    fit = linregress(np.log(scales), np.log(residuals))
+    slope = _ols(np.log(scales), np.log(residuals))[0]
     reports = [
-        ResidualReport.at_least("frohlich.residual_slope", float(fit.slope), 1.9)
+        ResidualReport.at_least("frohlich.residual_slope", slope, 1.9)
     ]
     s_min = scales[0]
     target = s_min**2 * d1.Omega_R / 2.0

@@ -242,6 +242,14 @@ def run(config: RunConfig) -> RunManifest:
         raise ConfigError(f"dt_max must be finite and > 0, got {config.dt_max}")
     if config.wigner_points < 1:
         raise ConfigError(f"wigner points must be >= 1, got {config.wigner_points}")
+    if not (math.isfinite(config.wigner_min) and math.isfinite(config.wigner_max)):
+        raise ConfigError(
+            f"wigner range must be finite, got {config.wigner_min}:{config.wigner_max}"
+        )
+    if config.fit_steps is not None and (config.fit_steps < 0 or config.fit_steps == 1):
+        raise ConfigError(
+            f"fit_steps must be >= 2, or 0 for no fit, got {config.fit_steps}"
+        )
 
     d = derive(p, use_omega_r0=config.use_omega_r0)
     schedule = pulse_schedule(p, d, drive_first=config.drive_first)
@@ -375,7 +383,10 @@ def run(config: RunConfig) -> RunManifest:
         },
     )
     (out / "manifest.json").write_text(
-        json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n"
+        json.dumps(
+            dataclasses.asdict(manifest), indent=2, sort_keys=True, allow_nan=False
+        )
+        + "\n"
     )
     return manifest
 

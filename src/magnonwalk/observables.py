@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DimensionError,
@@ -249,6 +248,21 @@ class SpreadSeries:
     sigma_h: np.ndarray
 
 
+def _ols(x, y) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error, by the
+    formulas of ``scipy.stats.linregress`` (whose import would double the
+    package's start-up time)."""
+    n = len(x)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0:
+        raise ValueError("all x values are identical")
+    slope = ssxym / ssxm
+    if n == 2:
+        return float(slope), 0.0
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0) if ssym > 0.0 else 0.0
+    return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)))
+
+
 def loglog_slope(series: SpreadSeries, first_k: int) -> tuple[float, float]:
     """OLS slope of log sigma_H vs log boundary time over the first k steps.
 
@@ -268,5 +282,4 @@ def loglog_slope(series: SpreadSeries, first_k: int) -> tuple[float, float]:
         raise FitDomainError("sigma_H values must be positive and finite for the fit")
     if not np.all(t > 0):
         raise FitDomainError("boundary times must be positive for the log fit")
-    res = stats.linregress(np.log(t), np.log(sig))
-    return float(res.slope), float(res.stderr)
+    return _ols(np.log(t), np.log(sig))

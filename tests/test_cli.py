@@ -153,7 +153,9 @@ class TestRunArtifacts:
     def test_manifest_records_propagation_path(self, tmp_path):
         # base (fock_dim 17): the drive breaks the excitation-number
         # symmetry, so drive-on is one dense block; drive-off splits into
-        # one block per k = N_row - N_col in -17..17
+        # one block per k = N_row - N_col in -17..17, and the real
+        # Hermitian coordinates merge k and -k: 18 blocks, the largest
+        # 2 x 64 for k = +-1
         config = cli.RunConfig(
             preset="base",
             steps=1,
@@ -168,8 +170,8 @@ class TestRunArtifacts:
         assert len(manifest.propagators) == 2
         assert by_flag[True]["blocks"] == 1
         assert by_flag[True]["largest_block"] == 34 ** 2
-        assert by_flag[False]["blocks"] == 35
-        assert by_flag[False]["largest_block"] == 66
+        assert by_flag[False]["blocks"] == 18
+        assert by_flag[False]["largest_block"] == 128
         d = model.derive(config.resolve_params())
         assert by_flag[True]["dt"] == pytest.approx(d.t_H)
         assert by_flag[False]["dt"] == pytest.approx(d.t_p - d.t_H)
@@ -333,6 +335,23 @@ class TestConfigErrors:
     def test_m_phase_below_fock_dim(self, tmp_path, capsys):
         self._main(tmp_path, capsys, "--param", "m_phase=8")
 
+    @pytest.mark.parametrize("grid", ["nan:2:5", "-2:inf:5", "-inf:2:5"])
+    def test_non_finite_wigner_grid_flag(self, tmp_path, capsys, grid):
+        self._main(tmp_path, capsys, f"--wigner-grid={grid}")
+
+    @pytest.mark.parametrize("ini", ["min = nan", "max = inf", "min = -inf"])
+    def test_non_finite_wigner_range_in_config(self, tmp_path, capsys, ini):
+        self._main(tmp_path, capsys, ini=f"[wigner]\n{ini}\n")
+
+    # 0 stays the flag's way to switch the fit off
+    @pytest.mark.parametrize("k", ["-3", "1"])
+    def test_fit_steps_flag_below_two(self, tmp_path, capsys, k):
+        self._main(tmp_path, capsys, "--fit-steps", k)
+
+    @pytest.mark.parametrize("k", ["-3", "1"])
+    def test_fit_steps_in_config_below_two(self, tmp_path, capsys, k):
+        self._main(tmp_path, capsys, ini=f"[run]\nfit_steps = {k}\n")
+
 
 def _per_cell_csv(path, header, rows):
     """The row-by-row writer: every float cell through f"{x:.17g}"."""
@@ -417,7 +436,13 @@ class TestManifestTelemetry:
         written = json.loads((config.resolve_out_dir() / "manifest.json").read_text())
         health = written["health"]
         assert health == manifest.health
-        assert set(health) == {"max_trace_drift", "renormalizations", "min_eigenvalue"}
+        assert set(health) == {
+            "max_trace_drift",
+            "renormalizations",
+            "min_eigenvalue",
+            "max_top_fock_population",
+        }
         assert 0 <= health["max_trace_drift"] < 1e-10
         assert health["renormalizations"] == 0
         assert health["min_eigenvalue"] > -1e-10
+        assert 0 <= health["max_top_fock_population"] < 1

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.stats import linregress
 
 from magnonwalk import observables as obs
 from magnonwalk.errors import (
@@ -409,3 +414,57 @@ class TestWignerTable:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+# step-boundary times (ns) and sigma_H of the first 7 steps of
+# `run --preset base`, the points of its fit.json
+BASE_TIMES = np.array([25.8125, 51.625, 77.4375, 103.25, 129.0625, 154.875, 180.6875])
+BASE_SIGMA_H = np.array([
+    0.42479516996046945, 0.85901219652682703, 1.0695842961383284,
+    1.3395679038670176, 2.0277261193700977, 2.3507055699275958,
+    3.6049810536400826,
+])
+
+
+class TestOls:
+    """``_ols`` against ``scipy.stats.linregress``, which the package no
+    longer imports."""
+
+    def test_matches_linregress_on_base_fit(self):
+        x, y = np.log(BASE_TIMES), np.log(BASE_SIGMA_H)
+        ref = linregress(x, y)
+        assert obs._ols(x, y) == (ref.slope, ref.stderr)
+        series = obs.SpreadSeries(
+            steps=np.arange(1, 8), times=BASE_TIMES, sigma_h=BASE_SIGMA_H
+        )
+        assert obs.loglog_slope(series, 7) == (ref.slope, ref.stderr)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [2, 3, 8, 50])
+    def test_matches_linregress_on_random_data(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-3, 3, n))
+        y = rng.normal(0.7 * x, 0.3)
+        ref = linregress(x, y)
+        assert obs._ols(x, y) == (ref.slope, ref.stderr)
+
+    def test_identical_x_rejected(self):
+        with pytest.raises(ValueError):
+            obs._ols(np.ones(4), np.arange(4.0))
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        code = (
+            "import sys, magnonwalk.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

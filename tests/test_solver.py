@@ -424,3 +424,96 @@ class TestHealth:
         assert health["min_eigenvalue"] == traj.min_eig.min()
         assert -1e-12 < health["min_eigenvalue"] < 1e-12  # a pure state
         assert len(traj.min_eig) == len(traj.times)
+
+    def test_top_fock_population_of_initial_state(self, small):
+        p, d = small
+        p0 = model.preset("base", fock_dim=6, alpha=1.0, n_steps=0)
+        traj = solver.evolve(
+            model.pulse_schedule(p0, d),
+            model.initial_state(p),
+            model.hamiltonian_rotframe(p, d, True),
+            model.hamiltonian_rotframe(p, d, False),
+            model.dissipators(p),
+        )
+        expected = abs(model.coherent_state(p.alpha, p.fock_dim)[-1]) ** 2
+        assert traj.top_fock.shape == (1,)
+        assert traj.health()["max_top_fock_population"] == pytest.approx(
+            expected, rel=1e-12
+        )
+
+
+def _longdouble_expm(A):
+    """exp(A) by a Taylor series with scaling and squaring in np.longdouble:
+    an oracle for the double-precision Padé kernel."""
+    A = np.asarray(A, dtype=np.longdouble)
+    s = max(0, math.ceil(math.log2(float(np.abs(A).sum(axis=0).max()) / 0.5)))
+    A = A / np.longdouble(2) ** s
+    E = np.eye(len(A), dtype=np.longdouble)
+    term = E.copy()
+    for k in range(1, 60):
+        term = term @ A / k
+        E += term
+        if np.abs(term).max() < 1e-30:
+            break
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+class TestRealCoordinates:
+    def test_hermitian_basis_is_unitary_and_real_on_hermitian_states(self):
+        dim = 5
+        S = solver._hermitian_basis(dim * dim)
+        npt.assert_allclose((S @ S.conj().T).toarray(), np.eye(dim * dim), atol=1e-15)
+        assert np.diff(S.indptr).max() == 2
+        rho = _random_density(dim, seed=3)
+        x = S @ solver.vec(rho + rho.conj().T)  # exactly Hermitian
+        assert np.abs(x.imag).max() == 0.0
+
+    @pytest.mark.parametrize("drive_on", [True, False])
+    def test_generator_is_real(self, drive_on):
+        L = _small_liouvillian(5, (0.01, 0.02, 0.03), drive_on)
+        S, R = solver._real_generator(L)
+        assert R.dtype == np.float64
+        npt.assert_allclose(
+            (S.conj().T @ R @ S).toarray(), L.toarray(), rtol=0, atol=1e-13
+        )
+
+    def test_rejects_generator_that_breaks_hermiticity(self):
+        eye = sp.identity(16, dtype=complex, format="csr")
+        with pytest.raises(ValueError, match="Hermiticity"):
+            solver._blockwise(1j * eye, np.exp)
+        for build in (solver.propagator, solver.rk4_propagator):
+            with pytest.raises(ValueError, match="Hermiticity"):
+                build(1j * eye, 1.0)
+
+    def test_drive_off_blocks_merge_k_and_minus_k(self):
+        # cutoff 17: k in -17..17 gives 35 sectors, |k| gives 18 real blocks
+        p = model.preset("base")
+        d = model.derive(p)
+        L = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, False), model.dissipators(p)
+        )
+        labels = solver.sectors(solver._real_generator(L)[1])
+        sizes = np.bincount(labels)
+        assert len(sizes) == 18 and sizes.max() == 128
+        k = _excitation_difference(p.fock_dim)
+        for comp in range(len(sizes)):
+            assert len(np.unique(np.abs(k[labels == comp]))) == 1
+
+    @pytest.mark.parametrize("fock_dim", [6, 9])
+    def test_pade_kernel_matches_longdouble_taylor(self, fock_dim):
+        # the real drive-on generator over one sample interval of a run
+        p = model.preset("base", fock_dim=fock_dim, alpha=1.0 + 0.0j)
+        d = model.derive(p)
+        L = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
+        )
+        R = solver._real_generator(L * (d.t_H / 10))[1].toarray()
+        err = np.abs(solver._expm_pade13(R) - _longdouble_expm(R)).max()
+        assert err <= 1e-13
+
+    def test_pade_kernel_of_zero_is_identity(self):
+        # norm 0 takes no log2 and no squaring
+        E = solver._expm_pade13(np.zeros((3, 3)))
+        npt.assert_allclose(E, np.eye(3), rtol=0, atol=2e-16)
