@@ -19,7 +19,6 @@ from .model import (  # noqa: F401
     DissipatorSpec,
     PhysicalParams,
     PulseSchedule,
-    coin_hamiltonian,
     derive,
     dissipators,
     hamiltonian_effective,

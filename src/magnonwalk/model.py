@@ -66,7 +66,6 @@ __all__ = [
     "derive",
     "hamiltonian_rotframe",
     "hamiltonian_effective",
-    "coin_hamiltonian",
     "dissipators",
     "pulse_schedule",
     "initial_state",
@@ -329,11 +328,6 @@ def hamiltonian_effective(
         - 0.5 * d.delta_d * np.kron(SIGMA_Z, idb)
         + 0.5 * d.chi * (np.kron(idq, idb) + np.kron(SIGMA_Z, idb))
     )
-
-
-def coin_hamiltonian(d: DerivedParams) -> np.ndarray:
-    """Coin generator (Omega_R/2)(sigma_x + sigma_z); a Hadamard at t = t_H."""
-    return 0.5 * d.Omega_R * (SIGMA_X + SIGMA_Z)
 
 
 @dataclass(frozen=True)

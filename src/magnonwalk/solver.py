@@ -21,7 +21,7 @@ products (the Taylor and scaling-and-squaring family of Moler & Van
 Loan, SIAM Rev. 45, 3 (2003)).  It is still Taylor-4, not Padé, so it
 stays independent of the expm reference, and it preserves the trace
 identically because vec(1)^T L = 0.  Both methods build their step matrix
-on the same blocks (below) and are applied as P @ vec(rho).
+on the same blocks (below), in the same real coordinates.
 
 Real Hermitian coordinates
 --------------------------
@@ -29,10 +29,14 @@ A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
 the orthonormal Hermitian basis E_ii, (E_ij + E_ji)/sqrt(2),
 i(E_ij - E_ji)/sqrt(2) it is a real matrix R = S L S^dag, with S unitary
 and at most 2 nonzeros per row (the coherence-vector form of Gorini,
-Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)).  Every step
-matrix is built from R and mapped back as S^dag P_r S, so it is still
-applied as P @ vec(rho).  A real dense product costs about a quarter of a
-complex one on half the bytes.  exp(R dt) is a hand-written real Padé-13
+Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)).  The state and
+every step matrix live in these coordinates: the solver carries the real
+vector x = S vec(rho), every step matrix P_r is built from R and applied
+as P_r @ x, and rho = unvec(S^dag x) is formed only where a sample or a
+snapshot needs it.  So rho is Hermitian by construction, and its trace
+is the sum of the diagonal coordinates x at the vec indices of |i><i|.
+A real dense product costs about a quarter of a complex one on half the
+bytes.  exp(R dt) is a hand-written real Padé-13
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
 (2005)), not ``scipy.linalg.expm``: on the real 1156 x 1156 drive-on
 matrix of the base preset scipy's real-dtype path errs by about 1e-11
@@ -50,11 +54,11 @@ and -k, which merge into one real block: at cutoff 17 the drive-off R has
 18 blocks, the largest 128 x 128 (35 sectors of at most 66 in vec
 coordinates).  ``propagator`` finds these blocks from R itself: the
 connected components of R's sparsity pattern are index sets that R never
-couples, so after permuting them into contiguous order R is block
-diagonal, and the exponential of a block-diagonal matrix is the
-block-diagonal matrix of the blocks' exponentials.  Nothing about the
-model is assumed, so the split is exact for any parameters, zero rates
-included.  The drive eps (c + c^dag) connects every sector, so the
+couples, so up to a permutation R is block diagonal, and the exponential
+of a block-diagonal matrix is the block-diagonal matrix of the blocks'
+exponentials.  The drive-off step matrix is a CSR matrix that stores
+exactly the entries of its blocks.  Nothing about the model is assumed,
+so the split is exact for any parameters, zero rates included.  The drive eps (c + c^dag) connects every sector, so the
 drive-on generator is one component and one dense exponential.  The RK4
 step matrix is block diagonal in the same blocks, because a polynomial in
 R is, and is built block by block the same way.
@@ -178,8 +182,8 @@ def _hermitian_basis(n2: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.concatenate((own, other)), (rows, cols)), shape=(n2, n2))
 
 
-def _real_generator(A) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """S and the real matrix S A S^dag (see :func:`_hermitian_basis`).  A
+def _real_generator(A) -> sp.csr_matrix:
+    """The real matrix S A S^dag (S from :func:`_hermitian_basis`).  A
     generator that maps Hermitian matrices to Hermitian matrices, as every
     Lindblad generator does, is real there; any other raises ValueError."""
     A = sp.csr_matrix(A)
@@ -190,82 +194,103 @@ def _real_generator(A) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         raise ValueError("generator does not preserve Hermiticity")
     R = sp.csr_matrix(R.real)
     R.eliminate_zeros()
-    return S, R
+    return R
 
 
-def _expm_pade13(A: np.ndarray) -> np.ndarray:
-    """exp(A) for a real square A: the [13/13] Padé approximant with
-    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)), scaled by 2^-s with s = max(0, ceil(log2(||A||_1 / theta_13)))."""
+def _expm_pade13(A) -> np.ndarray:
+    """exp(A) for a real square A, sparse or dense: the [13/13] Padé
+    approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)), scaled by 2^-s with
+    s = max(0, ceil(log2(||A||_1 / theta_13))).
+
+    A stays sparse: A^2 is formed from it, and the outer A @ (...) of U is
+    a sparse-by-dense product.  U and V are accumulated in place, A^2, A^4
+    and A^6 are freed before the solve, and the squarings alternate
+    between two buffers, so about six dense n x n arrays are alive at
+    once at the peak."""
     b = _PADE13
-    norm = np.abs(A).sum(axis=0).max(initial=0.0)
+    A = sp.csr_matrix(A)
+    n = A.shape[0]
+    norm = abs(A).sum(axis=0).max()
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     A = A * 2.0**-s
-    eye = np.eye(len(A))
-    A2 = A @ A
+    A2 = (A @ A).toarray()
     A4 = A2 @ A2
     A6 = A4 @ A2
-    U = A @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-        + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye
-    )
-    V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-        + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
-    )
-    E = np.linalg.solve(V - U, V + U)
+    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+    for c, M in ((b[7], A6), (b[5], A4), (b[3], A2)):
+        U += c * M
+    U.flat[:: n + 1] += b[1]
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    for c, M in ((b[6], A6), (b[4], A4), (b[2], A2)):
+        V += c * M
+    V.flat[:: n + 1] += b[0]
+    del A2, A4, A6
+    U = A @ U
+    V -= U  # V - U
+    U *= 2.0
+    U += V  # V + U
+    E = np.linalg.solve(V, U)
+    del U, V
+    F = np.empty_like(E)
     for _ in range(s):
-        E = E @ E
+        np.matmul(E, E, out=F)
+        E, F = F, E
     return E
 
 
 def _blockwise(A, kernel):
     """``kernel`` applied to each independent block of A in real
-    Hermitian coordinates, mapped back to A's vec ordering.
+    Hermitian coordinates: the real step matrix P_r that advances the
+    coordinates x = S vec(rho) (see :func:`_hermitian_basis`).
 
-    A is taken to the real R = S A S^dag once (:func:`_real_generator`);
-    ``kernel`` runs densely on each component of R's sparsity pattern
-    (:func:`sectors`), and the result P_r returns as S^dag P_r S.  A
-    single component gives a dense array, since a dense matvec is several
-    times faster than a sparse one at full density; otherwise CSR.  Exact
-    for any kernel that acts block by block on a block-diagonal matrix and
-    commutes with the change of basis, such as a power series."""
-    S, R = _real_generator(A)
+    A is taken to the real R = S A S^dag once (:func:`_real_generator`),
+    and ``kernel`` runs on each component of R's sparsity pattern
+    (:func:`sectors`), passed as a real CSR matrix.  A single component
+    gives a dense float64 array, since a dense matvec is several times
+    faster than a sparse one at full density.  Otherwise P_r is a float64
+    CSR matrix that stores exactly the entries of the blocks, none between
+    two components.  Exact for any kernel that acts block by block on a
+    block-diagonal matrix, such as a power series."""
+    R = _real_generator(A)
     labels = sectors(R)
     sizes = np.bincount(labels)
     if len(sizes) == 1:
-        P_r = kernel(R.toarray())
-    else:
-        order = np.argsort(labels, kind="stable")
-        Rp = R[order[:, None], order]
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        blocks = sp.block_diag(
-            [kernel(Rp[a:b, a:b].toarray()) for a, b in zip(bounds[:-1], bounds[1:])],
-            format="coo",
-        )
-        P_r = sp.csr_matrix(
-            (blocks.data, (order[blocks.row], order[blocks.col])), shape=R.shape
-        )
-    return sp.csr_matrix(S.conj().T) @ P_r @ S
+        return kernel(R)
+    # row r of P_r is its row of the block's kernel, at the block's
+    # indices (ascending)
+    indptr = np.concatenate(([0], np.cumsum(sizes[labels])))
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    for comp in range(len(sizes)):
+        idx = np.flatnonzero(labels == comp)
+        at = indptr[idx, None] + np.arange(len(idx))
+        data[at] = kernel(R[idx[:, None], idx])
+        indices[at] = idx
+    return sp.csr_matrix((data, indices, indptr), shape=R.shape)
 
 
 def propagator(L, dt: float):
-    """exp(L dt), one independent block of L's real form at a time (see
-    :func:`_blockwise`): a dense array when L is one component, CSR
-    otherwise.  It equals the dense exponential to rounding, since
+    """The real step matrix exp(R dt) of R = S L S^dag, one independent
+    block at a time (see :func:`_blockwise`): a dense float64 array when
+    R is one component, a float64 CSR matrix otherwise.  It advances the
+    real coordinates x = S vec(rho) as P @ x, and S^dag P S equals the
+    dense exponential of L dt to rounding, since
     exp(diag(B_1, B_2, ...)) = diag(exp B_1, exp B_2, ...) and
-    exp(S A S^dag) = S exp(A) S^dag.  Apply as P @ v.
+    exp(S A S^dag) = S exp(A) S^dag.
     """
     return _blockwise(L * dt, _expm_pade13)
 
 
 def rk4_propagator(L, dt: float, dt_max: float = DT_MAX_DEFAULT):
     """The RK4 step matrix over dt: n = ceil(dt / dt_max) fixed sub-steps
-    of h = dt / n, each the Taylor polynomial T4(hL), so T4(hL)^n, built
-    block by block like :func:`propagator` and applied the same way."""
+    of h = dt / n, each the Taylor polynomial T4(hR), so T4(hR)^n, built
+    block by block in real coordinates like :func:`propagator` and
+    applied the same way."""
     n_sub = max(1, math.ceil(dt / dt_max))
 
     def taylor4_power(A):
+        A = A.toarray()
         eye = np.eye(len(A))
         T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
         return np.linalg.matrix_power(T, n_sub)
@@ -283,26 +308,32 @@ def _builder(method: str, dt_max: float):
     raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
 
 
-def _condition(rho: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Re-hermitize, renormalize drifting trace, and police positivity.
+def _condition(
+    x: np.ndarray, S_dag: sp.csr_matrix
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Renormalize drifting trace and police positivity of the state with
+    real Hermitian coordinates x; ``S_dag`` maps them back to vec(rho).
 
-    Returns the repaired state, the trace drift |Tr rho - 1| seen before
-    the repair (above TRACE_RENORM_THRESHOLD the state was renormalized)
-    and the smallest eigenvalue of the repaired state.
+    Returns the repaired coordinates, the density matrix they give, the
+    trace drift |Tr rho - 1| seen before the repair (above
+    TRACE_RENORM_THRESHOLD the state was renormalized) and the smallest
+    eigenvalue of the repaired state.  The trace is the sum of the
+    diagonal coordinates, and rho is Hermitian by construction.
     """
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
+    n = math.isqrt(len(x))
+    tr = x[:: n + 1].sum()  # the vec index of |i><i| is i (n + 1)
     drift = abs(tr - 1.0)
     if drift > TRACE_RENORM_THRESHOLD:
         if abs(tr) < 1e-6:
             raise NumericalFailureError(f"state trace collapsed to {tr:.3e}")
-        rho = rho / tr
+        x = x / tr
+    rho = unvec(S_dag @ x, n)
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < POSITIVITY_FLOOR:
         raise NumericalFailureError(
             f"density matrix lost positivity (min eigenvalue {min_eig:.3e})"
         )
-    return rho, drift, min_eig
+    return x, rho, drift, min_eig
 
 
 def propagate(
@@ -312,14 +343,18 @@ def propagate(
     method: str = "expm",
     dt_max: float = DT_MAX_DEFAULT,
 ) -> np.ndarray:
-    """Advance a density matrix by dt under a constant Liouvillian."""
+    """Advance a density matrix by dt under a constant Liouvillian: one
+    step matrix of ``method`` ("expm" or "rk4", as in :func:`evolve`)
+    applied to the real coordinates of the Hermitian part of rho, and the
+    result checked and renormalized like every sample of :func:`evolve`."""
     build = _builder(method, dt_max)
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     if dt == 0:
         return rho.copy()
-    v = build(L, dt) @ vec(rho.astype(complex))
-    return _condition(unvec(v, rho.shape[0]))[0]
+    S = _hermitian_basis(rho.size)
+    x = build(L, dt) @ (S @ vec(rho)).real
+    return _condition(x, sp.csr_matrix(S.conj().T))[1]
 
 
 @dataclass
@@ -328,8 +363,10 @@ class Trajectory:
 
     ``times`` are strictly increasing and include the t=0 sample;
     ``snapshots`` holds one (step, time, rho) triple per completed walk
-    step when snapshots are enabled.  ``propagators`` describes each step
-    matrix built (exp(L dt) or the powered RK4 polynomial), in build order:
+    step when snapshots are enabled; the solver carries the state in real
+    Hermitian coordinates and forms each rho from them only for a sample
+    or a snapshot.  ``propagators`` describes each real step matrix built
+    (exp(R dt) or the powered RK4 polynomial), in build order:
     drive flag, sub-interval ``dt``, the number of independent blocks of
     the generator in real Hermitian coordinates and the size of the
     largest one (1 block of the full size means the dense path ran).
@@ -380,14 +417,17 @@ def evolve(
 
     Each segment uses the Liouvillian built from H_on or H_off and is
     subdivided into ``samples_per_segment`` equal sub-intervals; the state
-    is recorded after each one.  The step matrix of a sub-interval is
-    exp(L dt) for ``method="expm"`` and the powered RK4 polynomial
-    T4(hL)^n for ``method="rk4"`` (sub-steps h <= ``dt_max``).  Either is
-    cached per (drive flag, sub-interval) pair, so a run builds two step
-    matrices regardless of step count: one dense matrix for the drive-on
-    generator, and one small dense matrix per real-coordinate block of
-    the drive-off generator (see :func:`propagator`).  The blocks of each
-    Liouvillian are found once and recorded in ``propagators``.
+    is recorded after each one.  The state is carried as its real
+    coordinates x = S vec(rho) in the Hermitian basis (the Hermitian part
+    of rho0), and every step matrix acts on them.  The step matrix of a
+    sub-interval is exp(R dt) for ``method="expm"`` and the powered RK4
+    polynomial T4(hR)^n for ``method="rk4"`` (sub-steps h <= ``dt_max``),
+    with R = S L S^dag.  Either is cached per (drive flag, sub-interval)
+    pair, so a run builds two step matrices regardless of step count: one
+    dense matrix for the drive-on generator, and one small dense matrix
+    per real-coordinate block of the drive-off generator (see
+    :func:`propagator`).  The blocks of each Liouvillian are found once
+    and recorded in ``propagators``.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
@@ -398,14 +438,15 @@ def evolve(
     paths: list[dict] = []
     samples: list[tuple] = []
     snapshots: list[tuple[int, float, np.ndarray]] = []
-    dim = rho0.shape[0]
+    S = _hermitian_basis(rho0.size)
+    S_dag = sp.csr_matrix(S.conj().T)
 
     def sample(t, drive_on, rho, drift, min_eig):
         pe, pg = qubit_populations(rho)
         top = reduce_boson(rho)[-1, -1].real
         samples.append((t, mean_number(rho), pe, pg, drive_on, drift, min_eig, top))
 
-    rho, drift, min_eig = _condition(rho0.astype(complex))
+    x, rho, drift, min_eig = _condition((S @ vec(rho0)).real, S_dag)
     first_flag = schedule.segments[0].drive_on if schedule.segments else False
     sample(0.0, first_flag, rho, drift, min_eig)
 
@@ -416,7 +457,7 @@ def evolve(
         if key not in propagators:
             if seg.drive_on not in liouvillians:
                 L = liouvillian(H_on if seg.drive_on else H_off, diss)
-                sizes = np.bincount(sectors(_real_generator(L)[1]))
+                sizes = np.bincount(sectors(_real_generator(L)))
                 liouvillians[seg.drive_on] = (
                     L,
                     {"blocks": len(sizes), "largest_block": int(sizes.max())},
@@ -427,7 +468,7 @@ def evolve(
         P = propagators[key]
         for j in range(samples_per_segment):
             try:
-                rho, drift, min_eig = _condition(unvec(P @ vec(rho), dim))
+                x, rho, drift, min_eig = _condition(P @ x, S_dag)
             except NumericalFailureError as exc:
                 raise NumericalFailureError(
                     f"propagation failed in segment {i} (step {seg.step}): {exc}"
@@ -435,7 +476,7 @@ def evolve(
             sample(seg.t_start + (j + 1) * dt_sub, seg.drive_on, rho, drift, min_eig)
         last_of_step = i + 1 == n_segments or schedule.segments[i + 1].step != seg.step
         if keep_snapshots and last_of_step:
-            snapshots.append((seg.step, seg.t_start + seg.duration, rho.copy()))
+            snapshots.append((seg.step, seg.t_start + seg.duration, rho))
 
     times, n_c, p_e, p_g, flags, trace_err, min_eigs, top_fock = map(
         np.asarray, zip(*samples)

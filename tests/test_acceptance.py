@@ -6,13 +6,14 @@ exponential propagation) and shared.  Run with ``pytest -s`` to see the
 criterion lines as they complete.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from magnonwalk import algebra, model, solver
+from magnonwalk import algebra, cli, model, solver
 from magnonwalk import observables as obs
 from magnonwalk.errors import FlatDistributionError
 
@@ -128,6 +129,27 @@ def test_criterion_4_monotone_spreading(base_run):
         + ", ".join(f"{s:.3f}" for s in sig),
     )
     assert increasing
+
+
+def test_base_slope_converged_in_cutoff(tmp_path):
+    # the stock cutoff 17 sits at the edge of the truncation budget; at 21
+    # and 25 the base spreading exponent has converged
+    slopes = {}
+    for fock_dim in (21, 25):
+        out = tmp_path / f"fock{fock_dim}"
+        argv = ["run", "--preset", "base", "--no-wigner", "--out", str(out)]
+        assert cli.main([*argv, "--param", f"fock_dim={fock_dim}"]) == 0
+        slopes[fock_dim] = json.loads((out / "fit.json").read_text())["slope"]
+    gap = abs(slopes[21] - slopes[25])
+    in_band = all(0.75 <= s <= 1.15 for s in slopes.values())
+    _report(
+        "cutoff convergence (base)",
+        gap <= 1e-3 and in_band,
+        f"slope at fock_dim 21 = {slopes[21]:.5f}, at 25 = {slopes[25]:.5f}, "
+        f"gap {gap:.1e} (<= 1e-3), band [0.75, 1.15]",
+    )
+    assert gap <= 1e-3
+    assert in_band
 
 
 def test_criterion_5_drive_correlated_fluctuations(base_run):
@@ -274,7 +296,8 @@ def test_criterion_8_observable_oracles():
     d = model.derive(model.preset("base"))
     from scipy.linalg import expm
 
-    u = expm(-1j * model.coin_hamiltonian(d) * d.t_H)
+    h_coin = 0.5 * d.Omega_R * (model.SIGMA_X + model.SIGMA_Z)
+    u = expm(-1j * h_coin * d.t_H)
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     fid = abs(np.trace(u.conj().T @ hadamard)) / 2
     ok_coin = fid > 1 - 1e-6

