@@ -6,10 +6,15 @@ inhomogeneous-coupling generalization, and the dispersive canonical
 transformation residual.
 
 Every check is deterministic and tolerance-gated.  Identities that are
-exact only in the untruncated space are evaluated on the subspace the
-truncation cannot leak out of (the bosonic vacuum sector for the
-occupation-1 multimode checks); identities that are exact term by term
-are evaluated on the full truncated space.
+exact only in the untruncated space are evaluated on a subspace the
+truncation cannot leak out of.  The bright-mode checks represent the
+polarization modes on the vacuum and the one-quantum states only
+(a_i = |vac><1_i|, n + 1 dimensions for n modes): their interaction
+identity is linear in the a_i, and their occupation and commutator
+identities are read on the vacuum, from which the interaction reaches
+one quantum, so that space holds every one of them exactly.  The
+dark-mode check takes [H, u^dag u] on the vacuum columns from one side
+only; from both sides it would vanish for any mode u.
 """
 
 from __future__ import annotations
@@ -239,16 +244,16 @@ def check_contraction(n_sites: int, trunc: int | None = None) -> list[ResidualRe
 
 
 def _multimode(n_modes: int) -> list[np.ndarray]:
-    """Annihilation operators for n_modes hard-capped two-level modes."""
-    a = np.array([[0, 1], [0, 0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    out = []
-    for i in range(n_modes):
-        op = np.array([[1.0 + 0j]])
-        for j in range(n_modes):
-            op = np.kron(op, a if j == i else eye)
-        out.append(op)
-    return out
+    """Annihilation operators a_i = |vac><1_i| of n_modes modes on the
+    vacuum (index 0) and the one-quantum states |1_i> (index i + 1) only.
+
+    The bright-mode checks lose nothing by it: the interaction identity is
+    linear in the a_i, which are linearly independent here, and the
+    vacuum-sector identities reach at most one quantum, where these a_i
+    act exactly as bosonic annihilation operators.
+    """
+    basis = np.eye(n_modes + 1, dtype=complex)
+    return [np.outer(basis[0], basis[i + 1]) for i in range(n_modes)]
 
 
 def _exchange(m: np.ndarray) -> np.ndarray:
@@ -256,10 +261,44 @@ def _exchange(m: np.ndarray) -> np.ndarray:
     return np.kron(RAISE, m) + np.kron(LOWER, m.conj().T)
 
 
-def _vacuum_sector_norm(m: np.ndarray, vacuum_states: np.ndarray) -> float:
-    """Norm of an operator restricted to a small exact subspace."""
-    block = vacuum_states.conj().T @ m @ vacuum_states
-    return _opnorm(block)
+def _collective_mode(weights: list[float]):
+    """Modes, interaction and collective mode for one weight w_i per centre.
+
+    Each centre carries two polarization modes a_i, b_i.  Returns the
+    modes in the order (a_1, b_1, a_2, b_2, ...), the interaction
+    H = sum_i w_i (raise (a_i + b_i) + lower (a_i + b_i)^dag), the
+    collective mode c = sum_i w_i (a_i + b_i) / G and its strength
+    G = sqrt(2 sum_i w_i^2), so that H = G (raise c + lower c^dag).
+    """
+    modes = _multimode(2 * len(weights))
+    pairs = [a + b for a, b in zip(modes[0::2], modes[1::2])]
+    big_g = math.sqrt(2.0 * sum(w**2 for w in weights))
+    h_int = sum(w * _exchange(m) for w, m in zip(weights, pairs))
+    c = sum(w * m for w, m in zip(weights, pairs)) / big_g
+    return modes, h_int, c, big_g
+
+
+def _canonical_residual(c: np.ndarray) -> float:
+    """|<vac|[c, c^dag]|vac> - 1| for a mode on the vacuum-plus-one-quantum
+    space (vacuum at index 0)."""
+    return float(abs((c @ c.conj().T - c.conj().T @ c)[0, 0] - 1.0))
+
+
+def _dark_mode_residual(h_int: np.ndarray, modes: list[np.ndarray]) -> float:
+    """Largest ||[H, u^dag u] V|| over the modes u, where the two columns
+    of V are the qubit states times the mode vacuum.
+
+    u^dag u annihilates V, so this is ||u^dag u H V||.  H V holds one
+    quantum, in the bright mode, so the value is 0 exactly when u is
+    orthogonal to the bright mode, and the one-quantum space holds it
+    exactly.  The two-sided V^dag [H, u^dag u] V would be 0 for every u.
+    """
+    dim = len(h_int) // 2  # V: columns |e, vac> and |g, vac>
+    worst = 0.0
+    for u in modes:
+        occ = np.kron(np.eye(2), u.conj().T @ u)
+        worst = max(worst, _opnorm((h_int @ occ - occ @ h_int)[:, ::dim]))
+    return worst
 
 
 def check_mode_decoupling(
@@ -267,14 +306,17 @@ def check_mode_decoupling(
 ) -> list[ResidualReport]:
     """Bright-mode reduction of the eight-mode coupling.
 
-    Builds the full interaction, the privileged mode c and the orthogonal
-    (dark) combinations, then verifies that (i) the interaction equals the
+    Builds the interaction of the four classes' eight polarization modes
+    (weights sqrt(N_f), coupling g), the bright mode c and the orthogonal
+    (dark) combinations on the vacuum-plus-one-quantum space (see
+    :func:`_multimode`), then verifies that (i) the interaction equals the
     single-mode form with the collective strength sqrt(2N) g exactly,
-    (ii) every dark mode's occupation commutes with the interaction, and
-    (iii) c is canonically normalized.  (i) holds term by term and is
-    checked on the whole truncated space; (ii) and (iii) are only exact
-    where no mode can overflow the occupation-1 cap, so they are evaluated
-    on the bosonic vacuum sector, which still pins every coefficient of
+    (ii) every dark mode's occupation commutes with the interaction on the
+    vacuum, ||[H, u^dag u] V|| = 0 (see :func:`_dark_mode_residual`; a
+    mode that is not dark gives its overlap with the bright one times
+    sqrt(2N) g), and (iii) c is canonically normalized on the vacuum.
+    (i) holds term by term; (ii) and (iii) involve at most one quantum,
+    so all three are exact on this space and pin every coefficient of
     the construction.
     """
     pops = tuple(float(x) for x in populations)
@@ -284,17 +326,11 @@ def check_mode_decoupling(
     if total <= 0:
         raise InvalidParameterError("total population must be positive")
 
-    modes = _multimode(8)  # layout (a1, b1, a2, b2, a3, b3, a4, b4)
+    modes, h_int, c, big_g = _collective_mode([math.sqrt(x) for x in pops])
     a = modes[0::2]
     b = modes[1::2]
-    boson_dim = modes[0].shape[0]
-    h_int = sum(
-        g * math.sqrt(pops[f]) * _exchange(a[f] + b[f]) for f in range(4)
-    )
-    c = sum(math.sqrt(pops[f]) * (a[f] + b[f]) for f in range(4)) / math.sqrt(
-        2.0 * total
-    )
-    eta = math.sqrt(2.0 * total) * g
+    h_int = g * h_int
+    eta = g * big_g
 
     reports = [
         ResidualReport.bounded(
@@ -327,27 +363,15 @@ def check_mode_decoupling(
             (math.sqrt(pop34) * c12 - math.sqrt(pop12) * c34) / math.sqrt(total)
         )
 
-    # Exact subspace: bosonic vacuum x qubit (index 0 of the mode kron space).
-    vac = np.zeros(boson_dim)
-    vac[0] = 1.0
-    vac_states = np.kron(np.eye(2), vac.reshape(-1, 1))
-
-    worst = 0.0
-    for u in dark:
-        occ = np.kron(np.eye(2, dtype=complex), u.conj().T @ u)
-        comm = h_int @ occ - occ @ h_int
-        worst = max(worst, _vacuum_sector_norm(comm, vac_states))
     reports.append(
         ResidualReport.bounded(
-            f"decoupling.dark_mode_commutators[{pops}]", worst
+            f"decoupling.dark_mode_commutators[{pops}]",
+            _dark_mode_residual(h_int, dark),
         )
     )
-
-    canon = c @ c.conj().T - c.conj().T @ c - np.eye(boson_dim)
     reports.append(
         ResidualReport.bounded(
-            f"decoupling.canonical_commutator[{pops}]",
-            _vacuum_sector_norm(canon, vac.reshape(-1, 1)),
+            f"decoupling.canonical_commutator[{pops}]", _canonical_residual(c)
         )
     )
     return reports
@@ -359,9 +383,11 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
     ``couplings`` is a flat sequence (a single crystallographic class) or
     a sequence of sequences (one per class).  Each center carries two
     polarization modes; with weights G_f = sqrt(2 sum_i g_i^2) and
-    G = sqrt(sum_f G_f^2), the summed interaction must equal
-    G (raise c + lower c^dag) exactly, and c must be canonical on the
-    vacuum sector.
+    G = sqrt(sum_f G_f^2) = sqrt(2 sum_i g_i^2), the summed interaction
+    must equal G (raise c + lower c^dag) exactly, and c must be canonical
+    on the vacuum.  The class grouping cancels out of c and G, so only the
+    report label uses it.  Both identities are exact on the
+    vacuum-plus-one-quantum space of :func:`_multimode`.
     """
     if not couplings:
         raise InvalidParameterError("need at least one coupling")
@@ -376,41 +402,17 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
     if n_centers > 4:
         raise DimensionError("at most 4 centers (8 modes) at this truncation")
 
-    modes = _multimode(2 * n_centers)
-    a = modes[0::2]
-    b = modes[1::2]
-    boson_dim = modes[0].shape[0]
-    h_int = np.zeros((2 * boson_dim, 2 * boson_dim), dtype=complex)
-    center = 0
-    class_modes = []
-    for cl in classes:
-        g_f = math.sqrt(2.0 * sum(gi**2 for gi in cl))
-        c_f = np.zeros((boson_dim, boson_dim), dtype=complex)
-        for gi in cl:
-            h_int = h_int + gi * _exchange(a[center] + b[center])
-            c_f = c_f + gi * (a[center] + b[center])
-            center += 1
-        class_modes.append((g_f, c_f / g_f if g_f > 0 else c_f))
-    big_g = math.sqrt(sum(g_f**2 for g_f, _ in class_modes))
-    c = sum(g_f * c_f for g_f, c_f in class_modes) / big_g
-
+    _, h_int, c, big_g = _collective_mode(flat)
     label = "x".join(str(len(cl)) for cl in classes)
-    reports = [
+    return [
         ResidualReport.bounded(
             f"inhomogeneous.interaction_identity[{label},G={big_g:.4g}]",
             _opnorm(h_int - big_g * _exchange(c)),
-        )
-    ]
-    vac = np.zeros(boson_dim)
-    vac[0] = 1.0
-    canon = c @ c.conj().T - c.conj().T @ c - np.eye(boson_dim)
-    reports.append(
+        ),
         ResidualReport.bounded(
-            f"inhomogeneous.canonical_commutator[{label}]",
-            _vacuum_sector_norm(canon, vac.reshape(-1, 1)),
-        )
-    )
-    return reports
+            f"inhomogeneous.canonical_commutator[{label}]", _canonical_residual(c)
+        ),
+    ]
 
 
 def frohlich_residual(

@@ -146,49 +146,73 @@ def _coerce_param(name: str, raw: str):
         raise ConfigError(f"cannot parse {name} = {raw!r}") from exc
 
 
+# INI section -> key -> (the RunConfig field it sets, the ConfigParser
+# getter that parses it); [params] takes the PhysicalParams fields instead.
+_CONFIG_KEYS = {
+    "run": {
+        "preset": ("preset", "get"),
+        "steps": ("steps", "getint"),
+        "method": ("method", "get"),
+        "samples_per_segment": ("samples_per_segment", "getint"),
+        "fit_steps": ("fit_steps", "getint"),
+        "out": ("out_dir", "get"),
+    },
+    "model": {
+        "drive_first": ("drive_first", "getboolean"),
+        "use_omega_r0": ("use_omega_r0", "getboolean"),
+        "dt_max": ("dt_max", "getfloat"),
+    },
+    "emit": {
+        "timeseries": ("emit_timeseries", "getboolean"),
+        "holevo": ("emit_holevo", "getboolean"),
+        "phase": ("emit_phase", "getboolean"),
+        "wigner": ("emit_wigner", "getboolean"),
+        "fit": ("emit_fit", "getboolean"),
+        "corotating": ("corotating", "getboolean"),
+    },
+    "wigner": {
+        "min": ("wigner_min", "getfloat"),
+        "max": ("wigner_max", "getfloat"),
+        "points": ("wigner_points", "getint"),
+    },
+}
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Read a flat key/value config file (INI sections) into a RunConfig."""
+    """Read a flat key/value config file (INI sections) into a RunConfig.
+    An unknown section or key is a ConfigError, so that a misspelt setting
+    cannot leave its default in place unnoticed."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()
-    try:
-        if parser.has_section("run"):
-            run = parser["run"]
-            cfg.preset = run.get("preset", cfg.preset)
-            if "steps" in run:
-                cfg.steps = run.getint("steps")
-            cfg.method = run.get("method", cfg.method)
-            cfg.samples_per_segment = run.getint(
-                "samples_per_segment", cfg.samples_per_segment
-            )
-            if "fit_steps" in run:
-                cfg.fit_steps = run.getint("fit_steps")
-            cfg.out_dir = run.get("out", cfg.out_dir)
-        if parser.has_section("model"):
-            mod = parser["model"]
-            cfg.drive_first = mod.getboolean("drive_first", cfg.drive_first)
-            cfg.use_omega_r0 = mod.getboolean("use_omega_r0", cfg.use_omega_r0)
-            cfg.dt_max = mod.getfloat("dt_max", cfg.dt_max)
-        if parser.has_section("emit"):
-            em = parser["emit"]
-            cfg.emit_timeseries = em.getboolean("timeseries", cfg.emit_timeseries)
-            cfg.emit_holevo = em.getboolean("holevo", cfg.emit_holevo)
-            cfg.emit_phase = em.getboolean("phase", cfg.emit_phase)
-            cfg.emit_wigner = em.getboolean("wigner", cfg.emit_wigner)
-            cfg.emit_fit = em.getboolean("fit", cfg.emit_fit)
-            cfg.corotating = em.getboolean("corotating", cfg.corotating)
-        if parser.has_section("wigner"):
-            wg = parser["wigner"]
-            cfg.wigner_min = wg.getfloat("min", cfg.wigner_min)
-            cfg.wigner_max = wg.getfloat("max", cfg.wigner_max)
-            cfg.wigner_points = wg.getint("points", cfg.wigner_points)
-        if parser.has_section("params"):
-            for key, raw in parser["params"].items():
+    names = parser.sections()
+    if parser.defaults():  # [DEFAULT] would otherwise go unchecked
+        names.insert(0, parser.default_section)
+    for name in names:
+        section = parser[name]
+        if name == "params":
+            for key, raw in section.items():
                 cfg.params[key] = _coerce_param(key, raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {path}: {exc}") from exc
+            continue
+        if name not in _CONFIG_KEYS:
+            raise ConfigError(
+                f"unknown section [{name}] in {path}; "
+                f"valid: {', '.join([*_CONFIG_KEYS, 'params'])}"
+            )
+        keys = _CONFIG_KEYS[name]
+        for key in section:
+            if key not in keys:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{name}] of {path}; "
+                    f"valid: {', '.join(keys)}"
+                )
+            field_name, getter = keys[key]
+            try:
+                setattr(cfg, field_name, getattr(section, getter)(key))
+            except ValueError as exc:
+                raise ConfigError(f"bad value in {path}: {exc}") from exc
     return cfg
 
 

@@ -270,6 +270,16 @@ def _blockwise(A, kernel):
     return sp.csr_matrix((data, indices, indptr), shape=R.shape)
 
 
+def _blocks(P) -> dict:
+    """Number and largest size of the independent blocks of a step matrix
+    from :func:`_blockwise`: a dense array is one block, and each row of
+    the CSR form stores exactly the entries of its block."""
+    if not sp.issparse(P):
+        return {"blocks": 1, "largest_block": len(P)}
+    sizes, rows = np.unique(np.diff(P.indptr), return_counts=True)
+    return {"blocks": int((rows // sizes).sum()), "largest_block": int(sizes.max())}
+
+
 def propagator(L, dt: float):
     """The real step matrix exp(R dt) of R = S L S^dag, one independent
     block at a time (see :func:`_blockwise`): a dense float64 array when
@@ -363,9 +373,8 @@ class Trajectory:
 
     ``times`` are strictly increasing and include the t=0 sample;
     ``snapshots`` holds one (step, time, rho) triple per completed walk
-    step when snapshots are enabled; the solver carries the state in real
-    Hermitian coordinates and forms each rho from them only for a sample
-    or a snapshot.  ``propagators`` describes each real step matrix built
+    step; the solver carries the state in real Hermitian coordinates and
+    forms each rho from them only for a sample or a snapshot.  ``propagators`` describes each real step matrix built
     (exp(R dt) or the powered RK4 polynomial), in build order:
     drive flag, sub-interval ``dt``, the number of independent blocks of
     the generator in real Hermitian coordinates and the size of the
@@ -411,7 +420,6 @@ def evolve(
     samples_per_segment: int = 10,
     method: str = "expm",
     dt_max: float = DT_MAX_DEFAULT,
-    keep_snapshots: bool = True,
 ) -> Trajectory:
     """Propagate through the schedule, sampling observables on the way.
 
@@ -426,14 +434,13 @@ def evolve(
     pair, so a run builds two step matrices regardless of step count: one
     dense matrix for the drive-on generator, and one small dense matrix
     per real-coordinate block of the drive-off generator (see
-    :func:`propagator`).  The blocks of each Liouvillian are found once
-    and recorded in ``propagators``.
+    :func:`propagator`).  The blocks of each Liouvillian are found once,
+    by the builder, and ``propagators`` reads them off the step matrix.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     build = _builder(method, dt_max)
-    # drive flag -> (L, its real-coordinate blocks as recorded in paths)
-    liouvillians: dict[bool, tuple[sp.csr_matrix, dict]] = {}
+    liouvillians: dict[bool, sp.csr_matrix] = {}  # keyed by drive flag
     propagators: dict[tuple[bool, float], np.ndarray | sp.csr_matrix] = {}
     paths: list[dict] = []
     samples: list[tuple] = []
@@ -456,15 +463,13 @@ def evolve(
         key = (seg.drive_on, dt_sub)
         if key not in propagators:
             if seg.drive_on not in liouvillians:
-                L = liouvillian(H_on if seg.drive_on else H_off, diss)
-                sizes = np.bincount(sectors(_real_generator(L)))
-                liouvillians[seg.drive_on] = (
-                    L,
-                    {"blocks": len(sizes), "largest_block": int(sizes.max())},
+                liouvillians[seg.drive_on] = liouvillian(
+                    H_on if seg.drive_on else H_off, diss
                 )
-            L, blocks = liouvillians[seg.drive_on]
-            propagators[key] = build(L, dt_sub)
-            paths.append({"drive_on": seg.drive_on, "dt": dt_sub, **blocks})
+            propagators[key] = build(liouvillians[seg.drive_on], dt_sub)
+            paths.append(
+                {"drive_on": seg.drive_on, "dt": dt_sub, **_blocks(propagators[key])}
+            )
         P = propagators[key]
         for j in range(samples_per_segment):
             try:
@@ -475,7 +480,7 @@ def evolve(
                 ) from exc
             sample(seg.t_start + (j + 1) * dt_sub, seg.drive_on, rho, drift, min_eig)
         last_of_step = i + 1 == n_segments or schedule.segments[i + 1].step != seg.step
-        if keep_snapshots and last_of_step:
+        if last_of_step:
             snapshots.append((seg.step, seg.t_start + seg.duration, rho))
 
     times, n_c, p_e, p_g, flags, trace_err, min_eigs, top_fock = map(

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -114,6 +116,25 @@ class TestModeDecoupling:
         eta_wrong = 2.0  # should be sqrt(8)
         assert np.linalg.norm(h_int - eta_wrong * coupling(c_wrong), 2) > 0.1
 
+    def test_dark_mode_check_fails_for_bright_modes(self):
+        # the one-sided ||[H, u^dag u] V|| is G <u|c> ||u||: 0 for a dark
+        # mode, nonzero for any mode with a bright component
+        reports = algebra.check_mode_decoupling((4.0, 1.0, 1.0, 1.0))
+        assert reports[1].name.startswith("decoupling.dark_mode_commutators")
+        assert reports[1].passed and reports[1].value < 1e-12
+        modes, h_int, c, big_g = algebra._collective_mode([2.0, 1.0, 1.0, 1.0])
+        a_1, b_1 = modes[0], modes[1]
+        assert h_int.shape == (18, 18)
+        assert big_g == pytest.approx(math.sqrt(14.0), rel=1e-15)
+        residual = algebra._dark_mode_residual
+        assert residual(h_int, [c]) == pytest.approx(big_g, rel=1e-14)
+        assert residual(h_int, [a_1]) == pytest.approx(2.0, rel=1e-14)
+        assert residual(h_int, [(a_1 - b_1) / math.sqrt(2.0)]) < 1e-12
+        # read two-sided on the vacuum, the commutator is 0 for every mode
+        occ = np.kron(np.eye(2), c.conj().T @ c)
+        vac = np.eye(18)[:, ::9]
+        assert np.linalg.norm(vac.T @ (h_int @ occ - occ @ h_int) @ vac) == 0.0
+
     def test_zero_total_rejected(self):
         with pytest.raises(InvalidParameterError):
             algebra.check_mode_decoupling((0.0, 0.0, 0.0, 0.0))
@@ -179,3 +200,18 @@ class TestRunAllChecks:
         assert len(reports) > 25
         failed = [r for r in reports if not r.passed]
         assert failed == []
+
+    def test_matches_benchmark_reference(self):
+        # perfbench/reference/verify.json holds the verify report the
+        # benchmark gates on: names, comparisons, thresholds (3 digits, as
+        # printed) and statuses, in order
+        path = Path(__file__).parents[1] / "perfbench" / "reference" / "verify.json"
+        reference = json.loads(path.read_text())["outputs"]["checks"]
+        reports = [
+            [r.name, r.comparison, float(f"{r.threshold:.3g}"), r.passed]
+            for r in algebra.run_all_checks()
+        ]
+        assert reports == [
+            [name, comparison, threshold, status == "PASS"]
+            for name, _, comparison, threshold, status in reference
+        ]

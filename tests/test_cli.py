@@ -343,6 +343,20 @@ class TestConfigErrors:
     def test_non_finite_wigner_range_in_config(self, tmp_path, capsys, ini):
         self._main(tmp_path, capsys, ini=f"[wigner]\n{ini}\n")
 
+    @pytest.mark.parametrize(
+        "ini",
+        [
+            "[run]\nsamples_per_segmnt = 5\n",
+            "[emitt]\nwigner = false\n",
+            "[wigner]\npoint = 7\n",
+            "[DEFAULT]\nsamples_per_segment = 5\n",
+        ],
+        ids=["key", "section", "wigner_key", "default_section"],
+    )
+    def test_unknown_config_entry(self, tmp_path, capsys, ini):
+        # a misspelt setting would otherwise run on its default
+        self._main(tmp_path, capsys, ini=ini)
+
     # 0 stays the flag's way to switch the fit off
     @pytest.mark.parametrize("k", ["-3", "1"])
     def test_fit_steps_flag_below_two(self, tmp_path, capsys, k):

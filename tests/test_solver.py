@@ -530,6 +530,17 @@ class TestRealCoordinates:
         rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
         assert np.all(labels[rows] == labels[P.indices])
 
+    @settings(max_examples=20, deadline=None)
+    @given(fock_dim=st.integers(3, 6), rates=_rates, drive_on=st.booleans())
+    def test_blocks_read_off_step_matrix(self, fock_dim, rates, drive_on):
+        # evolve records the blocks the builder found instead of finding
+        # them again
+        L = _small_liouvillian(fock_dim, rates, drive_on)
+        sizes = np.bincount(solver.sectors(solver._real_generator(L)))
+        want = {"blocks": len(sizes), "largest_block": int(sizes.max())}
+        for P in (solver.propagator(L, 0.1), solver.rk4_propagator(L, 0.1, 1e-2)):
+            assert solver._blocks(P) == want
+
     def test_drive_on_exponential_peak_memory(self):
         # the 1156 x 1156 drive-on exponential of base keeps at most eight
         # dense float64 operands alive at once
