@@ -86,7 +86,6 @@ class RunConfig:
     emit_holevo: bool = True
     emit_phase: bool = True
     emit_wigner: bool = True
-    emit_fit: bool = True
     # Report phase/Wigner snapshots in the frame co-rotating with the mode
     # (the drive-mode detuning winds the raw rotating-frame state by many
     # turns per step; unwinding keeps the walk centered at phase 0).
@@ -104,10 +103,13 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def resolve_fit_steps(self, n_steps: int) -> int:
+        """The number of step boundaries in the fit; 0 when there is no fit
+        (``fit_steps = 0``, or fewer than two boundaries to fit)."""
         k = self.fit_steps
         if k is None:
             k = DEFAULT_FIT_STEPS.get(self.preset, max(2, n_steps - 1))
-        return min(k, n_steps)
+        k = min(k, n_steps)
+        return k if k >= 2 else 0
 
     def resolve_out_dir(self) -> Path:
         if self.out_dir is not None:
@@ -167,7 +169,6 @@ _CONFIG_KEYS = {
         "holevo": ("emit_holevo", "getboolean"),
         "phase": ("emit_phase", "getboolean"),
         "wigner": ("emit_wigner", "getboolean"),
-        "fit": ("emit_fit", "getboolean"),
         "corotating": ("corotating", "getboolean"),
     },
     "wigner": {
@@ -320,18 +321,18 @@ def run(config: RunConfig) -> RunManifest:
                 points=config.wigner_points,
             )
 
+    fit_steps = config.resolve_fit_steps(len(steps))
     fit_payload = None
-    if config.emit_fit and steps and config.resolve_fit_steps(len(steps)) >= 2:
-        k = config.resolve_fit_steps(len(steps))
+    if fit_steps:
         series = SpreadSeries(
             steps=np.asarray(steps), times=np.asarray(times), sigma_h=np.asarray(sigmas)
         )
-        slope, stderr = loglog_slope(series, k)
+        slope, stderr = loglog_slope(series, fit_steps)
         fit_payload = {
             "slope": slope,
             "stderr": stderr,
-            "n_points": k,
-            "steps": steps[:k],
+            "n_points": fit_steps,
+            "steps": steps[:fit_steps],
             "abscissa": "step_boundary_time_ns",
         }
     t_emission = time.perf_counter()
@@ -390,7 +391,7 @@ def run(config: RunConfig) -> RunManifest:
             "drive_first": config.drive_first,
             "use_omega_r0": config.use_omega_r0,
             "dt_max": config.dt_max,
-            "fit_steps": config.resolve_fit_steps(len(steps)) if steps else 0,
+            "fit_steps": fit_steps,
             "wigner_grid": [config.wigner_min, config.wigner_max, config.wigner_points],
             "corotating": config.corotating,
         },
@@ -505,7 +506,11 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         manifest = run(config)
         out = config.resolve_out_dir()
-        print(f"wrote {len(manifest.files) + 1} files to {out}")
+        top = manifest.health["max_top_fock_population"]
+        print(
+            f"wrote {len(manifest.files) + 1} files to {out};"
+            f" top Fock level held up to {top:.3g} of the state"
+        )
         return 0
     except (
         ConfigError,

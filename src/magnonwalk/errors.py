@@ -31,7 +31,3 @@ class ConfigError(ValueError):
 
 class DispersiveRegimeWarning(UserWarning):
     """Qubit-mode detuning is not large against the coupling strength."""
-
-
-class TruncationWarning(UserWarning):
-    """Fock-space cutoff may be tight for the requested coherent amplitude."""

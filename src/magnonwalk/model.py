@@ -34,9 +34,9 @@ Qubit basis: ``|e> = (1, 0)``, ``|g> = (0, 1)``, so ``sigma_z |e> = +|e>``.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -47,7 +47,6 @@ from .errors import (
     DispersiveRegimeWarning,
     InvalidParameterError,
     ScheduleInfeasibleError,
-    TruncationWarning,
 )
 
 __all__ = [
@@ -153,6 +152,9 @@ class PhysicalParams:
     m_phase: int
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not cmath.isfinite(getattr(self, f.name)):
+                raise InvalidParameterError(f"{f.name} must be finite")
         for name in ("gamma1", "gamma_phi", "Gamma"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"rate {name} must be >= 0")
@@ -166,35 +168,15 @@ class PhysicalParams:
             raise InvalidParameterError(
                 f"m_phase = {self.m_phase} must be >= fock_dim = {self.fock_dim}"
             )
-        # Truncation adequacy: |alpha|^2 within half the Fock space (rounded
-        # up, so the stock alpha=3 / dim=17 combination is admitted).
+        # A hard limit on the input: |alpha|^2 within half the Fock space
+        # (rounded up, so the stock alpha=3 / dim=17 combination is
+        # admitted).  How much the cutoff actually clips is measured by the
+        # run (the manifest's max_top_fock_population), not guessed here.
         if abs(self.alpha) ** 2 > math.ceil(self.fock_dim / 2):
             raise InvalidParameterError(
                 f"|alpha|^2 = {abs(self.alpha) ** 2:.3g} exceeds half the "
                 f"Fock space (fock_dim = {self.fock_dim}); raise fock_dim"
             )
-        if abs(self.alpha) ** 2 > self.fock_dim / 2:
-            warnings.warn(
-                "coherent amplitude sits at the edge of the truncation"
-                f" budget (|alpha|^2 = {abs(self.alpha) ** 2:.3g},"
-                f" fock_dim = {self.fock_dim})",
-                TruncationWarning,
-                stacklevel=_caller_stacklevel(),
-            )
-
-
-def _caller_stacklevel() -> int:
-    """The ``warnings`` stacklevel, seen from the function calling this
-    one, of the nearest frame outside this module, ``dataclasses`` and
-    the ``__init__`` that dataclasses generates (its file is ``<string>``)."""
-    internal = (__file__, dataclasses.__file__)
-    frame, level = sys._getframe(1), 1
-    while frame.f_back is not None and (
-        frame.f_code.co_filename in internal
-        or frame.f_code is PhysicalParams.__init__.__code__
-    ):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 @dataclass(frozen=True)
@@ -253,6 +235,8 @@ def derive(p: PhysicalParams, use_omega_r0: bool = False) -> DerivedParams:
     delta_d = omega_d - omega_q
 
     omega_p = abs(chi) * p.d_sites
+    if omega_p == 0:
+        raise ScheduleInfeasibleError("zero coupling gives an infinite step period")
     t_p = TWO_PI / omega_p
     rabi = TWO_PI * eps0 / abs(Delta) if use_omega_r0 else abs(Omega_R)
     if rabi == 0:
@@ -408,22 +392,7 @@ def initial_state(p: PhysicalParams) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _stock(base: PhysicalParams | None = None, **fields) -> PhysicalParams:
-    """Build a parameter set without the truncation warning.
-
-    The stock coherent amplitude and cutoff (alpha = 3, fock_dim = 17) sit
-    at the edge of the budget on purpose; a warning about them on every
-    run would say nothing.  Overrides that leave alpha and fock_dim alone
-    keep that budget and build silently too.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        if base is None:
-            return PhysicalParams(**fields)
-        return replace(base, **fields)
-
-
-_BASE = _stock(
+_BASE = PhysicalParams(
     nu_q=7.0,
     nu_D=2.87,
     nu_eta=0.1,
@@ -445,25 +414,19 @@ _BASE = _stock(
 #                  dephasing level.
 _PRESETS: dict[str, PhysicalParams] = {
     "base": _BASE,
-    "realistic": _stock(_BASE, Gamma=2.78e-3, nu_eps0=10.0),
-    "realistic_gamma1": _stock(_BASE, Gamma=2.78e-3, nu_eps0=10.0, gamma1=0.31e-3),
+    "realistic": replace(_BASE, Gamma=2.78e-3, nu_eps0=10.0),
+    "realistic_gamma1": replace(_BASE, Gamma=2.78e-3, nu_eps0=10.0, gamma1=0.31e-3),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, **overrides) -> PhysicalParams:
-    """Look up a named parameter set, optionally overriding fields.
-
-    Overriding ``alpha`` or ``fock_dim`` re-checks the truncation budget
-    and warns at the edge of it; other overrides keep the stock budget.
-    """
+    """Look up a named parameter set, optionally overriding fields."""
     try:
         base = _PRESETS[name]
     except KeyError:
         raise InvalidParameterError(
             f"unknown preset {name!r}; available: {', '.join(_PRESETS)}"
         ) from None
-    if {"alpha", "fock_dim"} & overrides.keys():
-        return replace(base, **overrides)
-    return _stock(base, **overrides)
+    return replace(base, **overrides)

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,9 @@ class TestConfigFile:
         assert cli.RunConfig(preset="base").resolve_fit_steps(8) == 7
         assert cli.RunConfig(preset="realistic").resolve_fit_steps(8) == 4
         assert cli.RunConfig(preset="base").resolve_fit_steps(3) == 3
+        # no fit is recorded as a window of 0, not as a window too short to fit
+        assert cli.RunConfig(preset="base").resolve_fit_steps(1) == 0
+        assert cli.RunConfig(preset="base", fit_steps=0).resolve_fit_steps(8) == 0
 
 
 class TestRunArtifacts:
@@ -220,8 +227,33 @@ class TestMainEntry:
             ]
         )
         assert rc == 0
-        assert (tmp_path / "cli_out" / "manifest.json").exists()
+        written = json.loads((tmp_path / "cli_out" / "manifest.json").read_text())
+        assert written["options"]["fit_steps"] == 0  # --fit-steps 0: no fit
+        assert not (tmp_path / "cli_out" / "fit.json").exists()
         assert not (tmp_path / "cli_out" / "wigner_step1.csv").exists()
+
+    def test_cli_process_is_warning_free(self, tmp_path):
+        # the stock path under -W error, as a user starts it; the success
+        # line reports the measured clipping of the Fock cutoff
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        out = tmp_path / "base"
+        argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner", "--out"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "magnonwalk.cli", *argv, str(out)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        top = json.loads((out / "manifest.json").read_text())["health"][
+            "max_top_fock_population"
+        ]
+        assert proc.stdout.rstrip("\n").endswith(
+            f"; top Fock level held up to {top:.3g} of the state"
+        )
 
     def test_bad_preset_exit_code(self, tmp_path, capsys):
         rc = cli.main(["run", "--param", "nu_eps0=-oops", "--out", str(tmp_path)])
@@ -335,6 +367,15 @@ class TestConfigErrors:
     def test_m_phase_below_fock_dim(self, tmp_path, capsys):
         self._main(tmp_path, capsys, "--param", "m_phase=8")
 
+    @pytest.mark.parametrize(
+        "param", ["Gamma=nan", "gamma1=inf", "alpha=nan", "alpha=1+infj"]
+    )
+    def test_non_finite_param(self, tmp_path, capsys, param):
+        self._main(tmp_path, capsys, "--param", param)
+
+    def test_zero_coupling(self, tmp_path, capsys):
+        self._main(tmp_path, capsys, "--param", "nu_eta=0")
+
     @pytest.mark.parametrize("grid", ["nan:2:5", "-2:inf:5", "-inf:2:5"])
     def test_non_finite_wigner_grid_flag(self, tmp_path, capsys, grid):
         self._main(tmp_path, capsys, f"--wigner-grid={grid}")
@@ -350,8 +391,9 @@ class TestConfigErrors:
             "[emitt]\nwigner = false\n",
             "[wigner]\npoint = 7\n",
             "[DEFAULT]\nsamples_per_segment = 5\n",
+            "[emit]\nfit = false\n",
         ],
-        ids=["key", "section", "wigner_key", "default_section"],
+        ids=["key", "section", "wigner_key", "default_section", "emit_fit"],
     )
     def test_unknown_config_entry(self, tmp_path, capsys, ini):
         # a misspelt setting would otherwise run on its default

@@ -14,7 +14,6 @@ from magnonwalk.errors import (
     DispersiveRegimeWarning,
     InvalidParameterError,
     ScheduleInfeasibleError,
-    TruncationWarning,
 )
 
 TWO_PI = 2 * math.pi
@@ -81,6 +80,13 @@ class TestDerive:
         with pytest.raises(ScheduleInfeasibleError):
             model.derive(model.preset("base", nu_eps0=1e-4))
 
+    @pytest.mark.parametrize("use_omega_r0", [False, True])
+    def test_zero_coupling_is_infeasible(self, use_omega_r0):
+        # chi = 0: no dispersive shift, so the step period 2pi/(|chi| d)
+        # is infinite
+        with pytest.raises(ScheduleInfeasibleError, match="zero coupling"):
+            model.derive(model.preset("base", nu_eta=0.0), use_omega_r0=use_omega_r0)
+
 
 class TestPhysicalParams:
     def test_negative_rate_rejected(self):
@@ -96,32 +102,30 @@ class TestPhysicalParams:
         with pytest.raises(InvalidParameterError):
             model.preset("base", alpha=4.0)
 
-    def test_tight_truncation_warns(self):
-        with pytest.warns(TruncationWarning):
-            model.PhysicalParams(
-                nu_q=7.0, nu_D=2.87, nu_eta=0.1, nu_eps0=1.0,
-                gamma1=0.0, gamma_phi=0.0, Gamma=0.0,
-                alpha=3.0, d_sites=16, fock_dim=17, n_steps=1, m_phase=256,
-            )
-
-    def test_tight_truncation_warning_points_at_caller(self):
-        with pytest.warns(TruncationWarning) as record:
-            model.PhysicalParams(
-                nu_q=7.0, nu_D=2.87, nu_eta=0.1, nu_eps0=1.0,
-                gamma1=0.0, gamma_phi=0.0, Gamma=0.0,
-                alpha=3.0, d_sites=16, fock_dim=17, n_steps=1, m_phase=256,
-            )
-        with pytest.warns(TruncationWarning) as record_preset:
-            model.preset("realistic", alpha=3.0)
-        for rec in (*record, *record_preset):
-            assert rec.filename == __file__
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("Gamma", math.nan),
+            ("gamma1", math.inf),
+            ("nu_q", math.nan),
+            ("nu_eps0", -math.inf),
+            ("alpha", complex(math.nan, 0.0)),
+            ("alpha", complex(1.0, math.inf)),
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            model.preset("base", **{field: value})
 
     def test_stock_truncation_budget_is_silent(self):
+        # the budget is a hard limit, not a warning: a parameter set
+        # equal to a preset builds silently however it is spelt
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for name in model.PRESET_NAMES:
                 model.preset(name)
                 model.preset(name, n_steps=32, Gamma=1e-3)
+                model.preset(name, alpha=3.0, fock_dim=17)
 
     def test_import_is_silent(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -129,7 +133,7 @@ class TestPhysicalParams:
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.abspath(src), *filter(None, [env.get("PYTHONPATH")])]
         )
-        # -W error turns the TruncationWarning (and any other) into an error
+        # -W error turns any warning raised on import into an error
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-c", "import magnonwalk.cli"],
             capture_output=True, text=True, env=env, check=False,
