@@ -31,12 +31,12 @@ from .model import (
     LOWER,
     RAISE,
     SIGMA_X,
-    DerivedParams,
     PhysicalParams,
     annihilation,
     derive,
     hamiltonian_effective,
     hamiltonian_rotframe,
+    preset,
 )
 from .observables import _ols
 
@@ -55,6 +55,8 @@ __all__ = [
 
 SPIN_LABELS = ("+", "0", "-")
 EXACT_TOL = 1e-12
+# Coupling scales of the Frohlich residual fit, smallest first.
+FROHLICH_SCALES = (0.125, 0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -415,15 +417,12 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
     ]
 
 
-def frohlich_residual(
-    p: PhysicalParams,
-    eta_scales=(1.0, 0.5, 0.25, 0.125),
-    derived: DerivedParams | None = None,
-) -> list[ResidualReport]:
+def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
     """Residual scaling of the dispersive canonical transformation.
 
-    For each scale s the coupling and drive are multiplied by s while the
-    rotating-frame detunings stay fixed; the transformation generated by
+    For each scale s in FROHLICH_SCALES the coupling and drive are
+    multiplied by s while the rotating-frame detunings stay fixed; the
+    transformation generated by
     S = (s eta / (delta_c - delta_d)) (lower c^dag - raise c) is applied
     with exact matrix exponentials and compared with the effective
     Hamiltonian (whose dispersive coefficients scale as s^2).  The
@@ -434,7 +433,7 @@ def frohlich_residual(
     """
     if p.fock_dim > 8:
         raise DimensionError("use fock_dim <= 8 so exact exponentials stay cheap")
-    d1 = derived if derived is not None else derive(p)
+    d1 = derive(p)
     delta_qm = d1.delta_c - d1.delta_d  # = omega_q - omega_D exactly
     c = annihilation(p.fock_dim)
     # Project below the cutoff: the top Fock level carries the truncated
@@ -445,10 +444,9 @@ def frohlich_residual(
     sx_low = np.kron(SIGMA_X, low)
     sx_low_sq = 2.0 * (p.fock_dim - 1)
 
-    scales = sorted(float(s) for s in eta_scales)
     residuals = []
     sx_coeffs = []
-    for s in scales:
+    for s in FROHLICH_SCALES:
         p_s = replace(p, nu_eta=s * p.nu_eta, nu_eps0=s * p.nu_eps0)
         d_s = replace(d1, chi=s**2 * d1.chi, Omega_R=s**2 * d1.Omega_R)
         h = hamiltonian_rotframe(p_s, d_s, drive_on=True)
@@ -460,11 +458,11 @@ def frohlich_residual(
         residuals.append(_opnorm(transformed - h_eff))
         sx_coeffs.append(np.trace(transformed @ sx_low).real / sx_low_sq)
 
-    slope = _ols(np.log(scales), np.log(residuals))[0]
+    slope = _ols(np.log(FROHLICH_SCALES), np.log(residuals))[0]
     reports = [
         ResidualReport.at_least("frohlich.residual_slope", slope, 1.9)
     ]
-    s_min = scales[0]
+    s_min = FROHLICH_SCALES[0]
     target = s_min**2 * d1.Omega_R / 2.0
     reports.append(
         ResidualReport.bounded(
@@ -495,8 +493,6 @@ def run_all_checks(fock_dim: int = 6) -> list[ResidualReport]:
     reports += check_inhomogeneous_mode([1.0, 2.0])
     reports += check_inhomogeneous_mode([1.0, 1.0])
     reports += check_inhomogeneous_mode([1.0])
-
-    from .model import preset
 
     p_small = preset("base", fock_dim=fock_dim, alpha=1.0 + 0.0j)
     reports += frohlich_residual(p_small)

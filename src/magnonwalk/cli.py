@@ -31,12 +31,9 @@ from . import __version__
 from .algebra import run_all_checks
 from .errors import (
     ConfigError,
-    DimensionError,
     FitDomainError,
     FlatDistributionError,
-    InvalidParameterError,
     NumericalFailureError,
-    ScheduleInfeasibleError,
 )
 from .model import (
     PRESET_NAMES,
@@ -63,9 +60,6 @@ from .solver import DT_MAX_DEFAULT, METHODS, evolve
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
 MAX_PHASE_FILES = 4
-
-# PhysicalParams fields that may be overridden from [params] / --param.
-_PARAM_FIELDS = {f.name: f for f in dataclasses.fields(PhysicalParams)}
 
 
 @dataclass
@@ -104,10 +98,13 @@ class RunConfig:
 
     def resolve_fit_steps(self, n_steps: int) -> int:
         """The number of step boundaries in the fit; 0 when there is no fit
-        (``fit_steps = 0``, or fewer than two boundaries to fit)."""
+        (``fit_steps = 0``, or fewer than two boundaries to fit).  A window
+        of 1 or below 0 is a ConfigError."""
         k = self.fit_steps
         if k is None:
             k = DEFAULT_FIT_STEPS.get(self.preset, max(2, n_steps - 1))
+        elif k < 0 or k == 1:
+            raise ConfigError(f"fit_steps must be >= 2, or 0 for no fit, got {k}")
         k = min(k, n_steps)
         return k if k >= 2 else 0
 
@@ -132,67 +129,88 @@ class RunManifest:
     timings: dict  # stage -> wall seconds; not part of the artifacts
 
 
+# The annotated type of each settable field: RunConfig for [run] .. [wigner]
+# and the run flags, PhysicalParams for [params] and --param.
+_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(PhysicalParams)}
+
+# Annotated type -> parser of a raw string; "int | None" parses as int.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "complex": complex,
+    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+}
+
+
+def _parse(kind: str, label: str, raw: str):
+    """``raw`` as a value of the annotated field type ``kind``."""
+    parse = _PARSERS[kind.split(" | ")[0]]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for {label}: {raw!r}") from exc
+
+
 def _coerce_param(name: str, raw: str):
     if name not in _PARAM_FIELDS:
         raise ConfigError(
             f"unknown parameter {name!r}; valid: {', '.join(_PARAM_FIELDS)}"
         )
-    kind = _PARAM_FIELDS[name].type
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "complex":
-            return complex(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {name} = {raw!r}") from exc
+    return _parse(_PARAM_FIELDS[name], name, raw)
 
 
-# INI section -> key -> (the RunConfig field it sets, the ConfigParser
-# getter that parses it); [params] takes the PhysicalParams fields instead.
+# INI section -> key -> the RunConfig field it sets; [params] takes the
+# PhysicalParams fields instead.
 _CONFIG_KEYS = {
     "run": {
-        "preset": ("preset", "get"),
-        "steps": ("steps", "getint"),
-        "method": ("method", "get"),
-        "samples_per_segment": ("samples_per_segment", "getint"),
-        "fit_steps": ("fit_steps", "getint"),
-        "out": ("out_dir", "get"),
+        "preset": "preset",
+        "steps": "steps",
+        "method": "method",
+        "samples_per_segment": "samples_per_segment",
+        "fit_steps": "fit_steps",
+        "out": "out_dir",
     },
     "model": {
-        "drive_first": ("drive_first", "getboolean"),
-        "use_omega_r0": ("use_omega_r0", "getboolean"),
-        "dt_max": ("dt_max", "getfloat"),
+        "drive_first": "drive_first",
+        "use_omega_r0": "use_omega_r0",
+        "dt_max": "dt_max",
     },
     "emit": {
-        "timeseries": ("emit_timeseries", "getboolean"),
-        "holevo": ("emit_holevo", "getboolean"),
-        "phase": ("emit_phase", "getboolean"),
-        "wigner": ("emit_wigner", "getboolean"),
-        "corotating": ("corotating", "getboolean"),
+        "timeseries": "emit_timeseries",
+        "holevo": "emit_holevo",
+        "phase": "emit_phase",
+        "wigner": "emit_wigner",
+        "corotating": "corotating",
     },
     "wigner": {
-        "min": ("wigner_min", "getfloat"),
-        "max": ("wigner_max", "getfloat"),
-        "points": ("wigner_points", "getint"),
+        "min": "wigner_min",
+        "max": "wigner_max",
+        "points": "wigner_points",
     },
 }
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a flat key/value config file (INI sections) into a RunConfig.
-    An unknown section or key is a ConfigError, so that a misspelt setting
-    cannot leave its default in place unnoticed."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    Keys are case-sensitive, ``;`` and ``#`` start inline comments.  An
+    unknown section or key is a ConfigError, so that a misspelt setting
+    cannot leave its default in place unnoticed; so is a file that is not
+    UTF-8 INI (no section header, a repeated key)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.optionxform = str  # [params] takes Gamma and nu_D as written
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        names = parser.sections()
+        if parser.defaults():  # [DEFAULT] would otherwise go unchecked
+            names.insert(0, parser.default_section)
+        sections = {name: dict(parser[name]) for name in names}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     cfg = RunConfig()
-    names = parser.sections()
-    if parser.defaults():  # [DEFAULT] would otherwise go unchecked
-        names.insert(0, parser.default_section)
-    for name in names:
-        section = parser[name]
+    for name, section in sections.items():
         if name == "params":
             for key, raw in section.items():
                 cfg.params[key] = _coerce_param(key, raw)
@@ -203,17 +221,14 @@ def load_config(path: str | Path) -> RunConfig:
                 f"valid: {', '.join([*_CONFIG_KEYS, 'params'])}"
             )
         keys = _CONFIG_KEYS[name]
-        for key in section:
+        for key, raw in section.items():
             if key not in keys:
                 raise ConfigError(
                     f"unknown key {key!r} in [{name}] of {path}; "
                     f"valid: {', '.join(keys)}"
                 )
-            field_name, getter = keys[key]
-            try:
-                setattr(cfg, field_name, getattr(section, getter)(key))
-            except ValueError as exc:
-                raise ConfigError(f"bad value in {path}: {exc}") from exc
+            label = f"{key} in [{name}] of {path}"
+            setattr(cfg, keys[key], _parse(_RUN_FIELDS[keys[key]], label, raw))
     return cfg
 
 
@@ -271,10 +286,7 @@ def run(config: RunConfig) -> RunManifest:
         raise ConfigError(
             f"wigner range must be finite, got {config.wigner_min}:{config.wigner_max}"
         )
-    if config.fit_steps is not None and (config.fit_steps < 0 or config.fit_steps == 1):
-        raise ConfigError(
-            f"fit_steps must be >= 2, or 0 for no fit, got {config.fit_steps}"
-        )
+    fit_steps = config.resolve_fit_steps(p.n_steps)
 
     d = derive(p, use_omega_r0=config.use_omega_r0)
     schedule = pulse_schedule(p, d, drive_first=config.drive_first)
@@ -321,7 +333,6 @@ def run(config: RunConfig) -> RunManifest:
                 points=config.wigner_points,
             )
 
-    fit_steps = config.resolve_fit_steps(len(steps))
     fit_payload = None
     if fit_steps:
         series = SpreadSeries(
@@ -439,21 +450,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="simulate a preset and emit data files")
-    runp.add_argument("--preset", default=None, choices=PRESET_NAMES)
+    # Every dest but config, wigner_grid and param names a RunConfig field,
+    # and a flag left out is absent from the namespace, not None.
+    runp = sub.add_parser(
+        "run",
+        argument_default=argparse.SUPPRESS,
+        help="simulate a preset and emit data files",
+    )
+    runp.add_argument("--preset", choices=PRESET_NAMES)
     runp.add_argument("--config", default=None, help="INI config file")
-    runp.add_argument("--steps", type=int, default=None)
-    runp.add_argument("--method", default=None, choices=METHODS)
-    runp.add_argument("--samples-per-segment", type=int, default=None)
-    runp.add_argument("--fit-steps", type=int, default=None)
+    runp.add_argument("--steps", type=int)
+    runp.add_argument("--method", choices=METHODS)
+    runp.add_argument("--samples-per-segment", type=int)
+    runp.add_argument("--fit-steps", type=int)
     runp.add_argument(
         "--wigner-grid",
         default=None,
         metavar="MIN:MAX:POINTS",
         help="phase-space grid, e.g. -4.5:4.5:101",
     )
-    runp.add_argument("--no-wigner", action="store_true")
-    runp.add_argument("--out", default=None, help="output directory")
+    runp.add_argument("--no-wigner", dest="emit_wigner", action="store_false")
+    runp.add_argument("--out", dest="out_dir", help="output directory")
     runp.add_argument(
         "--param",
         action="append",
@@ -469,20 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.preset is not None:
-        cfg.preset = args.preset
-    if args.steps is not None:
-        cfg.steps = args.steps
-    if args.method is not None:
-        cfg.method = args.method
-    if args.samples_per_segment is not None:
-        cfg.samples_per_segment = args.samples_per_segment
-    if args.fit_steps is not None:
-        cfg.fit_steps = args.fit_steps
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.no_wigner:
-        cfg.emit_wigner = False
+    for name, value in vars(args).items():
+        if name in _RUN_FIELDS:
+            setattr(cfg, name, value)
     if args.wigner_grid is not None:
         try:
             lo, hi, n = args.wigner_grid.split(":")
@@ -512,12 +518,7 @@ def main(argv=None) -> int:
             f" top Fock level held up to {top:.3g} of the state"
         )
         return 0
-    except (
-        ConfigError,
-        DimensionError,
-        InvalidParameterError,
-        ScheduleInfeasibleError,
-    ) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailureError, FitDomainError, FlatDistributionError) as exc:

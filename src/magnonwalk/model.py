@@ -352,14 +352,6 @@ class Segment:
 class PulseSchedule:
     segments: tuple[Segment, ...]
 
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
-    @property
-    def n_steps(self) -> int:
-        return max((s.step for s in self.segments), default=0)
-
 
 def pulse_schedule(
     p: PhysicalParams, d: DerivedParams, drive_first: bool = True

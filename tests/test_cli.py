@@ -1,7 +1,10 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 
 from magnonwalk import cli, model, solver
 from magnonwalk import observables as obs
+from magnonwalk import errors
 from magnonwalk.errors import ConfigError
 
 
@@ -27,6 +31,10 @@ def small_config(tmp_path, **kw):
     )
     defaults.update(kw)
     return cli.RunConfig(**defaults)
+
+
+RUN_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +99,63 @@ class TestConfigFile:
         # no fit is recorded as a window of 0, not as a window too short to fit
         assert cli.RunConfig(preset="base").resolve_fit_steps(1) == 0
         assert cli.RunConfig(preset="base", fit_steps=0).resolve_fit_steps(8) == 0
+
+    @pytest.mark.parametrize("k", [-3, 1])
+    def test_fit_window_below_two_rejected(self, k):
+        with pytest.raises(ConfigError, match="fit_steps"):
+            cli.RunConfig(preset="base", fit_steps=k).resolve_fit_steps(8)
+
+    def test_readme_example_config(self, tmp_path):
+        # the documented file, inline comments included, loads as documented
+        block = re.search(
+            r"### Config file\n\n```ini\n(.*?)```", README.read_text(), re.DOTALL
+        )
+        path = tmp_path / "walk.ini"
+        path.write_text(block.group(1))
+        cfg = cli.load_config(path)
+        assert cfg.method == "expm"
+        assert cfg.drive_first is True
+        assert cfg.dt_max == 1e-5
+        assert cfg.params == {"nu_eps0": 10.0}
+
+    def test_params_keys_are_case_sensitive(self, tmp_path):
+        path = tmp_path / "walk.ini"
+        path.write_text("[params]\nGamma = 2e-3\nnu_D = 2.9\n")
+        p = cli.load_config(path).resolve_params()
+        assert p.Gamma == 2e-3
+        assert p.nu_D == 2.9
+        path.write_text("[params]\ngamma = 2e-3\n")
+        with pytest.raises(ConfigError, match="'gamma'"):
+            cli.load_config(path)
+
+    def test_boolean_words(self, tmp_path):
+        path = tmp_path / "walk.ini"
+        path.write_text("[model]\ndrive_first = off\nuse_omega_r0 = yes\n")
+        cfg = cli.load_config(path)
+        assert cfg.drive_first is False
+        assert cfg.use_omega_r0 is True
+
+    def test_run_flags_name_run_config_fields(self):
+        # every flag but these three is copied onto the RunConfig field of
+        # its dest, so a dest that is not a field would be dropped
+        subparsers = next(
+            a
+            for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        dests = {
+            a.dest
+            for a in subparsers.choices["run"]._actions
+            if a.option_strings and a.dest != "help"
+        }
+        own = {"config", "wigner_grid", "param"}
+        assert own <= dests
+        assert dests - own <= RUN_FIELDS
+
+    def test_config_keys_name_run_config_fields(self):
+        targets = [f for keys in cli._CONFIG_KEYS.values() for f in keys.values()]
+        assert set(targets) <= RUN_FIELDS
+        assert len(targets) == len(set(targets))
 
 
 class TestRunArtifacts:
@@ -314,6 +379,17 @@ class TestMainEntry:
         assert rc == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            errors.DimensionError,
+            errors.InvalidParameterError,
+            errors.ScheduleInfeasibleError,
+        ],
+    )
+    def test_settings_errors_are_config_errors(self, exc):
+        assert issubclass(exc, ConfigError) and issubclass(exc, ValueError)
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = cli.RunConfig(preset="base")
@@ -407,6 +483,38 @@ class TestConfigErrors:
     @pytest.mark.parametrize("k", ["-3", "1"])
     def test_fit_steps_in_config_below_two(self, tmp_path, capsys, k):
         self._main(tmp_path, capsys, ini=f"[run]\nfit_steps = {k}\n")
+
+    @pytest.mark.parametrize(
+        "ini", ["steps = 2\n", "[run]\nsteps = 2\nsteps = 3\n"],
+        ids=["no_section_header", "repeated_key"],
+    )
+    def test_malformed_config_file(self, tmp_path, capsys, ini):
+        self._main(tmp_path, capsys, ini=ini)
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "walk.ini"
+        path.write_bytes(b"[run]\nout = \xff\n")
+        self._main(tmp_path, capsys, "--config", str(path))
+
+    @pytest.mark.parametrize(
+        "ini, key, raw",
+        [
+            ("[run]\nsteps = 2.5\n", "steps", "2.5"),
+            ("[emit]\nwigner = maybe\n", "wigner", "maybe"),
+            ("[model]\ndt_max = fast\n", "dt_max", "fast"),
+            ("[params]\nd_sites = x\n", "d_sites", "x"),
+        ],
+        ids=["steps", "wigner", "dt_max", "d_sites"],
+    )
+    def test_bad_typed_value_in_config(self, tmp_path, capsys, ini, key, raw):
+        (tmp_path / "walk.ini").write_text(ini)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(tmp_path / "walk.ini"), "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert key in err and repr(raw) in err
+        assert not out.exists()
 
 
 def _per_cell_csv(path, header, rows):
