@@ -31,7 +31,6 @@ from .observables import (  # noqa: F401
     PhaseDistribution,
     SpreadSeries,
     WignerGrid,
-    circular_skewness,
     loglog_slope,
     mean_number,
     phase_distribution,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError, InvalidParameterError
 from .model import (
@@ -39,6 +38,7 @@ from .model import (
     preset,
 )
 from .observables import _ols
+from .solver import _expm_pade13
 
 __all__ = [
     "EnsembleOperators",
@@ -454,7 +454,9 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
         generator = (s * 2.0 * math.pi * p.nu_eta / delta_qm) * (
             np.kron(LOWER, c.conj().T) - np.kron(RAISE, c)
         )
-        transformed = expm(-generator) @ h @ expm(generator)
+        # the generator is real and antisymmetric, so exp(-generator) = u^T
+        u = _expm_pade13(generator.real)
+        transformed = u.T @ h @ u
         residuals.append(_opnorm(transformed - h_eff))
         sx_coeffs.append(np.trace(transformed @ sx_low).real / sx_low_sq)
 

@@ -294,6 +294,11 @@ def run(config: RunConfig) -> RunManifest:
     h_off = hamiltonian_rotframe(p, d, drive_on=False)
     diss = dissipators(p)
     rho0 = initial_state(p)
+    out = config.resolve_out_dir()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     t_evolve = time.perf_counter()
 
     traj = evolve(
@@ -348,8 +353,6 @@ def run(config: RunConfig) -> RunManifest:
         }
     t_emission = time.perf_counter()
 
-    out = config.resolve_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
 
     def emit(name: str, text: str) -> None:

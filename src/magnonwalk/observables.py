@@ -28,7 +28,6 @@ __all__ = [
     "PhaseDistribution",
     "phase_distribution",
     "sharpness_holevo",
-    "circular_skewness",
     "WignerGrid",
     "wigner",
     "SpreadSeries",
@@ -126,21 +125,6 @@ def sharpness_holevo(dist: PhaseDistribution) -> tuple[float, float]:
             "distribution is flat (sharpness < 1e-9); Holevo deviation diverges"
         )
     return sharp, float(np.sqrt(1.0 / sharp**2 - 1.0))
-
-
-def circular_skewness(dist: PhaseDistribution, center: float | None = None) -> float:
-    """Third sine moment about a reference phase (circular mean if None).
-
-    Positive values mean the distribution leans toward larger phases
-    (counterclockwise).  For walk snapshots the natural reference is the
-    walk's center phase (0 in the co-rotating frame): for multi-lobed
-    distributions the per-step circular mean wobbles between lobes, while
-    the fixed center exposes the pump-induced lean consistently.
-    """
-    if center is None:
-        mu1 = np.sum(dist.p * np.exp(1j * dist.phi))
-        center = float(np.angle(mu1))
-    return float(np.sum(dist.p * np.sin(dist.phi - center) ** 3))
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,13 @@ A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
 the orthonormal Hermitian basis E_ii, (E_ij + E_ji)/sqrt(2),
 i(E_ij - E_ji)/sqrt(2) it is a real matrix R = S L S^dag, with S unitary
 and at most 2 nonzeros per row (the coherence-vector form of Gorini,
-Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)).  The state and
-every step matrix live in these coordinates: the solver carries the real
-vector x = S vec(rho), every step matrix P_r is built from R and applied
-as P_r @ x, and rho = unvec(S^dag x) is formed only where a sample or a
-snapshot needs it.  So rho is Hermitian by construction, and its trace
+Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)).
+``liouvillian`` builds L once and returns this R, the one form of the
+generator that the solver takes.  The state and every step matrix live
+in these coordinates: the solver carries the real vector x = S vec(rho),
+every step matrix is built from R and applied to x, and
+rho = unvec(S^dag x) is formed only where a sample or a snapshot needs
+it.  So rho is Hermitian by construction, and its trace
 is the sum of the diagonal coordinates x at the vec indices of |i><i|.
 A real dense product costs about a quarter of a complex one on half the
 bytes.  exp(R dt) is a hand-written real Padé-13
@@ -42,7 +44,7 @@ scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
 matrix of the base preset scipy's real-dtype path errs by about 1e-11
 against the complex exponential of L, while this kernel stays near
 1e-13.  A generator whose R is not real to rounding does not preserve
-Hermiticity and is rejected with ValueError.
+Hermiticity, and ``liouvillian`` rejects it with ValueError.
 
 Block-wise exponential
 ----------------------
@@ -56,9 +58,11 @@ coordinates).  ``propagator`` finds these blocks from R itself: the
 connected components of R's sparsity pattern are index sets that R never
 couples, so up to a permutation R is block diagonal, and the exponential
 of a block-diagonal matrix is the block-diagonal matrix of the blocks'
-exponentials.  The drive-off step matrix is a CSR matrix that stores
-exactly the entries of its blocks.  Nothing about the model is assumed,
-so the split is exact for any parameters, zero rates included.  The drive eps (c + c^dag) connects every sector, so the
+exponentials.  Every step matrix is a list of (indices, dense block)
+pairs, one per block, applied to x block by block: the drive-off one
+holds 18 blocks and 100,104 entries at cutoff 17.  Nothing about the
+model is assumed, so the split is exact for any parameters, zero rates
+included.  The drive eps (c + c^dag) connects every sector, so the
 drive-on generator is one component and one dense exponential.  The RK4
 step matrix is block diagonal in the same blocks, because a polynomial in
 R is, and is built block by block the same way.
@@ -83,7 +87,6 @@ __all__ = [
     "liouvillian",
     "vec",
     "unvec",
-    "sectors",
     "propagator",
     "rk4_propagator",
     "propagate",
@@ -130,7 +133,12 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
-    """Sparse Liouvillian acting on column-vectorized density matrices."""
+    """The real generator R = S L S^dag (S from :func:`_hermitian_basis`)
+    of the Liouvillian L on column-vectorized density matrices, as a
+    float64 CSR matrix: the operand of :func:`propagator`,
+    :func:`rk4_propagator` and :func:`propagate`.  A generator that does
+    not map Hermitian matrices to Hermitian matrices, such as that of a
+    non-Hermitian H, has no real R and raises ValueError."""
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise DimensionError("Hamiltonian must be square")
@@ -150,15 +158,14 @@ def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
             sp.kron(xs.conjugate(), xs)
             - 0.5 * (sp.kron(eye, xdx) + sp.kron(xdx.T, eye))
         )
-    return sp.csr_matrix(L)
-
-
-def sectors(L) -> np.ndarray:
-    """Label of every index: its connected component in the sparsity
-    pattern of L, read as an undirected graph.  L has no entry between two
-    different components."""
-    pattern = abs(sp.csr_matrix(L))  # csgraph wants real weights
-    return connected_components(pattern, directed=False)[1]
+    S = _hermitian_basis(dim * dim)
+    R = sp.csr_matrix(S @ L @ S.conj().T)
+    scale = abs(L).max()
+    if np.abs(R.data.imag).max(initial=0.0) > _HERMITICITY_TOL * scale:
+        raise ValueError("generator does not preserve Hermiticity")
+    R = sp.csr_matrix(R.real)
+    R.eliminate_zeros()
+    return R
 
 
 def _hermitian_basis(n2: int) -> sp.csr_matrix:
@@ -180,21 +187,6 @@ def _hermitian_basis(n2: int) -> sp.csr_matrix:
     rows = np.concatenate((v, v[off]))
     cols = np.concatenate((v, t[off]))
     return sp.csr_matrix((np.concatenate((own, other)), (rows, cols)), shape=(n2, n2))
-
-
-def _real_generator(A) -> sp.csr_matrix:
-    """The real matrix S A S^dag (S from :func:`_hermitian_basis`).  A
-    generator that maps Hermitian matrices to Hermitian matrices, as every
-    Lindblad generator does, is real there; any other raises ValueError."""
-    A = sp.csr_matrix(A)
-    S = _hermitian_basis(A.shape[0])
-    R = sp.csr_matrix(S @ A @ S.conj().T)
-    scale = np.abs(A.data).max(initial=0.0)
-    if np.abs(R.data.imag).max(initial=0.0) > _HERMITICITY_TOL * scale:
-        raise ValueError("generator does not preserve Hermiticity")
-    R = sp.csr_matrix(R.real)
-    R.eliminate_zeros()
-    return R
 
 
 def _expm_pade13(A) -> np.ndarray:
@@ -239,64 +231,47 @@ def _expm_pade13(A) -> np.ndarray:
     return E
 
 
-def _blockwise(A, kernel):
-    """``kernel`` applied to each independent block of A in real
-    Hermitian coordinates: the real step matrix P_r that advances the
-    coordinates x = S vec(rho) (see :func:`_hermitian_basis`).
-
-    A is taken to the real R = S A S^dag once (:func:`_real_generator`),
-    and ``kernel`` runs on each component of R's sparsity pattern
-    (:func:`sectors`), passed as a real CSR matrix.  A single component
-    gives a dense float64 array, since a dense matvec is several times
-    faster than a sparse one at full density.  Otherwise P_r is a float64
-    CSR matrix that stores exactly the entries of the blocks, none between
-    two components.  Exact for any kernel that acts block by block on a
-    block-diagonal matrix, such as a power series."""
-    R = _real_generator(A)
-    labels = sectors(R)
-    sizes = np.bincount(labels)
-    if len(sizes) == 1:
-        return kernel(R)
-    # row r of P_r is its row of the block's kernel, at the block's
-    # indices (ascending)
-    indptr = np.concatenate(([0], np.cumsum(sizes[labels])))
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    for comp in range(len(sizes)):
-        idx = np.flatnonzero(labels == comp)
-        at = indptr[idx, None] + np.arange(len(idx))
-        data[at] = kernel(R[idx[:, None], idx])
-        indices[at] = idx
-    return sp.csr_matrix((data, indices, indptr), shape=R.shape)
+def _blockwise(R, kernel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``kernel`` applied to each independent block of the real generator
+    R: the real step matrix that advances the coordinates x = S vec(rho)
+    (see :func:`_hermitian_basis`), as a list of (indices, block) pairs,
+    one per connected component of R's sparsity pattern.  The indices are
+    ascending, and the block is the dense float64 ``kernel`` of R's
+    submatrix on them, passed as a real CSR matrix.  R has no entry
+    between two components, so this is exact for any kernel that acts
+    block by block on a block-diagonal matrix, such as a power series.
+    A complex R raises ValueError."""
+    if np.iscomplexobj(R):
+        raise ValueError("step matrices take the real generator from liouvillian")
+    R = sp.csr_matrix(R)
+    n_comp, labels = connected_components(abs(R), directed=False)
+    indices = [np.flatnonzero(labels == comp) for comp in range(n_comp)]
+    return [(idx, kernel(R[idx[:, None], idx])) for idx in indices]
 
 
-def _blocks(P) -> dict:
-    """Number and largest size of the independent blocks of a step matrix
-    from :func:`_blockwise`: a dense array is one block, and each row of
-    the CSR form stores exactly the entries of its block."""
-    if not sp.issparse(P):
-        return {"blocks": 1, "largest_block": len(P)}
-    sizes, rows = np.unique(np.diff(P.indptr), return_counts=True)
-    return {"blocks": int((rows // sizes).sum()), "largest_block": int(sizes.max())}
+def _apply(P: list, x: np.ndarray) -> np.ndarray:
+    """The step matrix P from :func:`_blockwise` applied to coordinates x."""
+    y = np.empty_like(x)
+    for idx, block in P:
+        y[idx] = block @ x[idx]
+    return y
 
 
-def propagator(L, dt: float):
-    """The real step matrix exp(R dt) of R = S L S^dag, one independent
-    block at a time (see :func:`_blockwise`): a dense float64 array when
-    R is one component, a float64 CSR matrix otherwise.  It advances the
-    real coordinates x = S vec(rho) as P @ x, and S^dag P S equals the
-    dense exponential of L dt to rounding, since
-    exp(diag(B_1, B_2, ...)) = diag(exp B_1, exp B_2, ...) and
-    exp(S A S^dag) = S exp(A) S^dag.
+def propagator(R, dt: float) -> list:
+    """The real step matrix exp(R dt) of the generator R from
+    :func:`liouvillian`, one dense block per independent block of R (see
+    :func:`_blockwise`).  It advances the real coordinates
+    x = S vec(rho), and S^dag exp(R dt) S equals the dense exponential of
+    L dt to rounding, since exp(diag(B_1, B_2, ...)) =
+    diag(exp B_1, exp B_2, ...) and exp(S A S^dag) = S exp(A) S^dag.
     """
-    return _blockwise(L * dt, _expm_pade13)
+    return _blockwise(R * dt, _expm_pade13)
 
 
-def rk4_propagator(L, dt: float, dt_max: float = DT_MAX_DEFAULT):
+def rk4_propagator(R, dt: float, dt_max: float = DT_MAX_DEFAULT) -> list:
     """The RK4 step matrix over dt: n = ceil(dt / dt_max) fixed sub-steps
     of h = dt / n, each the Taylor polynomial T4(hR), so T4(hR)^n, built
-    block by block in real coordinates like :func:`propagator` and
-    applied the same way."""
+    block by block like :func:`propagator` and applied the same way."""
     n_sub = max(1, math.ceil(dt / dt_max))
 
     def taylor4_power(A):
@@ -305,16 +280,16 @@ def rk4_propagator(L, dt: float, dt_max: float = DT_MAX_DEFAULT):
         T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
         return np.linalg.matrix_power(T, n_sub)
 
-    return _blockwise(L * (dt / n_sub), taylor4_power)
+    return _blockwise(R * (dt / n_sub), taylor4_power)
 
 
 def _builder(method: str, dt_max: float):
-    """The step-matrix builder (L, dt) -> P for one of :data:`METHODS`;
+    """The step-matrix builder (R, dt) -> P for one of :data:`METHODS`;
     ``propagator`` is looked up at call time, so a wrapper of it runs."""
     if method == "expm":
         return propagator
     if method == "rk4":
-        return lambda L, dt: rk4_propagator(L, dt, dt_max)
+        return lambda R, dt: rk4_propagator(R, dt, dt_max)
     raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
 
 
@@ -348,22 +323,23 @@ def _condition(
 
 def propagate(
     rho: np.ndarray,
-    L,
+    R,
     dt: float,
     method: str = "expm",
     dt_max: float = DT_MAX_DEFAULT,
 ) -> np.ndarray:
-    """Advance a density matrix by dt under a constant Liouvillian: one
-    step matrix of ``method`` ("expm" or "rk4", as in :func:`evolve`)
-    applied to the real coordinates of the Hermitian part of rho, and the
-    result checked and renormalized like every sample of :func:`evolve`."""
+    """Advance a density matrix by dt under a constant generator R from
+    :func:`liouvillian`: one step matrix of ``method`` ("expm" or "rk4",
+    as in :func:`evolve`) applied to the real coordinates of the Hermitian
+    part of rho, and the result checked and renormalized like every sample
+    of :func:`evolve`."""
     build = _builder(method, dt_max)
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     if dt == 0:
         return rho.copy()
     S = _hermitian_basis(rho.size)
-    x = build(L, dt) @ (S @ vec(rho)).real
+    x = _apply(build(R, dt), (S @ vec(rho)).real)
     return _condition(x, sp.csr_matrix(S.conj().T))[1]
 
 
@@ -374,11 +350,12 @@ class Trajectory:
     ``times`` are strictly increasing and include the t=0 sample;
     ``snapshots`` holds one (step, time, rho) triple per completed walk
     step; the solver carries the state in real Hermitian coordinates and
-    forms each rho from them only for a sample or a snapshot.  ``propagators`` describes each real step matrix built
-    (exp(R dt) or the powered RK4 polynomial), in build order:
-    drive flag, sub-interval ``dt``, the number of independent blocks of
-    the generator in real Hermitian coordinates and the size of the
-    largest one (1 block of the full size means the dense path ran).
+    forms each rho from them only for a sample or a snapshot.
+    ``propagators`` describes each real step matrix built (exp(R dt) or
+    the powered RK4 polynomial), in build order: drive flag, sub-interval
+    ``dt``, and the number of dense blocks of the step matrix and the size
+    of the largest one, read off its list of blocks (1 block of the full
+    size means the generator is one component).
     ``trace_err`` is the trace drift of each sample before ``_condition``
     repaired it, ``min_eig`` the smallest eigenvalue after and
     ``top_fock`` the population of the top Fock level (the last diagonal
@@ -423,25 +400,25 @@ def evolve(
 ) -> Trajectory:
     """Propagate through the schedule, sampling observables on the way.
 
-    Each segment uses the Liouvillian built from H_on or H_off and is
+    Each segment uses the generator built from H_on or H_off and is
     subdivided into ``samples_per_segment`` equal sub-intervals; the state
     is recorded after each one.  The state is carried as its real
     coordinates x = S vec(rho) in the Hermitian basis (the Hermitian part
     of rho0), and every step matrix acts on them.  The step matrix of a
     sub-interval is exp(R dt) for ``method="expm"`` and the powered RK4
     polynomial T4(hR)^n for ``method="rk4"`` (sub-steps h <= ``dt_max``),
-    with R = S L S^dag.  Either is cached per (drive flag, sub-interval)
-    pair, so a run builds two step matrices regardless of step count: one
-    dense matrix for the drive-on generator, and one small dense matrix
-    per real-coordinate block of the drive-off generator (see
-    :func:`propagator`).  The blocks of each Liouvillian are found once,
-    by the builder, and ``propagators`` reads them off the step matrix.
+    with R from :func:`liouvillian`.  Either is cached per (drive flag,
+    sub-interval) pair, so a run builds two step matrices regardless of
+    step count: one dense block for the drive-on generator, and one small
+    dense block per real-coordinate block of the drive-off generator (see
+    :func:`propagator`).  The blocks of each generator are found once, by
+    the builder, and ``propagators`` reads them off the step matrix.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     build = _builder(method, dt_max)
-    liouvillians: dict[bool, sp.csr_matrix] = {}  # keyed by drive flag
-    propagators: dict[tuple[bool, float], np.ndarray | sp.csr_matrix] = {}
+    generators: dict[bool, sp.csr_matrix] = {}  # keyed by drive flag
+    propagators: dict[tuple[bool, float], list] = {}
     paths: list[dict] = []
     samples: list[tuple] = []
     snapshots: list[tuple[int, float, np.ndarray]] = []
@@ -462,18 +439,17 @@ def evolve(
         dt_sub = seg.duration / samples_per_segment
         key = (seg.drive_on, dt_sub)
         if key not in propagators:
-            if seg.drive_on not in liouvillians:
-                liouvillians[seg.drive_on] = liouvillian(
+            if seg.drive_on not in generators:
+                generators[seg.drive_on] = liouvillian(
                     H_on if seg.drive_on else H_off, diss
                 )
-            propagators[key] = build(liouvillians[seg.drive_on], dt_sub)
-            paths.append(
-                {"drive_on": seg.drive_on, "dt": dt_sub, **_blocks(propagators[key])}
-            )
+            P = propagators[key] = build(generators[seg.drive_on], dt_sub)
+            paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
+                          "largest_block": max(len(idx) for idx, _ in P)})
         P = propagators[key]
         for j in range(samples_per_segment):
             try:
-                x, rho, drift, min_eig = _condition(P @ x, S_dag)
+                x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)
             except NumericalFailureError as exc:
                 raise NumericalFailureError(
                     f"propagation failed in segment {i} (step {seg.step}): {exc}"

@@ -119,6 +119,50 @@ def test_criterion_3_quasimagnon_stabilization(realistic_run):
     assert 4.0 <= avg <= 8.0
 
 
+def _stabilization_average(traj, t_p):
+    """Criterion 3's value: <n_c> over steps 2-4, weighted by the sample
+    sub-intervals."""
+    mask = (traj.times > t_p) & (traj.times <= 4 * t_p)
+    widths = np.diff(traj.times, prepend=0.0)
+    return float(np.sum(traj.n_c[mask] * widths[mask]) / np.sum(widths[mask]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "Criterion 3 passes only at the stock cutoff: its value climbs with "
+        "the Fock dimension (17/21/25/29 -> 5.81/7.29/8.42/9.81) and leaves "
+        "the band [4, 8] from 25 on.  The mean-field amplitude of the driven "
+        "mode peaks at |alpha|^2 ~ 50-88 in the early pulses, so the "
+        "realistic preset needs a cutoff well above 60."
+    ),
+)
+def test_stabilization_converged_in_cutoff(realistic_run):
+    # the band is [4, 8]; a converged value moves by less than a tenth of
+    # its width from cutoff 17 to 25
+    p = model.preset("realistic", fock_dim=25, n_steps=4)
+    d = model.derive(p)
+    traj = solver.evolve(
+        model.pulse_schedule(p, d),
+        model.initial_state(p),
+        model.hamiltonian_rotframe(p, d, True),
+        model.hamiltonian_rotframe(p, d, False),
+        model.dissipators(p),
+    )
+    values = {
+        17: _stabilization_average(realistic_run.traj, realistic_run.derived.t_p),
+        25: _stabilization_average(traj, d.t_p),
+    }
+    gap = abs(values[17] - values[25])
+    _report(
+        "cutoff convergence (criterion 3)",
+        gap <= 0.4,
+        f"<n_c> over steps 2-4 at fock_dim 17 = {values[17]:.3f}, "
+        f"at 25 = {values[25]:.3f}, gap {gap:.2f} (<= 0.4)",
+    )
+    assert gap <= 0.4
+
+
 def test_criterion_4_monotone_spreading(base_run):
     sig = base_run.series.sigma_h[:7]
     increasing = bool(np.all(np.diff(sig) > 0))
@@ -308,6 +352,47 @@ def test_criterion_8_observable_oracles():
     assert ok_wigner and ok_sharp and ok_flat and ok_coin
 
 
+def circular_skewness(dist: obs.PhaseDistribution, center: float | None = None) -> float:
+    """Third sine moment about a reference phase (circular mean if None).
+
+    Positive values mean the distribution leans toward larger phases
+    (counterclockwise).  For walk snapshots the natural reference is the
+    walk's center phase (0 in the co-rotating frame): for multi-lobed
+    distributions the per-step circular mean wobbles between lobes, while
+    the fixed center exposes the pump-induced lean consistently.
+    """
+    if center is None:
+        mu1 = np.sum(dist.p * np.exp(1j * dist.phi))
+        center = float(np.angle(mu1))
+    return float(np.sum(dist.p * np.sin(dist.phi - center) ** 3))
+
+
+class TestCircularSkewness:
+    def test_symmetric_distribution_is_zero(self):
+        M = 256
+        phi = -np.pi + 2 * np.pi * np.arange(M) / M
+        p = np.exp(-0.5 * (phi / 0.3) ** 2)
+        p /= p.sum()
+        assert abs(circular_skewness(obs.PhaseDistribution(phi, p))) < 1e-12
+
+    def test_lean_direction(self):
+        M = 256
+        phi = -np.pi + 2 * np.pi * np.arange(M) / M
+        p = np.exp(-0.5 * (phi / 0.3) ** 2) * (1 + 0.5 * np.tanh(phi / 0.3))
+        p /= p.sum()
+        dist = obs.PhaseDistribution(phi, p)
+        assert circular_skewness(dist, center=0.0) > 0
+
+    def test_rotation_invariance_about_mean(self):
+        M = 256
+        phi = -np.pi + 2 * np.pi * np.arange(M) / M
+        p = np.exp(-0.5 * (phi / 0.25) ** 2) * (1 + 0.4 * np.sin(phi))
+        p /= p.sum()
+        s0 = circular_skewness(obs.PhaseDistribution(phi, p))
+        s1 = circular_skewness(obs.PhaseDistribution(phi, np.roll(p, 31)))
+        assert s0 == pytest.approx(s1, abs=1e-9)
+
+
 def test_criterion_9_phase_skew_direction(base_run):
     # third circular moment about the walk center (co-rotating frame);
     # the pump leans all early-step distributions the same way
@@ -318,7 +403,7 @@ def test_criterion_9_phase_skew_direction(base_run):
                 obs.reduce_boson(rho), -base_run.derived.delta_c * t
             )
             dist = obs.phase_distribution(rho_m, base_run.params.m_phase)
-            skews[step] = obs.circular_skewness(dist, center=0.0)
+            skews[step] = circular_skewness(dist, center=0.0)
     signs = {step: math.copysign(1.0, v) for step, v in skews.items()}
     consistent = len(set(signs.values())) == 1 and all(
         abs(v) > 1e-12 for v in skews.values()

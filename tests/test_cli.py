@@ -452,6 +452,16 @@ class TestConfigErrors:
     def test_zero_coupling(self, tmp_path, capsys):
         self._main(tmp_path, capsys, "--param", "nu_eta=0")
 
+    def test_uncreatable_output_directory(self, tmp_path, capsys):
+        # a regular file where a parent directory should be
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot create output directory")
+
     @pytest.mark.parametrize("grid", ["nan:2:5", "-2:inf:5", "-inf:2:5"])
     def test_non_finite_wigner_grid_flag(self, tmp_path, capsys, grid):
         self._main(tmp_path, capsys, f"--wigner-grid={grid}")

@@ -201,32 +201,6 @@ class TestSharpnessHolevo:
             assert abs(sigma - w) / w < 0.02
 
 
-class TestCircularSkewness:
-    def test_symmetric_distribution_is_zero(self):
-        M = 256
-        phi = -np.pi + 2 * np.pi * np.arange(M) / M
-        p = np.exp(-0.5 * (phi / 0.3) ** 2)
-        p /= p.sum()
-        assert abs(obs.circular_skewness(obs.PhaseDistribution(phi, p))) < 1e-12
-
-    def test_lean_direction(self):
-        M = 256
-        phi = -np.pi + 2 * np.pi * np.arange(M) / M
-        p = np.exp(-0.5 * (phi / 0.3) ** 2) * (1 + 0.5 * np.tanh(phi / 0.3))
-        p /= p.sum()
-        dist = obs.PhaseDistribution(phi, p)
-        assert obs.circular_skewness(dist, center=0.0) > 0
-
-    def test_rotation_invariance_about_mean(self):
-        M = 256
-        phi = -np.pi + 2 * np.pi * np.arange(M) / M
-        p = np.exp(-0.5 * (phi / 0.25) ** 2) * (1 + 0.4 * np.sin(phi))
-        p /= p.sum()
-        s0 = obs.circular_skewness(obs.PhaseDistribution(phi, p))
-        s1 = obs.circular_skewness(obs.PhaseDistribution(phi, np.roll(p, 31)))
-        assert s0 == pytest.approx(s1, abs=1e-9)
-
-
 class TestWigner:
     def test_vacuum_peak(self):
         grid = obs.wigner(density(ket(17, 0)))

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from magnonwalk import model, solver
 from magnonwalk.errors import NumericalFailureError
@@ -25,10 +26,57 @@ def _density(psi):
     return np.outer(psi, psi.conj())
 
 
+def _vec_liouvillian(H, diss):
+    """The complex Liouvillian on column-stacked vec(rho), built densely
+    with np.kron from the master equation: the oracle that the solver's
+    real generator and step matrices are mapped back to."""
+    eye = np.eye(len(H))
+    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    for rate, x in diss.channels:
+        xdx = x.conj().T @ x
+        L = L + rate * (
+            np.kron(x.conj(), x) - 0.5 * (np.kron(eye, xdx) + np.kron(xdx.T, eye))
+        )
+    return L
+
+
+def _generators(p, drive_on):
+    """The solver's real generator R and the oracle's complex L."""
+    d = model.derive(p)
+    H = model.hamiltonian_rotframe(p, d, drive_on)
+    diss = model.dissipators(p)
+    return solver.liouvillian(H, diss), _vec_liouvillian(H, diss)
+
+
+def _dense(P):
+    """A step matrix from the list of (indices, block) pairs, as one dense
+    array."""
+    n = sum(len(idx) for idx, _ in P)
+    D = np.zeros((n, n))
+    for idx, block in P:
+        D[np.ix_(idx, idx)] = block
+    return D
+
+
+def _vec_step(P):
+    """A real step matrix in column-stacked vec coordinates: S^dag P S."""
+    S = solver._hermitian_basis(sum(len(idx) for idx, _ in P))
+    return (S.conj().T @ sp.csr_matrix(_dense(P)) @ S).toarray()
+
+
+def _coordinates(rho):
+    """The real Hermitian coordinates x = S vec(rho) and S^dag."""
+    S = solver._hermitian_basis(rho.size)
+    return (S @ solver.vec(rho)).real, sp.csr_matrix(S.conj().T)
+
+
 class TestLiouvillian:
     def test_diagonal_hamiltonian_gives_diagonal_liouvillian(self):
         h = np.diag([0.0, 1.0, 3.5]).astype(complex)
-        L = solver.liouvillian(h, model.DissipatorSpec(channels=())).toarray()
+        R = solver.liouvillian(h, model.DissipatorSpec(channels=()))
+        assert R.dtype == np.float64
+        S = solver._hermitian_basis(9)
+        L = (S.conj().T @ R @ S).toarray()
         npt.assert_allclose(L, np.diag(np.diag(L)), atol=1e-14)
         # entries -i (H_jj - H_kk) at vec index (k-major, j-minor)
         expected = np.array(
@@ -40,41 +88,23 @@ class TestLiouvillian:
         dim = 5
         c = model.annihilation(dim)
         spec = model.DissipatorSpec(channels=((0.3, c),))
-        L = solver.liouvillian(np.zeros((dim, dim), dtype=complex), spec)
+        R = solver.liouvillian(np.zeros((dim, dim), dtype=complex), spec)
         vac = _density(np.eye(dim, dtype=complex)[0])
-        npt.assert_allclose(L @ solver.vec(vac), 0, atol=1e-14)
+        npt.assert_allclose(R @ _coordinates(vac)[0], 0, atol=1e-14)
 
     def test_trace_vector_annihilation_base_preset(self):
+        # Tr rho is the sum of the diagonal coordinates, which are the
+        # coordinates of the identity
         p = model.preset("base")
-        d = model.derive(p)
-        L = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
-        )
-        dim = 2 * p.fock_dim
-        trace_vec = solver.vec(np.eye(dim, dtype=complex)).conj()
-        assert np.linalg.norm(trace_vec @ L) < 1e-10
+        R = _generators(p, True)[0]
+        trace_vec = _coordinates(np.eye(2 * p.fock_dim))[0]
+        assert np.linalg.norm(trace_vec @ R) < 1e-10
 
     def test_dimension_mismatch(self):
         c = model.annihilation(4)
         spec = model.DissipatorSpec(channels=((0.1, c),))
         with pytest.raises(Exception):
             solver.liouvillian(np.zeros((6, 6), dtype=complex), spec)
-
-
-def _dense(P):
-    return P.toarray() if sp.issparse(P) else P
-
-
-def _vec_step(P):
-    """A real step matrix in column-stacked vec coordinates: S^dag P S."""
-    S = solver._hermitian_basis(P.shape[0])
-    return _dense(S.conj().T @ P @ S)
-
-
-def _coordinates(rho):
-    """The real Hermitian coordinates x = S vec(rho) and S^dag."""
-    S = solver._hermitian_basis(rho.size)
-    return (S @ solver.vec(rho)).real, sp.csr_matrix(S.conj().T)
 
 
 def _excitation_difference(fock_dim):
@@ -87,8 +117,8 @@ def _excitation_difference(fock_dim):
     return np.subtract.outer(n_exc, n_exc).reshape(-1, order="F")
 
 
-def _small_liouvillian(fock_dim, rates, drive_on):
-    """Generator of the base preset at a small cutoff with the given
+def _small_generators(fock_dim, rates, drive_on):
+    """(R, L) of the base preset at a small cutoff with the given
     (gamma1, gamma_phi, Gamma)."""
     gamma1, gamma_phi, Gamma = rates
     p = model.preset(
@@ -99,10 +129,7 @@ def _small_liouvillian(fock_dim, rates, drive_on):
         gamma_phi=gamma_phi,
         Gamma=Gamma,
     )
-    d = model.derive(p)
-    return solver.liouvillian(
-        model.hamiltonian_rotframe(p, d, drive_on), model.dissipators(p)
-    )
+    return _generators(p, drive_on)
 
 
 def _random_density(dim, seed, rank=None):
@@ -134,21 +161,21 @@ class TestBlockwisePropagator:
     def test_matches_dense_expm(self, name, drive_on):
         p = model.preset(name)
         d = model.derive(p)
-        L = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, drive_on), model.dissipators(p)
-        )
+        R, L = _generators(p, drive_on)
         dt = (d.t_H if drive_on else d.t_p - d.t_H) / 10
-        P = solver.propagator(L, dt)
-        assert np.max(np.abs(_vec_step(P) - expm(L.toarray() * dt))) <= 1e-12
+        P = solver.propagator(R, dt)
+        assert np.max(np.abs(_vec_step(P) - expm(L * dt))) <= 1e-12
 
-        labels = solver.sectors(L)
         if drive_on:
-            assert labels.max() == 0 and isinstance(P, np.ndarray)
+            assert len(P) == 1
             return
-        assert labels.max() + 1 >= 2 * p.fock_dim + 1
+        assert len(P) >= p.fock_dim + 1
         k = _excitation_difference(p.fock_dim)
-        for comp in range(labels.max() + 1):
-            assert len(np.unique(k[labels == comp])) == 1
+        S = solver._hermitian_basis(len(L))
+        for idx, _ in P:
+            # the vec entries a block's coordinates are made of share one |k|
+            vec_entries = np.unique(S[idx].indices)
+            assert len(np.unique(np.abs(k[vec_entries]))) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -158,9 +185,9 @@ class TestBlockwisePropagator:
         dt=st.floats(1e-3, 3.0),
     )
     def test_random_parameters(self, fock_dim, rates, drive_on, dt):
-        L = _small_liouvillian(fock_dim, rates, drive_on)
-        P = _vec_step(solver.propagator(L, dt))
-        assert np.max(np.abs(P - expm(L.toarray() * dt))) <= 1e-12
+        R, L = _small_generators(fock_dim, rates, drive_on)
+        P = _vec_step(solver.propagator(R, dt))
+        assert np.max(np.abs(P - expm(L * dt))) <= 1e-12
         trace_vec = solver.vec(np.eye(2 * fock_dim))
         assert np.max(np.abs(trace_vec @ P - trace_vec)) <= 1e-12
 
@@ -176,13 +203,13 @@ class TestRK4StepMatrix:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_substep_loop(self, fock_dim, rates, drive_on, dt, h_frac, seed):
-        L = _small_liouvillian(fock_dim, rates, drive_on)
+        R, L = _small_generators(fock_dim, rates, drive_on)
         # dt_max log-uniform between dt/2000 (at most ~2000 sub-steps) and
         # the accurate regime h ||L||_1 <= 1
         lo = dt / 2000
-        hi = min(dt, 1.0 / abs(L).sum(axis=0).max())
+        hi = min(dt, 1.0 / np.abs(L).sum(axis=0).max())
         dt_max = lo * (hi / lo) ** h_frac
-        P = _vec_step(solver.rk4_propagator(L, dt, dt_max))
+        P = _vec_step(solver.rk4_propagator(R, dt, dt_max))
         v = solver.vec(_random_density(2 * fock_dim, seed))
         assert np.max(np.abs(P @ v - _rk4_loop(v, L, dt, dt_max))) <= 1e-11
         trace_vec = solver.vec(np.eye(2 * fock_dim))
@@ -206,11 +233,11 @@ class TestStepMatrixProperties:
         # a low-rank state starts on the boundary of positivity.  RK4 at the
         # default dt_max powers its step matrix up to ~3e5 sub-steps, and
         # the Hermiticity defect grows to ~1e-12 by rounding
-        L = _small_liouvillian(fock_dim, rates, drive_on)
+        R, _ = _small_generators(fock_dim, rates, drive_on)
         dim = 2 * fock_dim
         v = solver.vec(_random_density(dim, seed, rank))
         for build in (solver.propagator, solver.rk4_propagator):
-            rho = solver.unvec(_vec_step(build(L, dt)) @ v, dim)
+            rho = solver.unvec(_vec_step(build(R, dt)) @ v, dim)
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
             if build is solver.propagator:
                 assert np.linalg.eigvalsh(rho)[0] >= -1e-10
@@ -224,9 +251,9 @@ class TestStepMatrixProperties:
         t2=st.floats(1e-3, 3.0),
     )
     def test_semigroup(self, fock_dim, rates, drive_on, t1, t2):
-        L = _small_liouvillian(fock_dim, rates, drive_on)
-        both = _dense(solver.propagator(L, t1 + t2))
-        split = _dense(solver.propagator(L, t2) @ solver.propagator(L, t1))
+        R, _ = _small_generators(fock_dim, rates, drive_on)
+        both = _dense(solver.propagator(R, t1 + t2))
+        split = _dense(solver.propagator(R, t2)) @ _dense(solver.propagator(R, t1))
         assert np.max(np.abs(both - split)) <= 1e-10
 
 
@@ -234,10 +261,10 @@ class TestPropagate:
     def test_zero_dt_is_identity(self, small):
         p, d = small
         rho = model.initial_state(p)
-        L = solver.liouvillian(
+        R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
-        npt.assert_array_equal(solver.propagate(rho, L, 0.0), rho)
+        npt.assert_array_equal(solver.propagate(rho, R, 0.0), rho)
 
     def test_negative_dt_rejected(self, small):
         p, d = small
@@ -248,44 +275,44 @@ class TestPropagate:
     def test_closed_system_conserves_purity_and_energy(self, small):
         p, d = small
         h = model.hamiltonian_rotframe(p, d, True)
-        L = solver.liouvillian(h, model.DissipatorSpec(channels=()))
+        R = solver.liouvillian(h, model.DissipatorSpec(channels=()))
         rho = model.initial_state(p)
         e0 = np.trace(rho @ h).real
         for _ in range(4):
-            rho = solver.propagate(rho, L, d.t_p / 4)
+            rho = solver.propagate(rho, R, d.t_p / 4)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-8)
         assert np.trace(rho @ h).real == pytest.approx(e0, abs=1e-8 * abs(e0))
 
     def test_expm_vs_rk4_one_step(self, small):
         # cross-integrator oracle on the reduced system over one full step
         p, d = small
-        L = solver.liouvillian(
+        R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, False), model.dissipators(p)
         )
         rho = model.initial_state(p)
-        a = solver.propagate(rho, L, d.t_p, method="expm")
-        b = solver.propagate(rho, L, d.t_p, method="rk4", dt_max=1e-4)
+        a = solver.propagate(rho, R, d.t_p, method="expm")
+        b = solver.propagate(rho, R, d.t_p, method="rk4", dt_max=1e-4)
         assert np.max(np.abs(a - b)) < 1e-7
 
     def test_semigroup_property(self, small):
         p, d = small
-        L = solver.liouvillian(
+        R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
         rho = model.initial_state(p)
-        one = solver.propagate(rho, L, 5.0)
-        two = solver.propagate(solver.propagate(rho, L, 2.0), L, 3.0)
+        one = solver.propagate(rho, R, 5.0)
+        two = solver.propagate(solver.propagate(rho, R, 2.0), R, 3.0)
         assert np.linalg.norm(one - two) < 1e-9
 
     def test_rk4_preserves_trace_exactly(self, small):
         # RK4 on a linear system multiplies by a polynomial in L h, and the
         # trace vector is a left null vector of L
         p, d = small
-        L = solver.liouvillian(
+        R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
         rho = model.initial_state(p)
-        out = solver.propagate(rho, L, 1.0, method="rk4", dt_max=1e-3)
+        out = solver.propagate(rho, R, 1.0, method="rk4", dt_max=1e-3)
         assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_every_method_has_a_builder(self):
@@ -485,77 +512,77 @@ class TestRealCoordinates:
 
     @pytest.mark.parametrize("drive_on", [True, False])
     def test_generator_is_real(self, drive_on):
-        L = _small_liouvillian(5, (0.01, 0.02, 0.03), drive_on)
+        R, L = _small_generators(5, (0.01, 0.02, 0.03), drive_on)
         S = solver._hermitian_basis(L.shape[0])
-        R = solver._real_generator(L)
-        assert R.dtype == np.float64
-        npt.assert_allclose(
-            (S.conj().T @ R @ S).toarray(), L.toarray(), rtol=0, atol=1e-13
-        )
+        assert sp.isspmatrix_csr(R) and R.dtype == np.float64
+        npt.assert_allclose((S.conj().T @ R @ S).toarray(), L, rtol=0, atol=1e-13)
 
     def test_rejects_generator_that_breaks_hermiticity(self):
-        eye = sp.identity(16, dtype=complex, format="csr")
+        # -i[H, rho] of a non-Hermitian H leaves the Hermitian matrices
+        h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermiticity"):
-            solver._blockwise(1j * eye, np.exp)
+            solver.liouvillian(h, model.DissipatorSpec(channels=()))
+        # a complex operand is no real generator
+        eye = sp.identity(16, dtype=complex, format="csr")
         for build in (solver.propagator, solver.rk4_propagator):
-            with pytest.raises(ValueError, match="Hermiticity"):
+            with pytest.raises(ValueError, match="real generator"):
                 build(1j * eye, 1.0)
+        with pytest.raises(ValueError, match="real generator"):
+            solver.propagate(np.eye(4) / 4, 1j * eye, 1.0)
 
     def test_drive_off_blocks_merge_k_and_minus_k(self):
         # cutoff 17: k in -17..17 gives 35 sectors, |k| gives 18 real blocks
         p = model.preset("base")
-        d = model.derive(p)
-        L = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, False), model.dissipators(p)
-        )
-        labels = solver.sectors(solver._real_generator(L))
-        sizes = np.bincount(labels)
-        assert len(sizes) == 18 and sizes.max() == 128
+        R = _generators(p, False)[0]
+        blocks = solver._blockwise(R, lambda A: A.toarray())
+        assert len(blocks) == 18 and max(len(idx) for idx, _ in blocks) == 128
+        # the blocks partition the coordinates and hold every entry of R
+        npt.assert_array_equal(np.sort(np.concatenate([i for i, _ in blocks])),
+                               np.arange(R.shape[0]))
+        npt.assert_array_equal(_dense(blocks), R.toarray())
         k = _excitation_difference(p.fock_dim)
-        for comp in range(len(sizes)):
-            assert len(np.unique(np.abs(k[labels == comp]))) == 1
+        S = solver._hermitian_basis(R.shape[0])
+        for idx, _ in blocks:
+            assert len(np.unique(np.abs(k[np.unique(S[idx].indices)]))) == 1
 
     def test_drive_off_step_matrix_stores_only_blocks(self):
-        # no rounding residue between blocks: the CSR stores every entry of
-        # each block's exponential and nothing else
+        # the step matrix is one dense float64 block per block of R, at
+        # ascending indices: 100,104 entries at cutoff 17
         p = model.preset("base")
         d = model.derive(p)
-        L = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, False), model.dissipators(p)
-        )
-        P = solver.propagator(L, (d.t_p - d.t_H) / 10)
-        labels = solver.sectors(solver._real_generator(L))
-        assert sp.issparse(P) and P.dtype == np.float64
-        assert P.nnz == (np.bincount(labels) ** 2).sum() == 100_104
-        rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
-        assert np.all(labels[rows] == labels[P.indices])
+        R = _generators(p, False)[0]
+        P = solver.propagator(R, (d.t_p - d.t_H) / 10)
+        for idx, block in P:
+            assert np.all(np.diff(idx) > 0)
+            assert block.dtype == np.float64 and block.shape == (len(idx), len(idx))
+        assert sum(block.size for _, block in P) == 100_104
 
     @settings(max_examples=20, deadline=None)
     @given(fock_dim=st.integers(3, 6), rates=_rates, drive_on=st.booleans())
     def test_blocks_read_off_step_matrix(self, fock_dim, rates, drive_on):
-        # evolve records the blocks the builder found instead of finding
-        # them again
-        L = _small_liouvillian(fock_dim, rates, drive_on)
-        sizes = np.bincount(solver.sectors(solver._real_generator(L)))
-        want = {"blocks": len(sizes), "largest_block": int(sizes.max())}
-        for P in (solver.propagator(L, 0.1), solver.rk4_propagator(L, 0.1, 1e-2)):
-            assert solver._blocks(P) == want
+        # both builders split R into the connected components of its
+        # sparsity pattern, which evolve reads off the step matrix
+        R, _ = _small_generators(fock_dim, rates, drive_on)
+        n_comp, labels = connected_components(abs(R), directed=False)
+        want = sorted(tuple(np.flatnonzero(labels == c)) for c in range(n_comp))
+        for P in (solver.propagator(R, 0.1), solver.rk4_propagator(R, 0.1, 1e-2)):
+            assert sorted(tuple(idx) for idx, _ in P) == want
 
     def test_drive_on_exponential_peak_memory(self):
         # the 1156 x 1156 drive-on exponential of base keeps at most eight
         # dense float64 operands alive at once
         p = model.preset("base")
         d = model.derive(p)
-        L = solver.liouvillian(
+        R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
         tracemalloc.start()
         try:
-            solver.propagator(L, d.t_H / 10)
+            solver.propagator(R, d.t_H / 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n = L.shape[0]
+        n = R.shape[0]
         assert peak <= 8 * n * n * 8
 
     @pytest.mark.parametrize("fock_dim", [6, 9])
@@ -563,10 +590,10 @@ class TestRealCoordinates:
         # the real drive-on generator over one sample interval of a run
         p = model.preset("base", fock_dim=fock_dim, alpha=1.0 + 0.0j)
         d = model.derive(p)
-        L = solver.liouvillian(
+        R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
-        R = solver._real_generator(L * (d.t_H / 10)).toarray()
+        R = (R * (d.t_H / 10)).toarray()
         err = np.abs(solver._expm_pade13(R) - _longdouble_expm(R)).max()
         assert err <= 1e-13
 
