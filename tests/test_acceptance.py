@@ -87,7 +87,7 @@ def test_criterion_1_ballistic_spreading_base(base_run):
         "(eps0/delta_c ~ 2.7) the per-step Holevo values depend chaotically on "
         "the pulse-arrival phase; the 4-point slope scatters over [0.85, 2.6] "
         "under 5% drive perturbations and does not converge in Fock dimension "
-        "(17/20/24/28 -> 1.75/2.80/2.08/2.18).  See the decisions ledger."
+        "(17/21/25 -> 1.750/2.853/2.095).  See README \"Fock cutoff\"."
     ),
 )
 def test_criterion_2_ballistic_spreading_realistic(realistic_run):

@@ -400,6 +400,27 @@ BASE_SIGMA_H = np.array([
 ])
 
 
+@pytest.fixture(scope="module")
+def cli_scipy_modules():
+    """The scipy modules in ``sys.modules`` of a fresh interpreter after
+    ``import magnonwalk.cli``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    code = (
+        "import sys, magnonwalk.cli; "
+        "print('\\n'.join(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestOls:
     """``_ols`` against ``scipy.stats.linregress``, which the package no
     longer imports."""
@@ -426,19 +447,11 @@ class TestOls:
         with pytest.raises(ValueError):
             obs._ols(np.ones(4), np.arange(4.0))
 
-    def test_import_leaves_scipy_stats_out(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src), *filter(None, [env.get("PYTHONPATH")])]
-        )
-        code = (
-            "import sys, magnonwalk.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    @pytest.mark.parametrize(
+        "module",
+        ["scipy.stats", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"],
+    )
+    def test_import_leaves_scipy_module_out(self, cli_scipy_modules, module):
+        # the runtime imports scipy.sparse and nothing else of scipy
+        assert [m for m in cli_scipy_modules
+                if m == module or m.startswith(module + ".")] == []

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
@@ -601,3 +601,45 @@ class TestRealCoordinates:
         # norm 0 takes no log2 and no squaring
         E = solver._expm_pade13(np.zeros((3, 3)))
         npt.assert_allclose(E, np.eye(3), rtol=0, atol=2e-16)
+
+
+@st.composite
+def _csr_patterns(draw):
+    """A real n x n CSR matrix, n <= 60, whose stored entries are random
+    one-directional edges (zero values included), optionally plus a path
+    through all n nodes in random order: the longest diameter, so the
+    most passes of the label search."""
+    n = draw(st.integers(1, 60))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if draw(st.booleans()):
+        path = draw(st.permutations(range(n)))
+        edges += list(zip(path[:-1], path[1:]))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(edges),
+                           max_size=len(edges)))
+    rows, cols = np.array(edges, dtype=int).reshape(-1, 2).T
+    return sp.csr_matrix((np.array(values, dtype=float), (rows, cols)), shape=(n, n))
+
+
+def _permuted_path(n, seed):
+    path = np.random.default_rng(seed).permutation(n)
+    return sp.csr_matrix((np.ones(n - 1), (path[:-1], path[1:])), shape=(n, n))
+
+
+class TestComponentSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(R=_csr_patterns())
+    @example(R=sp.csr_matrix((7, 7)))  # all zero: every node its own block
+    # isolated nodes and one-directional edges
+    @example(R=sp.csr_matrix(([1.0, -3.0], ([0, 5], [3, 1])), shape=(8, 8)))
+    @example(R=_permuted_path(60, seed=0))
+    def test_matches_csgraph(self, R):
+        # _blockwise's blocks are scipy's undirected connected components
+        # of R's stored entries, in scipy's order
+        n_comp, labels = connected_components(abs(R), directed=False)
+        blocks = solver._blockwise(R, lambda A: A)
+        assert len(blocks) == n_comp
+        dense = R.toarray()
+        for comp, (idx, block) in enumerate(blocks):
+            npt.assert_array_equal(idx, np.flatnonzero(labels == comp))
+            npt.assert_array_equal(block.toarray(), dense[np.ix_(idx, idx)])
