@@ -40,4 +40,4 @@ from .observables import (  # noqa: F401
     sharpness_holevo,
     wigner,
 )
-from .solver import Trajectory, evolve, liouvillian, propagate  # noqa: F401
+from .solver import Trajectory, evolve, liouvillian  # noqa: F401

@@ -304,13 +304,13 @@ def _dark_mode_residual(h_int: np.ndarray, modes: list[np.ndarray]) -> float:
 
 
 def check_mode_decoupling(
-    populations: tuple[float, float, float, float], g: float = 1.0
+    populations: tuple[float, float, float, float]
 ) -> list[ResidualReport]:
     """Bright-mode reduction of the eight-mode coupling.
 
     Builds the interaction of the four classes' eight polarization modes
-    (weights sqrt(N_f), coupling g), the bright mode c and the orthogonal
-    (dark) combinations on the vacuum-plus-one-quantum space (see
+    (weights sqrt(N_f), coupling g = 1), the bright mode c and the
+    orthogonal (dark) combinations on the vacuum-plus-one-quantum space (see
     :func:`_multimode`), then verifies that (i) the interaction equals the
     single-mode form with the collective strength sqrt(2N) g exactly,
     (ii) every dark mode's occupation commutes with the interaction on the
@@ -331,13 +331,11 @@ def check_mode_decoupling(
     modes, h_int, c, big_g = _collective_mode([math.sqrt(x) for x in pops])
     a = modes[0::2]
     b = modes[1::2]
-    h_int = g * h_int
-    eta = g * big_g
 
     reports = [
         ResidualReport.bounded(
             f"decoupling.interaction_identity[{pops}]",
-            _opnorm(h_int - eta * _exchange(c)),
+            _opnorm(h_int - big_g * _exchange(c)),
         )
     ]
 
@@ -382,30 +380,22 @@ def check_mode_decoupling(
 def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
     """Collective mode for per-center coupling strengths.
 
-    ``couplings`` is a flat sequence (a single crystallographic class) or
-    a sequence of sequences (one per class).  Each center carries two
-    polarization modes; with weights G_f = sqrt(2 sum_i g_i^2) and
-    G = sqrt(sum_f G_f^2) = sqrt(2 sum_i g_i^2), the summed interaction
-    must equal G (raise c + lower c^dag) exactly, and c must be canonical
-    on the vacuum.  The class grouping cancels out of c and G, so only the
-    report label uses it.  Both identities are exact on the
+    ``couplings`` holds one strength g_i per center.  Each center carries
+    two polarization modes; with G = sqrt(2 sum_i g_i^2), the summed
+    interaction must equal G (raise c + lower c^dag) exactly, and c must
+    be canonical on the vacuum.  Both identities are exact on the
     vacuum-plus-one-quantum space of :func:`_multimode`.
     """
-    if not couplings:
+    flat = list(map(float, couplings))
+    if not flat:
         raise InvalidParameterError("need at least one coupling")
-    if np.isscalar(couplings[0]):
-        classes = [list(map(float, couplings))]
-    else:
-        classes = [list(map(float, cl)) for cl in couplings]
-    flat = [gi for cl in classes for gi in cl]
-    n_centers = len(flat)
-    if n_centers == 0 or all(gi == 0 for gi in flat):
+    if all(gi == 0 for gi in flat):
         raise InvalidParameterError("all couplings are zero")
-    if n_centers > 4:
+    if len(flat) > 4:
         raise DimensionError("at most 4 centers (8 modes) at this truncation")
 
     _, h_int, c, big_g = _collective_mode(flat)
-    label = "x".join(str(len(cl)) for cl in classes)
+    label = str(len(flat))
     return [
         ResidualReport.bounded(
             f"inhomogeneous.interaction_identity[{label},G={big_g:.4g}]",

@@ -206,7 +206,8 @@ def derive(p: PhysicalParams, use_omega_r0: bool = False) -> DerivedParams:
     Omega_R0 = 2pi*eps0/|Delta| instead of the coin-term coefficient
     2*eta*eps0/|Delta|; the latter is the default because it is the
     coefficient that actually multiplies sigma_x in the effective
-    Hamiltonian.
+    Hamiltonian.  Parameters whose derived frequencies overflow the float
+    range raise InvalidParameterError.
     """
     w = TWO_PI
     omega_q = w * p.nu_q
@@ -218,6 +219,18 @@ def derive(p: PhysicalParams, use_omega_r0: bool = False) -> DerivedParams:
     if delta_qm == 0:
         raise InvalidParameterError("qubit and mode are resonant; no dispersive regime")
     Delta = -delta_qm
+    try:
+        chi = eta**2 / delta_qm
+    except OverflowError:  # float ** raises where * and / give inf
+        chi = math.inf
+    Omega_R = 2.0 * eta * eps0 / delta_qm
+
+    n_bar = abs(p.alpha) ** 2
+    omega_d = (2.0 * n_bar + 1.0) * chi + omega_q - Omega_R
+    delta_c = omega_d - omega_D
+    delta_d = omega_d - omega_q
+    if not all(map(math.isfinite, (Delta, chi, Omega_R, omega_d, delta_c, delta_d))):
+        raise InvalidParameterError("a derived frequency overflows the float range")
     if abs(Delta) < DISPERSIVE_RATIO_MIN * eta:
         warnings.warn(
             f"|Delta|/eta = {abs(Delta) / eta:.2f} < {DISPERSIVE_RATIO_MIN:g}: "
@@ -225,14 +238,6 @@ def derive(p: PhysicalParams, use_omega_r0: bool = False) -> DerivedParams:
             DispersiveRegimeWarning,
             stacklevel=2,
         )
-
-    chi = eta**2 / delta_qm
-    Omega_R = 2.0 * eta * eps0 / delta_qm
-
-    n_bar = abs(p.alpha) ** 2
-    omega_d = (2.0 * n_bar + 1.0) * chi + omega_q - Omega_R
-    delta_c = omega_d - omega_D
-    delta_d = omega_d - omega_q
 
     omega_p = abs(chi) * p.d_sites
     if omega_p == 0:

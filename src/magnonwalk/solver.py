@@ -90,7 +90,6 @@ __all__ = [
     "unvec",
     "propagator",
     "rk4_propagator",
-    "propagate",
     "Trajectory",
     "evolve",
 ]
@@ -136,10 +135,10 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
     """The real generator R = S L S^dag (S from :func:`_hermitian_basis`)
     of the Liouvillian L on column-vectorized density matrices, as a
-    float64 CSR matrix: the operand of :func:`propagator`,
-    :func:`rk4_propagator` and :func:`propagate`.  A generator that does
-    not map Hermitian matrices to Hermitian matrices, such as that of a
-    non-Hermitian H, has no real R and raises ValueError."""
+    float64 CSR matrix: the operand of :func:`propagator` and
+    :func:`rk4_propagator`.  A generator that does not map Hermitian
+    matrices to Hermitian matrices, such as that of a non-Hermitian H, has
+    no real R and raises ValueError."""
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise DimensionError("Hamiltonian must be square")
@@ -200,11 +199,14 @@ def _expm_pade13(A) -> np.ndarray:
     a sparse-by-dense product.  U and V are accumulated in place, A^2, A^4
     and A^6 are freed before the solve, and the squarings alternate
     between two buffers, so about six dense n x n arrays are alive at
-    once at the peak."""
+    once at the peak.  An A of non-finite 1-norm (a rate or frequency
+    beyond the float range) raises NumericalFailureError."""
     b = _PADE13
     A = sp.csr_matrix(A)
     n = A.shape[0]
     norm = abs(A).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise NumericalFailureError(f"step-matrix operand has 1-norm {norm}")
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     A = A * 2.0**-s
     A2 = (A @ A).toarray()
@@ -321,8 +323,11 @@ def _condition(
     trace drift |Tr rho - 1| seen before the repair (above
     TRACE_RENORM_THRESHOLD the state was renormalized) and the smallest
     eigenvalue of the repaired state.  The trace is the sum of the
-    diagonal coordinates, and rho is Hermitian by construction.
+    diagonal coordinates, and rho is Hermitian by construction.  A
+    non-finite coordinate raises NumericalFailureError.
     """
+    if not np.isfinite(x).all():
+        raise NumericalFailureError("state has non-finite coordinates")
     n = math.isqrt(len(x))
     tr = x[:: n + 1].sum()  # the vec index of |i><i| is i (n + 1)
     drift = abs(tr - 1.0)
@@ -337,28 +342,6 @@ def _condition(
             f"density matrix lost positivity (min eigenvalue {min_eig:.3e})"
         )
     return x, rho, drift, min_eig
-
-
-def propagate(
-    rho: np.ndarray,
-    R,
-    dt: float,
-    method: str = "expm",
-    dt_max: float = DT_MAX_DEFAULT,
-) -> np.ndarray:
-    """Advance a density matrix by dt under a constant generator R from
-    :func:`liouvillian`: one step matrix of ``method`` ("expm" or "rk4",
-    as in :func:`evolve`) applied to the real coordinates of the Hermitian
-    part of rho, and the result checked and renormalized like every sample
-    of :func:`evolve`."""
-    build = _builder(method, dt_max)
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if dt == 0:
-        return rho.copy()
-    S = _hermitian_basis(rho.size)
-    x = _apply(build(R, dt), (S @ vec(rho)).real)
-    return _condition(x, sp.csr_matrix(S.conj().T))[1]
 
 
 @dataclass
@@ -417,6 +400,8 @@ def evolve(
     dt_max: float = DT_MAX_DEFAULT,
 ) -> Trajectory:
     """Propagate through the schedule, sampling observables on the way.
+    This is the one driver of the state: a single interval of constant
+    generator is a one-segment schedule.
 
     Each segment uses the generator built from H_on or H_off and is
     subdivided into ``samples_per_segment`` equal sub-intervals; the state

@@ -242,21 +242,17 @@ def test_criterion_6_solver_invariants(base_run, realistic_run):
         ok_all &= ok
         details.append(msg)
 
-    # expm vs rk4 over one full step per preset, plus invariants of the
-    # rk4-propagated state.  Sub-steps sized for the Liouvillian spectral
-    # radius (~440 and ~930 rad/ns).
+    # expm vs rk4 over one full step per preset, through evolve with one
+    # sample per segment, plus invariants of the rk4-propagated state.
+    # Sub-steps sized for the Liouvillian spectral radius (~440 and
+    # ~930 rad/ns).
     for run, dt_max in ((base_run, 4e-5), (realistic_run, 1.5e-5)):
-        L = solver.liouvillian(
-            run.h_on if run.schedule.segments[0].drive_on else run.h_off, run.diss
-        )
-        rho0 = model.initial_state(run.params)
-        seg = run.schedule.segments[0]
-        a = solver.propagate(rho0, L, seg.duration, method="expm")
-        b = solver.propagate(rho0, L, seg.duration, method="rk4", dt_max=dt_max)
-        L_off = solver.liouvillian(run.h_off, run.diss)
-        a = solver.propagate(a, L_off, run.derived.t_p - seg.duration, method="expm")
-        b = solver.propagate(
-            b, L_off, run.derived.t_p - seg.duration, method="rk4", dt_max=dt_max
+        step_1 = model.PulseSchedule(run.schedule.segments[:2])
+        args = (step_1, model.initial_state(run.params), run.h_on, run.h_off, run.diss)
+        a, b = (
+            solver.evolve(*args, samples_per_segment=1, method=method, dt_max=dt_max)
+            .snapshots[0][2]
+            for method in ("expm", "rk4")
         )
         dist = _trace_distance(a, b)
         ok_inv, msg = _boundary_invariants(

@@ -99,7 +99,7 @@ class TestModeDecoupling:
 
     def test_collective_strength_scaling(self):
         # eta = sqrt(2N) g enters the identity; a wrong strength must fail
-        reports = algebra.check_mode_decoupling((1.0, 1.0, 1.0, 1.0), g=1.0)
+        reports = algebra.check_mode_decoupling((1.0, 1.0, 1.0, 1.0))
         assert reports[0].name.startswith("decoupling.interaction_identity")
         # rebuild manually with a broken coefficient to confirm sensitivity
         import magnonwalk.algebra as alg
@@ -155,8 +155,10 @@ class TestInhomogeneousMode:
         for rep in algebra.check_inhomogeneous_mode([1.0]):
             assert rep.passed, rep
 
-    def test_multi_class(self):
-        for rep in algebra.check_inhomogeneous_mode([[1.0, 0.5], [2.0]]):
+    def test_three_centers(self):
+        reports = algebra.check_inhomogeneous_mode([1.0, 0.5, 2.0])
+        assert reports[0].name == "inhomogeneous.interaction_identity[3,G=3.24]"
+        for rep in reports:
             assert rep.passed, rep
 
     def test_all_zero_rejected(self):

@@ -34,7 +34,19 @@ def small_config(tmp_path, **kw):
 
 
 RUN_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def _python(*args):
+    """A fresh interpreter on the package source, as a user starts it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +260,52 @@ class TestRunArtifacts:
         assert by_flag[True]["dt"] == pytest.approx(d.t_H)
         assert by_flag[False]["dt"] == pytest.approx(d.t_p - d.t_H)
 
+    @pytest.mark.parametrize(
+        "key,names",
+        [
+            ("timeseries", {"timeseries.csv"}),
+            ("holevo", {"holevo.csv"}),
+            ("phase", {"phase_step1.csv", "phase_step2.csv"}),
+        ],
+    )
+    def test_emit_switch_off(self, tmp_path, completed_run, key, names):
+        # the small config as a file, with one [emit] switch off: that file
+        # is neither written nor listed, and every other one is unchanged
+        path = tmp_path / "walk.ini"
+        path.write_text(
+            "[run]\nsteps = 2\nsamples_per_segment = 2\nfit_steps = 2\n"
+            f"[emit]\n{key} = false\n[wigner]\npoints = 11\n"
+            "[params]\nfock_dim = 8\nalpha = 1.5\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        _, reference = completed_run
+        assert files == {n: h for n, h in reference.files.items() if n not in names}
+        assert {f.name for f in out.iterdir()} == {*files, "manifest.json"}
+
+    def test_unrotated_snapshots(self, tmp_path, completed_run, monkeypatch):
+        # corotating = false leaves the walk alone and writes the phase
+        # distribution of the raw rotating-frame mode state
+        trajectories = []
+
+        def evolve(*args, **kwargs):
+            trajectories.append(solver.evolve(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        config = small_config(tmp_path, corotating=False)
+        cli.run(config)
+        out, ref = config.resolve_out_dir(), completed_run[0].resolve_out_dir()
+        assert (out / "holevo.csv").read_bytes() == (ref / "holevo.csv").read_bytes()
+        _, _, rho = trajectories[0].snapshots[0]
+        m_phase = config.resolve_params().m_phase
+        dist = obs.phase_distribution(obs.reduce_boson(rho), m_phase)
+        table = np.loadtxt(out / "phase_step1.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table, np.column_stack([dist.phi, dist.p]))
+        phase = (out / "phase_step1.csv").read_bytes()
+        assert phase != (ref / "phase_step1.csv").read_bytes()
+
     def test_wigner_long_form(self, completed_run):
         config, _ = completed_run
         out = config.resolve_out_dir()
@@ -300,17 +358,9 @@ class TestMainEntry:
     def test_cli_process_is_warning_free(self, tmp_path):
         # the stock path under -W error, as a user starts it; the success
         # line reports the measured clipping of the Fock cutoff
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src), *filter(None, [env.get("PYTHONPATH")])]
-        )
         out = tmp_path / "base"
         argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner", "--out"]
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "magnonwalk.cli", *argv, str(out)],
-            capture_output=True, text=True, env=env, check=False,
-        )
+        proc = _python("-W", "error", "-m", "magnonwalk.cli", *argv, str(out))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         top = json.loads((out / "manifest.json").read_text())["health"][
@@ -319,6 +369,35 @@ class TestMainEntry:
         assert proc.stdout.rstrip("\n").endswith(
             f"; top Fock level held up to {top:.3g} of the state"
         )
+
+    @pytest.mark.parametrize(
+        "param,code,prefix",
+        [
+            ("gamma1=1e308", 2, "numerical failure: "),
+            ("nu_q=1e200", 2, "numerical failure: "),
+            ("nu_eta=1e200", 1, "configuration error: "),
+        ],
+    )
+    def test_overflowing_parameter_exits_with_message(
+        self, tmp_path, param, code, prefix
+    ):
+        # finite inputs whose rates or frequencies overflow: a rate of inf,
+        # an operand of infinite norm, and eta**2 beyond the float range
+        argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner"]
+        for item in ("fock_dim=4", "alpha=1", "m_phase=8", param):
+            argv += ["--param", item]
+        proc = _python("-m", "magnonwalk.cli", *argv, "--out", str(tmp_path / "out"))
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(prefix)
+
+    def test_readme_python_api(self):
+        # the documented example runs as written
+        block = re.search(
+            r"## Python API\n\n```python\n(.*?)```", README.read_text(), re.DOTALL
+        )
+        proc = _python("-W", "error", "-c", block.group(1))
+        assert proc.returncode == 0, proc.stderr
 
     def test_bad_preset_exit_code(self, tmp_path, capsys):
         rc = cli.main(["run", "--param", "nu_eps0=-oops", "--out", str(tmp_path)])

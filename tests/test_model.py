@@ -87,6 +87,14 @@ class TestDerive:
         with pytest.raises(ScheduleInfeasibleError, match="zero coupling"):
             model.derive(model.preset("base", nu_eta=0.0), use_omega_r0=use_omega_r0)
 
+    @pytest.mark.parametrize("field", ["nu_eta", "nu_eps0", "nu_q"])
+    def test_overflowing_parameter_rejected(self, field):
+        # finite inputs whose derived frequencies leave the float range:
+        # eta**2 raises OverflowError, 2 pi nu_eps0 and 2 pi nu_q are inf
+        value = 1e200 if field == "nu_eta" else 1e308
+        with pytest.raises(InvalidParameterError, match="overflows the float range"):
+            model.derive(model.preset("base", **{field: value}))
+
 
 class TestPhysicalParams:
     def test_negative_rate_rejected(self):

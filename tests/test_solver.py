@@ -257,63 +257,26 @@ class TestStepMatrixProperties:
         assert np.max(np.abs(both - split)) <= 1e-10
 
 
-class TestPropagate:
-    def test_zero_dt_is_identity(self, small):
-        p, d = small
-        rho = model.initial_state(p)
-        R = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
-        )
-        npt.assert_array_equal(solver.propagate(rho, R, 0.0), rho)
+def _single_segment(duration):
+    """A one-segment schedule: a single interval of constant generator."""
+    return model.PulseSchedule((model.Segment(1, 0.0, duration, False),))
 
-    def test_negative_dt_rejected(self, small):
-        p, d = small
-        rho = model.initial_state(p)
-        with pytest.raises(ValueError):
-            solver.propagate(rho, sp.identity(rho.size, format="csr"), -1.0)
+
+class TestPropagate:
+    """Propagation through evolve, the one driver of the state."""
 
     def test_closed_system_conserves_purity_and_energy(self, small):
         p, d = small
         h = model.hamiltonian_rotframe(p, d, True)
-        R = solver.liouvillian(h, model.DissipatorSpec(channels=()))
         rho = model.initial_state(p)
         e0 = np.trace(rho @ h).real
-        for _ in range(4):
-            rho = solver.propagate(rho, R, d.t_p / 4)
+        traj = solver.evolve(
+            _single_segment(d.t_p), rho, h, h, model.DissipatorSpec(channels=()),
+            samples_per_segment=4,
+        )
+        rho = traj.snapshots[0][2]
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-8)
         assert np.trace(rho @ h).real == pytest.approx(e0, abs=1e-8 * abs(e0))
-
-    def test_expm_vs_rk4_one_step(self, small):
-        # cross-integrator oracle on the reduced system over one full step
-        p, d = small
-        R = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, False), model.dissipators(p)
-        )
-        rho = model.initial_state(p)
-        a = solver.propagate(rho, R, d.t_p, method="expm")
-        b = solver.propagate(rho, R, d.t_p, method="rk4", dt_max=1e-4)
-        assert np.max(np.abs(a - b)) < 1e-7
-
-    def test_semigroup_property(self, small):
-        p, d = small
-        R = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
-        )
-        rho = model.initial_state(p)
-        one = solver.propagate(rho, R, 5.0)
-        two = solver.propagate(solver.propagate(rho, R, 2.0), R, 3.0)
-        assert np.linalg.norm(one - two) < 1e-9
-
-    def test_rk4_preserves_trace_exactly(self, small):
-        # RK4 on a linear system multiplies by a polynomial in L h, and the
-        # trace vector is a left null vector of L
-        p, d = small
-        R = solver.liouvillian(
-            model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
-        )
-        rho = model.initial_state(p)
-        out = solver.propagate(rho, R, 1.0, method="rk4", dt_max=1e-3)
-        assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_every_method_has_a_builder(self):
         for method in solver.METHODS:
@@ -329,23 +292,27 @@ class TestPropagate:
 
     def test_unknown_method(self, small):
         p, d = small
-        rho = model.initial_state(p)
-        with pytest.raises(ValueError):
-            solver.propagate(rho, sp.identity(rho.size, format="csr"), 1.0, method="euler")
+        h = model.hamiltonian_rotframe(p, d, False)
+        with pytest.raises(ValueError, match="euler"):
+            solver.evolve(
+                _single_segment(1.0), model.initial_state(p), h, h,
+                model.dissipators(p), method="euler",
+            )
 
     def test_positivity_failure_detected(self):
-        # an anti-Lindblad generator (negative rate) blows positivity
+        # an anti-Lindblad channel (negative rate) on the qubit (x) mode
+        # space blows positivity
         dim = 3
-        c = model.annihilation(dim)
-        bad = solver.liouvillian(
-            np.zeros((dim, dim), dtype=complex),
-            model.DissipatorSpec(channels=((1.0, c),)),
-        ) * -1.0
-        rho = _density(model.coherent_state(0.7, dim))
-        with pytest.raises(NumericalFailureError):
-            out = rho
-            for _ in range(50):
-                out = solver.propagate(out, bad, 2.0)
+        c = np.kron(np.eye(2), model.annihilation(dim))
+        qubit = np.array([1.0, 0.0])
+        rho = _density(np.kron(qubit, model.coherent_state(0.7, dim)))
+        h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        with pytest.raises(NumericalFailureError, match="segment 0"):
+            solver.evolve(
+                _single_segment(100.0), rho, h, h,
+                model.DissipatorSpec(channels=((-1.0, c),)),
+                samples_per_segment=50,
+            )
 
 
 class TestEvolve:
@@ -445,6 +412,13 @@ class TestHealth:
         assert drift == pytest.approx(4e-11, rel=1e-4)
         npt.assert_array_equal(out, rho)
 
+    def test_condition_rejects_non_finite_coordinate(self):
+        # an off-diagonal coordinate: the trace alone would not show it
+        x, S_dag = _coordinates(np.diag([0.5, 0.5]).astype(complex))
+        x[1] = np.nan
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            solver._condition(x, S_dag)
+
     def test_evolve_reports_drifted_initial_state(self, small):
         p2 = model.preset("base", fock_dim=6, alpha=1.0, n_steps=1)
         d = model.derive(p2)
@@ -527,8 +501,6 @@ class TestRealCoordinates:
         for build in (solver.propagator, solver.rk4_propagator):
             with pytest.raises(ValueError, match="real generator"):
                 build(1j * eye, 1.0)
-        with pytest.raises(ValueError, match="real generator"):
-            solver.propagate(np.eye(4) / 4, 1j * eye, 1.0)
 
     def test_drive_off_blocks_merge_k_and_minus_k(self):
         # cutoff 17: k in -17..17 gives 35 sectors, |k| gives 18 real blocks
@@ -596,6 +568,12 @@ class TestRealCoordinates:
         R = (R * (d.t_H / 10)).toarray()
         err = np.abs(solver._expm_pade13(R) - _longdouble_expm(R)).max()
         assert err <= 1e-13
+
+    def test_pade_kernel_rejects_non_finite_operand(self):
+        A = np.zeros((3, 3))
+        A[0, 1] = np.inf
+        with pytest.raises(NumericalFailureError, match="1-norm inf"):
+            solver._expm_pade13(A)
 
     def test_pade_kernel_of_zero_is_identity(self):
         # norm 0 takes no log2 and no squaring
