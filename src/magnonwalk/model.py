@@ -334,7 +334,12 @@ class DissipatorSpec:
 def dissipators(p: PhysicalParams) -> DissipatorSpec:
     """The three decay channels: mode decay, qubit relaxation, qubit dephasing.
 
-    The rates are non-negative: ``PhysicalParams`` rejects negative ones."""
+    The rates are non-negative: ``PhysicalParams`` rejects negative ones.
+    A rate whose 2 pi rate overflows the float range raises
+    InvalidParameterError."""
+    for name in ("Gamma", "gamma1", "gamma_phi"):
+        if not math.isfinite(TWO_PI * getattr(p, name)):
+            raise InvalidParameterError(f"2 pi {name} overflows the float range")
     idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
     return DissipatorSpec(
         channels=(

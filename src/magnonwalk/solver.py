@@ -196,31 +196,56 @@ def _expm_pade13(A) -> np.ndarray:
     s = max(0, ceil(log2(||A||_1 / theta_13))).
 
     A stays sparse: A^2 is formed from it, and the outer A @ (...) of U is
-    a sparse-by-dense product.  U and V are accumulated in place, A^2, A^4
-    and A^6 are freed before the solve, and the squarings alternate
-    between two buffers, so about six dense n x n arrays are alive at
-    once at the peak.  An A of non-finite 1-norm (a rate or frequency
-    beyond the float range) raises NumericalFailureError."""
+    a sparse-by-dense product.  A^2 is dense only for the two products
+    A^4 = A^2 A^2 and A^6 = A^4 A^2; in the four Padé sums it enters by
+    its stored entries (one per position: a sparse product sums its
+    terms), each added at its place.  The multiples of A^4 and A^6 pass
+    through one work buffer W, and U and V are accumulated in place, so
+    at most five dense n x n arrays are alive at once: A^4, A^6, W, U and
+    V.  Five is the floor here, since the solve holds five too: U, V, the
+    two copies of them that LAPACK factors and overwrites, and the
+    result.  The squarings alternate between two buffers.  Each sum takes
+    the same terms in the same order as the plain expression
+    b13 A^6 + b11 A^4 + b9 A^2 and its kin, so the result is bit for bit
+    that of the plain expressions.  A is put in canonical form first, on
+    a copy, so duplicate entries are summed before its 1-norm is taken
+    and the products add their terms in one order, however the caller
+    stored A.  An A of non-finite 1-norm (a rate or frequency beyond the
+    float range) raises NumericalFailureError."""
     b = _PADE13
-    A = sp.csr_matrix(A)
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
     n = A.shape[0]
     norm = abs(A).sum(axis=0).max()
     if not np.isfinite(norm):
         raise NumericalFailureError(f"step-matrix operand has 1-norm {norm}")
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     A = A * 2.0**-s
-    A2 = (A @ A).toarray()
+    A2 = (A @ A).tocoo()
+    rows, cols, a2 = A2.row, A2.col, A2.data
+    A2 = A2.toarray()
     A4 = A2 @ A2
     A6 = A4 @ A2
-    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-    for c, M in ((b[7], A6), (b[5], A4), (b[3], A2)):
-        U += c * M
-    U.flat[:: n + 1] += b[1]
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-    for c, M in ((b[6], A6), (b[4], A4), (b[2], A2)):
-        V += c * M
-    V.flat[:: n + 1] += b[0]
-    del A2, A4, A6
+    del A2
+    W = np.empty_like(A6)
+
+    def pade_sum(c6, c4, c2, d6, d4, d2, d0):
+        """A^6 (c6 A^6 + c4 A^4 + c2 A^2) + d6 A^6 + d4 A^4 + d2 A^2 + d0 I,
+        summed left to right."""
+        out = np.multiply(A4, c4)
+        np.add(np.multiply(A6, c6, out=W), out, out=W)
+        W[rows, cols] += c2 * a2
+        np.matmul(A6, W, out=out)
+        for c, M in ((d6, A6), (d4, A4)):
+            np.multiply(M, c, out=W)
+            out += W
+        out[rows, cols] += d2 * a2
+        out.flat[:: n + 1] += d0
+        return out
+
+    U = pade_sum(*b[13::-2])
+    V = pade_sum(*b[12::-2])
+    del A4, A6, W
     U = A @ U
     V -= U  # V - U
     U *= 2.0
@@ -277,6 +302,20 @@ def _apply(P: list, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _scaled(R, dt: float) -> sp.csr_matrix:
+    """R dt as CSR.  Where an entry of R dt would not be finite (a rate or
+    frequency beyond the float range), NumericalFailureError is raised
+    before the product is formed."""
+    R = sp.csr_matrix(R)
+    peak = float(np.abs(R.data).max(initial=0.0))
+    if not math.isfinite(peak * dt):
+        raise NumericalFailureError(
+            f"step-matrix operand R dt is not finite (largest |R| entry "
+            f"{peak:.3g}, dt {dt:.3g})"
+        )
+    return R * dt
+
+
 def propagator(R, dt: float) -> list:
     """The real step matrix exp(R dt) of the generator R from
     :func:`liouvillian`, one dense block per independent block of R (see
@@ -285,7 +324,7 @@ def propagator(R, dt: float) -> list:
     L dt to rounding, since exp(diag(B_1, B_2, ...)) =
     diag(exp B_1, exp B_2, ...) and exp(S A S^dag) = S exp(A) S^dag.
     """
-    return _blockwise(R * dt, _expm_pade13)
+    return _blockwise(_scaled(R, dt), _expm_pade13)
 
 
 def rk4_propagator(R, dt: float, dt_max: float = DT_MAX_DEFAULT) -> list:
@@ -300,7 +339,7 @@ def rk4_propagator(R, dt: float, dt_max: float = DT_MAX_DEFAULT) -> list:
         T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
         return np.linalg.matrix_power(T, n_sub)
 
-    return _blockwise(R * (dt / n_sub), taylor4_power)
+    return _blockwise(_scaled(R, dt / n_sub), taylor4_power)
 
 
 def _builder(method: str, dt_max: float):
@@ -415,7 +454,9 @@ def evolve(
     step count: one dense block for the drive-on generator, and one small
     dense block per real-coordinate block of the drive-off generator (see
     :func:`propagator`).  The blocks of each generator are found once, by
-    the builder, and ``propagators`` reads them off the step matrix.
+    the builder, and ``propagators`` reads them off the step matrix.  A
+    NumericalFailureError in building a step matrix or in conditioning
+    the state is raised again naming the segment and walk step.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
@@ -441,23 +482,23 @@ def evolve(
     for i, seg in enumerate(schedule.segments):
         dt_sub = seg.duration / samples_per_segment
         key = (seg.drive_on, dt_sub)
-        if key not in propagators:
-            if seg.drive_on not in generators:
-                generators[seg.drive_on] = liouvillian(
-                    H_on if seg.drive_on else H_off, diss
-                )
-            P = propagators[key] = build(generators[seg.drive_on], dt_sub)
-            paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
-                          "largest_block": max(len(idx) for idx, _ in P)})
-        P = propagators[key]
-        for j in range(samples_per_segment):
-            try:
+        try:
+            if key not in propagators:
+                if seg.drive_on not in generators:
+                    generators[seg.drive_on] = liouvillian(
+                        H_on if seg.drive_on else H_off, diss
+                    )
+                P = propagators[key] = build(generators[seg.drive_on], dt_sub)
+                paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
+                              "largest_block": max(len(idx) for idx, _ in P)})
+            P = propagators[key]
+            for j in range(samples_per_segment):
                 x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)
-            except NumericalFailureError as exc:
-                raise NumericalFailureError(
-                    f"propagation failed in segment {i} (step {seg.step}): {exc}"
-                ) from exc
-            sample(seg.t_start + (j + 1) * dt_sub, seg.drive_on, rho, drift, min_eig)
+                sample(seg.t_start + (j + 1) * dt_sub, seg.drive_on, rho, drift, min_eig)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(
+                f"propagation failed in segment {i} (step {seg.step}): {exc}"
+            ) from exc
         last_of_step = i + 1 == n_segments or schedule.segments[i + 1].step != seg.step
         if last_of_step:
             snapshots.append((seg.step, seg.t_start + seg.duration, rho))

@@ -373,7 +373,7 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "param,code,prefix",
         [
-            ("gamma1=1e308", 2, "numerical failure: "),
+            ("gamma1=1e308", 1, "configuration error: "),
             ("nu_q=1e200", 2, "numerical failure: "),
             ("nu_eta=1e200", 1, "configuration error: "),
         ],
@@ -382,13 +382,15 @@ class TestMainEntry:
         self, tmp_path, param, code, prefix
     ):
         # finite inputs whose rates or frequencies overflow: a rate of inf,
-        # an operand of infinite norm, and eta**2 beyond the float range
+        # a step-matrix operand R dt beyond the float range, and eta**2
+        # beyond the float range; each is caught before numpy warns
         argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner"]
         for item in ("fock_dim=4", "alpha=1", "m_phase=8", param):
             argv += ["--param", item]
         proc = _python("-m", "magnonwalk.cli", *argv, "--out", str(tmp_path / "out"))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith(prefix)
 
     def test_readme_python_api(self):

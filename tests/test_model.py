@@ -280,6 +280,13 @@ class TestDissipators:
         spec = model.dissipators(p)
         assert all(r == 0 for r, _ in spec.channels)
 
+    @pytest.mark.parametrize("name", ["Gamma", "gamma1", "gamma_phi"])
+    def test_overflowing_rate_rejected(self, name):
+        # a finite rate whose 2 pi rate is inf
+        p = model.preset("base", **{name: 1e308})
+        with pytest.raises(InvalidParameterError, match=f"2 pi {name} overflows"):
+            model.dissipators(p)
+
 
 class TestPulseSchedule:
     def test_eight_steps_contract(self, base):

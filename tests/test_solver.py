@@ -299,6 +299,18 @@ class TestPropagate:
                 model.dissipators(p), method="euler",
             )
 
+    def test_overflowing_step_matrix_names_segment(self):
+        # R dt beyond the float range is refused before it is formed, and
+        # evolve names the segment whose step matrix it was
+        h = 1e300 * np.kron(model.SIGMA_Z, np.eye(2))
+        rho = _density(np.kron(np.array([1.0, 1.0]) / np.sqrt(2.0), [1.0, 0.0]))
+        with pytest.raises(
+            NumericalFailureError,
+            match=r"segment 0 \(step 1\): step-matrix operand R dt is not finite",
+        ):
+            solver.evolve(_single_segment(1e10), rho, h, h,
+                          model.DissipatorSpec(channels=()), samples_per_segment=1)
+
     def test_positivity_failure_detected(self):
         # an anti-Lindblad channel (negative rate) on the qubit (x) mode
         # space blows positivity
@@ -418,6 +430,28 @@ class TestHealth:
         x[1] = np.nan
         with pytest.raises(NumericalFailureError, match="non-finite"):
             solver._condition(x, S_dag)
+
+    def test_condition_rejects_collapsed_trace(self):
+        # a trace below 1e-6 is not renormalized but reported
+        x, S_dag = _coordinates(np.diag([1e-8, 0.0]).astype(complex))
+        with pytest.raises(NumericalFailureError, match="state trace collapsed"):
+            solver._condition(x, S_dag)
+
+    def test_evolve_names_segment_of_collapsed_trace(self, small, monkeypatch):
+        # a step matrix that scales the state by 1e-9 collapses the trace in
+        # the first step; evolve looks the builder up at call time
+        p, d = small
+        n = (2 * p.fock_dim) ** 2
+        monkeypatch.setattr(
+            solver, "propagator", lambda R, dt: [(np.arange(n), 1e-9 * np.eye(n))]
+        )
+        h = model.hamiltonian_rotframe(p, d, False)
+        with pytest.raises(
+            NumericalFailureError,
+            match=r"segment 0 \(step 1\): state trace collapsed",
+        ):
+            solver.evolve(_single_segment(1.0), model.initial_state(p), h, h,
+                          model.dissipators(p), samples_per_segment=2)
 
     def test_evolve_reports_drifted_initial_state(self, small):
         p2 = model.preset("base", fock_dim=6, alpha=1.0, n_steps=1)
@@ -541,8 +575,9 @@ class TestRealCoordinates:
             assert sorted(tuple(idx) for idx, _ in P) == want
 
     def test_drive_on_exponential_peak_memory(self):
-        # the 1156 x 1156 drive-on exponential of base keeps at most eight
-        # dense float64 operands alive at once
+        # the 1156 x 1156 drive-on exponential of base keeps at most five
+        # dense float64 operands alive at once, plus the sparse A and the
+        # stored entries of A^2
         p = model.preset("base")
         d = model.derive(p)
         R = solver.liouvillian(
@@ -555,7 +590,7 @@ class TestRealCoordinates:
         finally:
             tracemalloc.stop()
         n = R.shape[0]
-        assert peak <= 8 * n * n * 8
+        assert peak <= 5.5 * n * n * 8
 
     @pytest.mark.parametrize("fock_dim", [6, 9])
     def test_pade_kernel_matches_longdouble_taylor(self, fock_dim):
@@ -568,6 +603,33 @@ class TestRealCoordinates:
         R = (R * (d.t_H / 10)).toarray()
         err = np.abs(solver._expm_pade13(R) - _longdouble_expm(R)).max()
         assert err <= 1e-13
+
+    def test_pade_kernel_index_form(self):
+        # A^2 enters the Padé sums by its stored entries.  An operand
+        # stored with duplicate (same- and opposite-sign halves, exact in
+        # binary) and explicit-zero entries, rows unsorted, has the
+        # exponential of its canonical form, bit for bit
+        p = model.preset("base", fock_dim=4, alpha=1.0 + 0.0j)
+        d = model.derive(p)
+        R = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
+        )
+        canon = sp.csr_matrix((R * (d.t_H / 10)).toarray())
+        coo = canon.tocoo()
+        r, c, v = coo.row, coo.col, coo.data
+        half = np.arange(len(v)) % 2 == 0
+        rows = np.concatenate((r[half], r[half], r[~half], r[~half], np.arange(5)))
+        cols = np.concatenate((c[half], c[half], c[~half], c[~half], 4 - np.arange(5)))
+        vals = np.concatenate((v[half] / 2, v[half] / 2, 2 * v[~half], -v[~half],
+                               np.zeros(5)))
+        order = np.random.default_rng(0).permutation(len(vals))
+        order = order[np.argsort(rows[order], kind="stable")]  # rows shuffled
+        indptr = np.searchsorted(rows[order], np.arange(canon.shape[0] + 1))
+        stored = sp.csr_matrix((vals[order], cols[order], indptr), shape=canon.shape)
+        assert stored.nnz == 2 * canon.nnz + 5 and not stored.has_canonical_format
+        E = solver._expm_pade13(stored)
+        assert E.tobytes() == solver._expm_pade13(canon).tobytes()
+        assert np.abs(E - _longdouble_expm(canon.toarray())).max() <= 1e-13
 
     def test_pade_kernel_rejects_non_finite_operand(self):
         A = np.zeros((3, 3))
