@@ -90,27 +90,33 @@ def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _embed_site(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for j in range(n_sites):
-        out = np.kron(out, op if j == site else np.eye(3, dtype=complex))
-    return out
-
-
 def hubbard_ensemble(n_sites: int) -> EnsembleOperators:
-    """X^{mn} = sum_j |m>_j <n|_j for spin-1 sites, m, n in {+, 0, -}."""
+    """X^{mn} = sum_j |m>_j <n|_j for spin-1 sites, m, n in {+, 0, -}.
+
+    A basis state is a base-3 number whose digit j (site 0 the most
+    significant, the Kronecker order) is the index of site j's label in
+    SPIN_LABELS.  For each site j, |m>_j <n|_j maps every state whose
+    digit j is n to the same state with that digit set to m, so X^{mn}
+    holds a 1 at each such (target, source) pair, summed over j: the
+    diagonal X^{mm} counts the sites in |m>, and an off-diagonal X^{mn}
+    has 0/1 entries.  Every entry is a small integer, exactly the sum of
+    the site-embedded Kronecker products.
+    """
     if not 1 <= n_sites <= 4:
         raise DimensionError(
             f"ensemble size {n_sites} outside [1, 4] (dimension 3^N <= 81)"
         )
     dim = 3**n_sites
-    idx = {label: i for i, label in enumerate(SPIN_LABELS)}
+    states = np.arange(dim)
     x = {}
-    for m in SPIN_LABELS:
-        for n in SPIN_LABELS:
-            unit = np.zeros((3, 3), dtype=complex)
-            unit[idx[m], idx[n]] = 1.0
-            x[(m, n)] = sum(_embed_site(unit, j, n_sites) for j in range(n_sites))
+    for dm, m in enumerate(SPIN_LABELS):
+        for dn, n in enumerate(SPIN_LABELS):
+            op = np.zeros((dim, dim), dtype=complex)
+            for j in range(n_sites):
+                place = 3 ** (n_sites - 1 - j)
+                sources = states[states // place % 3 == dn]
+                op[sources + (dm - dn) * place, sources] += 1.0
+            x[(m, n)] = op
     return EnsembleOperators(n_sites=n_sites, dim=dim, x=x)
 
 
@@ -147,11 +153,13 @@ def check_hubbard_algebra(ensemble: EnsembleOperators) -> ResidualReport:
     """Max residual of [X^{mn}, X^{m'n'}] = d_{m'n} X^{mn'} - d_{mn'} X^{m'n}
     over all 81 operator pairs."""
     x = ensemble.x
-    worst = 0.0
+    residuals = []
     for m, n, mp, np_ in itertools.product(SPIN_LABELS, repeat=4):
         lhs = x[(m, n)] @ x[(mp, np_)] - x[(mp, np_)] @ x[(m, n)]
         rhs = (mp == n) * x[(m, np_)] - (m == np_) * x[(mp, n)]
-        worst = max(worst, _opnorm(lhs - rhs))
+        residuals.append(lhs - rhs)
+    # one batched call runs the same SVD per residual as _opnorm
+    worst = np.linalg.norm(np.stack(residuals), 2, axis=(1, 2)).max()
     return ResidualReport.bounded(
         f"hubbard_algebra[N={ensemble.n_sites},dim={ensemble.dim}]", worst
     )
@@ -160,11 +168,16 @@ def check_hubbard_algebra(ensemble: EnsembleOperators) -> ResidualReport:
 def contraction_deviation(n_sites: int, k: int) -> float:
     """Norm of ([V_-, V_+] - 1)|psi> on the symmetric k-quanta state;
     equals 2k/N exactly for these states."""
-    ens = hubbard_ensemble(n_sites)
-    v_minus = ens.x[("0", "-")] / math.sqrt(n_sites)
+    return _contraction_deviation(hubbard_ensemble(n_sites), k)
+
+
+def _contraction_deviation(ens: EnsembleOperators, k: int) -> float:
+    """:func:`contraction_deviation` on the spin ensemble ``ens`` from
+    :func:`hubbard_ensemble`."""
+    v_minus = ens.x[("0", "-")] / math.sqrt(ens.n_sites)
     v_plus = v_minus.conj().T
     weyl = v_minus @ v_plus - v_plus @ v_minus - np.eye(ens.dim)
-    return float(np.linalg.norm(weyl @ _symmetric_excited_state(n_sites, k)))
+    return float(np.linalg.norm(weyl @ _symmetric_excited_state(ens.n_sites, k)))
 
 
 def _symmetric_excited_state(n_sites: int, k: int) -> np.ndarray:
@@ -215,13 +228,13 @@ def check_contraction(n_sites: int, trunc: int | None = None) -> list[ResidualRe
     reports.append(
         ResidualReport.bounded(
             f"contraction.polarized_state[N={n_sites}]",
-            contraction_deviation(n_sites, 0),
+            _contraction_deviation(ens, 0),
         )
     )
     for k in (1, 2):
         if k > n_sites:
             continue
-        dev = contraction_deviation(n_sites, k)
+        dev = _contraction_deviation(ens, k)
         # deviation is 2k/N on these states; reported against a 10% band
         target = 2.0 * k / n_sites
         reports.append(
@@ -467,7 +480,9 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
 
 
 def run_all_checks(fock_dim: int = 6) -> list[ResidualReport]:
-    """The full verification suite with standard sizes; runs in seconds."""
+    """The full verification suite with standard sizes.  ``verify`` runs
+    it in about 0.036 s after import on a 2-core x86-64 virtual machine
+    (OpenBLAS, 2 threads; the median ``run_s`` of BENCH_15.json)."""
     reports: list[ResidualReport] = []
     for n in (1, 2, 3):
         reports.append(check_hubbard_algebra(hubbard_ensemble(n)))

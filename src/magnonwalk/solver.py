@@ -330,14 +330,20 @@ def propagator(R, dt: float) -> list:
 def rk4_propagator(R, dt: float, dt_max: float = DT_MAX_DEFAULT) -> list:
     """The RK4 step matrix over dt: n = ceil(dt / dt_max) fixed sub-steps
     of h = dt / n, each the Taylor polynomial T4(hR), so T4(hR)^n, built
-    block by block like :func:`propagator` and applied the same way."""
+    block by block like :func:`propagator` and applied the same way.  If
+    the polynomial or its power overflows (finite rates whose products
+    leave the float range), NumericalFailureError is raised."""
     n_sub = max(1, math.ceil(dt / dt_max))
 
     def taylor4_power(A):
         A = A.toarray()
         eye = np.eye(len(A))
-        T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
-        return np.linalg.matrix_power(T, n_sub)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
+                return np.linalg.matrix_power(T, n_sub)
+        except FloatingPointError as exc:
+            raise NumericalFailureError(f"RK4 step matrix: {exc}") from exc
 
     return _blockwise(_scaled(R, dt / n_sub), taylor4_power)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,35 @@ from magnonwalk import algebra, model
 from magnonwalk.errors import DimensionError, InvalidParameterError
 
 
+def kronecker_ensemble(n_sites):
+    """X^{mn} as the sum over sites of |m><n| embedded by Kronecker
+    products, the direct construction that hubbard_ensemble must equal."""
+    labels = algebra.SPIN_LABELS
+    x = {}
+    for m in labels:
+        for n in labels:
+            unit = np.zeros((3, 3), dtype=complex)
+            unit[labels.index(m), labels.index(n)] = 1.0
+            terms = []
+            for site in range(n_sites):
+                out = np.array([[1.0 + 0j]])
+                for j in range(n_sites):
+                    out = np.kron(out, unit if j == site else np.eye(3, dtype=complex))
+                terms.append(out)
+            x[(m, n)] = sum(terms)
+    return x
+
+
 class TestHubbardEnsemble:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_kronecker_sum(self, n):
+        ens = algebra.hubbard_ensemble(n)
+        oracle = kronecker_ensemble(n)
+        assert ens.dim == 3**n
+        assert sorted(ens.x) == sorted(oracle)
+        for key, op in oracle.items():
+            assert ens.x[key].tobytes() == op.tobytes(), key
+
     def test_single_site_matrix_units(self):
         ens = algebra.hubbard_ensemble(1)
         assert ens.dim == 3
@@ -51,6 +80,28 @@ class TestHubbardAlgebra:
         npt.assert_allclose(ident, 2 * np.eye(6), atol=1e-14)
         rep = algebra.check_hubbard_algebra(ens)
         assert rep.passed
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: algebra.hubbard_ensemble(1),
+            lambda: algebra.hubbard_ensemble(2),
+            lambda: algebra.hubbard_ensemble(3),
+            lambda: algebra.schwinger_ensemble(2, trunc=3),
+        ],
+        ids=["N=1", "N=2", "N=3", "schwinger"],
+    )
+    def test_value_is_largest_pair_residual(self, make):
+        # the batched norms give exactly the largest of the 81 per-pair
+        # spectral norms taken one at a time
+        ens = make()
+        x = ens.x
+        worst = 0.0
+        for m, n, mp, np_ in itertools.product(algebra.SPIN_LABELS, repeat=4):
+            lhs = x[(m, n)] @ x[(mp, np_)] - x[(mp, np_)] @ x[(m, n)]
+            rhs = (mp == n) * x[(m, np_)] - (m == np_) * x[(mp, n)]
+            worst = max(worst, algebra._opnorm(lhs - rhs))
+        assert algebra.check_hubbard_algebra(ens).value == worst
 
     def test_schwinger_needs_headroom(self):
         with pytest.raises(DimensionError):
@@ -206,14 +257,18 @@ class TestRunAllChecks:
     def test_matches_benchmark_reference(self):
         # perfbench/reference/verify.json holds the verify report the
         # benchmark gates on: names, comparisons, thresholds (3 digits, as
-        # printed) and statuses, in order
+        # printed) and statuses, in order, and each value (4 digits, as
+        # printed) within the benchmark's 1e-10 * max(1, |ref|)
         path = Path(__file__).parents[1] / "perfbench" / "reference" / "verify.json"
         reference = json.loads(path.read_text())["outputs"]["checks"]
+        got = algebra.run_all_checks()
         reports = [
-            [r.name, r.comparison, float(f"{r.threshold:.3g}"), r.passed]
-            for r in algebra.run_all_checks()
+            [r.name, r.comparison, float(f"{r.threshold:.3g}"), r.passed] for r in got
         ]
         assert reports == [
             [name, comparison, threshold, status == "PASS"]
             for name, _, comparison, threshold, status in reference
         ]
+        for r, (name, ref, *_) in zip(got, reference):
+            value = float(f"{r.value:.4e}")
+            assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (name, value, ref)

@@ -376,15 +376,24 @@ class TestMainEntry:
             ("gamma1=1e308", 1, "configuration error: "),
             ("nu_q=1e200", 2, "numerical failure: "),
             ("nu_eta=1e200", 1, "configuration error: "),
+            (
+                "nu_q=1e200 rk4",
+                2,
+                "numerical failure: propagation failed in segment 0",
+            ),
         ],
     )
     def test_overflowing_parameter_exits_with_message(
         self, tmp_path, param, code, prefix
     ):
         # finite inputs whose rates or frequencies overflow: a rate of inf,
-        # a step-matrix operand R dt beyond the float range, and eta**2
-        # beyond the float range; each is caught before numpy warns
+        # a step-matrix operand R dt beyond the float range, eta**2 beyond
+        # the float range, and an RK4 polynomial whose products overflow
+        # although R dt is finite; each is caught before numpy warns
+        param, *method = param.split()  # an optional second word is --method
         argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner"]
+        if method:
+            argv += ["--method", *method]
         for item in ("fock_dim=4", "alpha=1", "m_phase=8", param):
             argv += ["--param", item]
         proc = _python("-m", "magnonwalk.cli", *argv, "--out", str(tmp_path / "out"))
