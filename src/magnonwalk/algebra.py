@@ -165,15 +165,10 @@ def check_hubbard_algebra(ensemble: EnsembleOperators) -> ResidualReport:
     )
 
 
-def contraction_deviation(n_sites: int, k: int) -> float:
-    """Norm of ([V_-, V_+] - 1)|psi> on the symmetric k-quanta state;
-    equals 2k/N exactly for these states."""
-    return _contraction_deviation(hubbard_ensemble(n_sites), k)
-
-
-def _contraction_deviation(ens: EnsembleOperators, k: int) -> float:
-    """:func:`contraction_deviation` on the spin ensemble ``ens`` from
-    :func:`hubbard_ensemble`."""
+def contraction_deviation(ens: EnsembleOperators, k: int) -> float:
+    """Norm of ([V_-, V_+] - 1)|psi> on the symmetric k-quanta state of the
+    spin ensemble ``ens`` from :func:`hubbard_ensemble`; equals 2k/N
+    exactly for these states."""
     v_minus = ens.x[("0", "-")] / math.sqrt(ens.n_sites)
     v_plus = v_minus.conj().T
     weyl = v_minus @ v_plus - v_plus @ v_minus - np.eye(ens.dim)
@@ -194,8 +189,11 @@ def _symmetric_excited_state(n_sites: int, k: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def check_contraction(n_sites: int, trunc: int | None = None) -> list[ResidualReport]:
-    """Weak-excitation contraction of the isotopic-spin algebra.
+def check_contraction(
+    ens: EnsembleOperators, trunc: int | None = None
+) -> list[ResidualReport]:
+    """Weak-excitation contraction of the isotopic-spin algebra on the spin
+    ensemble ``ens`` from :func:`hubbard_ensemble`.
 
     The cross commutator [V_-, U_+] = -T_+/N is an operator identity and
     must vanish to machine precision; [V_-, V_+] = 1 holds only in the
@@ -204,7 +202,7 @@ def check_contraction(n_sites: int, trunc: int | None = None) -> list[ResidualRe
     If ``trunc`` is given the exact identity is re-verified in the
     bilinear boson representation on the number = N sector.
     """
-    ens = hubbard_ensemble(n_sites)
+    n_sites = ens.n_sites
     reports = []
 
     def gellmann(ensemble: EnsembleOperators):
@@ -228,13 +226,13 @@ def check_contraction(n_sites: int, trunc: int | None = None) -> list[ResidualRe
     reports.append(
         ResidualReport.bounded(
             f"contraction.polarized_state[N={n_sites}]",
-            _contraction_deviation(ens, 0),
+            contraction_deviation(ens, 0),
         )
     )
     for k in (1, 2):
         if k > n_sites:
             continue
-        dev = _contraction_deviation(ens, k)
+        dev = contraction_deviation(ens, k)
         # deviation is 2k/N on these states; reported against a 10% band
         target = 2.0 * k / n_sites
         reports.append(
@@ -484,13 +482,14 @@ def run_all_checks(fock_dim: int = 6) -> list[ResidualReport]:
     it in about 0.036 s after import on a 2-core x86-64 virtual machine
     (OpenBLAS, 2 threads; the median ``run_s`` of BENCH_15.json)."""
     reports: list[ResidualReport] = []
+    ens = {n: hubbard_ensemble(n) for n in (1, 2, 3, 4)}
     for n in (1, 2, 3):
-        reports.append(check_hubbard_algebra(hubbard_ensemble(n)))
+        reports.append(check_hubbard_algebra(ens[n]))
     reports.append(check_hubbard_algebra(schwinger_ensemble(2, trunc=3)))
 
     for n in (2, 3, 4):
-        reports += check_contraction(n, trunc=3 if n == 2 else None)
-    ratio = contraction_deviation(2, 1) / contraction_deviation(4, 1)
+        reports += check_contraction(ens[n], trunc=3 if n == 2 else None)
+    ratio = contraction_deviation(ens[2], 1) / contraction_deviation(ens[4], 1)
     reports.append(
         ResidualReport.bounded("contraction.halving[N=2->4]", abs(ratio - 2.0), 0.2)
     )

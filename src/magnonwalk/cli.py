@@ -7,8 +7,8 @@ written with 17 significant digits (lossless float round-trip), and two
 runs with the same configuration produce byte-identical artifacts except
 for the manifest's wall-clock field.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 verification failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+failure (floating-point overflow included), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import run_all_checks
-from .errors import (
-    ConfigError,
-    FitDomainError,
-    FlatDistributionError,
-    NumericalFailureError,
-)
+from .errors import ConfigError, NumericalFailureError
 from .model import (
     PRESET_NAMES,
     PhysicalParams,
@@ -508,12 +503,18 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command and return its exit code.  Floating-point overflow
+    and invalid operations raise, and exit 2, in every command."""
     try:
-        if args.command == "verify":
-            return _verify(args)
-        config = _config_from_args(args)
-        manifest = run(config)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage
+        return 1 if exc.code else 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "verify":
+                return _verify(args)
+            config = _config_from_args(args)
+            manifest = run(config)
         out = config.resolve_out_dir()
         top = manifest.health["max_top_fock_population"]
         print(
@@ -524,7 +525,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailureError, FitDomainError, FlatDistributionError) as exc:
+    except (NumericalFailureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Exception and warning types shared across the package.
 
 The ``magnonwalk`` command exits 1 on a :class:`ConfigError`, a class that
-every settings error below derives from, and 2 on a numerical failure
-(:class:`NumericalFailureError`, :class:`FitDomainError`,
-:class:`FlatDistributionError`).
+every settings error below derives from, and 2 on a
+:class:`NumericalFailureError`, a class that every numerical failure below
+derives from (the fit and distribution errors are ValueErrors too).
 """
 
 
@@ -25,18 +25,18 @@ class InvalidParameterError(ConfigError):
     (exit 1)."""
 
 
-class FlatDistributionError(ValueError):
+class NumericalFailureError(RuntimeError):
+    """A computation failed numerically, e.g. propagation produced an
+    unphysical state beyond repair thresholds (exit 2)."""
+
+
+class FlatDistributionError(NumericalFailureError, ValueError):
     """Phase distribution is flat; the cyclic standard deviation diverges
     (exit 2)."""
 
 
-class FitDomainError(ValueError):
+class FitDomainError(NumericalFailureError, ValueError):
     """Spread series contains values outside the log-log fit domain (exit 2)."""
-
-
-class NumericalFailureError(RuntimeError):
-    """Propagation produced an unphysical state beyond repair thresholds
-    (exit 2)."""
 
 
 class DispersiveRegimeWarning(UserWarning):

@@ -172,10 +172,14 @@ class PhysicalParams:
         # (rounded up, so the stock alpha=3 / dim=17 combination is
         # admitted).  How much the cutoff actually clips is measured by the
         # run (the manifest's max_top_fock_population), not guessed here.
-        if abs(self.alpha) ** 2 > math.ceil(self.fock_dim / 2):
+        try:
+            n_bar = abs(self.alpha) ** 2
+        except OverflowError:  # float ** raises where * gives inf
+            n_bar = math.inf
+        if n_bar > math.ceil(self.fock_dim / 2):
             raise InvalidParameterError(
-                f"|alpha|^2 = {abs(self.alpha) ** 2:.3g} exceeds half the "
-                f"Fock space (fock_dim = {self.fock_dim}); raise fock_dim"
+                f"|alpha|^2 = {n_bar:.3g} exceeds half the Fock space "
+                f"(fock_dim = {self.fock_dim}); raise fock_dim"
             )
 
 

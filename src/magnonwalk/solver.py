@@ -138,7 +138,8 @@ def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
     float64 CSR matrix: the operand of :func:`propagator` and
     :func:`rk4_propagator`.  A generator that does not map Hermitian
     matrices to Hermitian matrices, such as that of a non-Hermitian H, has
-    no real R and raises ValueError."""
+    no real R and raises ValueError.  Overflow follows the caller's numpy
+    floating-point settings."""
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise DimensionError("Hamiltonian must be square")
@@ -302,20 +303,6 @@ def _apply(P: list, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _scaled(R, dt: float) -> sp.csr_matrix:
-    """R dt as CSR.  Where an entry of R dt would not be finite (a rate or
-    frequency beyond the float range), NumericalFailureError is raised
-    before the product is formed."""
-    R = sp.csr_matrix(R)
-    peak = float(np.abs(R.data).max(initial=0.0))
-    if not math.isfinite(peak * dt):
-        raise NumericalFailureError(
-            f"step-matrix operand R dt is not finite (largest |R| entry "
-            f"{peak:.3g}, dt {dt:.3g})"
-        )
-    return R * dt
-
-
 def propagator(R, dt: float) -> list:
     """The real step matrix exp(R dt) of the generator R from
     :func:`liouvillian`, one dense block per independent block of R (see
@@ -323,29 +310,27 @@ def propagator(R, dt: float) -> list:
     x = S vec(rho), and S^dag exp(R dt) S equals the dense exponential of
     L dt to rounding, since exp(diag(B_1, B_2, ...)) =
     diag(exp B_1, exp B_2, ...) and exp(S A S^dag) = S exp(A) S^dag.
+    Overflow follows the caller's numpy floating-point settings; under
+    numpy's defaults a non-finite R dt raises NumericalFailureError.
     """
-    return _blockwise(_scaled(R, dt), _expm_pade13)
+    return _blockwise(R * dt, _expm_pade13)
 
 
 def rk4_propagator(R, dt: float, dt_max: float = DT_MAX_DEFAULT) -> list:
     """The RK4 step matrix over dt: n = ceil(dt / dt_max) fixed sub-steps
     of h = dt / n, each the Taylor polynomial T4(hR), so T4(hR)^n, built
-    block by block like :func:`propagator` and applied the same way.  If
-    the polynomial or its power overflows (finite rates whose products
-    leave the float range), NumericalFailureError is raised."""
+    block by block like :func:`propagator` and applied the same way.
+    Overflow follows the caller's numpy floating-point settings; under
+    numpy's defaults it leaves non-finite entries, which evolve rejects."""
     n_sub = max(1, math.ceil(dt / dt_max))
 
     def taylor4_power(A):
         A = A.toarray()
         eye = np.eye(len(A))
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
-                return np.linalg.matrix_power(T, n_sub)
-        except FloatingPointError as exc:
-            raise NumericalFailureError(f"RK4 step matrix: {exc}") from exc
+        T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
+        return np.linalg.matrix_power(T, n_sub)
 
-    return _blockwise(_scaled(R, dt / n_sub), taylor4_power)
+    return _blockwise(R * (dt / n_sub), taylor4_power)
 
 
 def _builder(method: str, dt_max: float):
@@ -460,9 +445,11 @@ def evolve(
     step count: one dense block for the drive-on generator, and one small
     dense block per real-coordinate block of the drive-off generator (see
     :func:`propagator`).  The blocks of each generator are found once, by
-    the builder, and ``propagators`` reads them off the step matrix.  A
-    NumericalFailureError in building a step matrix or in conditioning
-    the state is raised again naming the segment and walk step.
+    the builder, and ``propagators`` reads them off the step matrix.
+    Floating-point errors follow the caller's numpy settings.  A
+    NumericalFailureError, FloatingPointError or OverflowError in building
+    a step matrix or in stepping the state is raised again as
+    NumericalFailureError naming the segment and walk step.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
@@ -501,7 +488,7 @@ def evolve(
             for j in range(samples_per_segment):
                 x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)
                 sample(seg.t_start + (j + 1) * dt_sub, seg.drive_on, rho, drift, min_eig)
-        except NumericalFailureError as exc:
+        except (NumericalFailureError, FloatingPointError, OverflowError) as exc:
             raise NumericalFailureError(
                 f"propagation failed in segment {i} (step {seg.step}): {exc}"
             ) from exc

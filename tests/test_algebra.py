@@ -108,25 +108,29 @@ class TestHubbardAlgebra:
             algebra.schwinger_ensemble(3, trunc=3)
 
 
+def _deviation(n_sites, k):
+    return algebra.contraction_deviation(algebra.hubbard_ensemble(n_sites), k)
+
+
 class TestContraction:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reports_pass(self, n):
-        for rep in algebra.check_contraction(n):
+        for rep in algebra.check_contraction(algebra.hubbard_ensemble(n)):
             assert rep.passed, rep
 
     def test_deviation_values_exact(self):
         # symmetric k-quanta states give deviation 2k/N exactly
-        assert algebra.contraction_deviation(2, 1) == pytest.approx(1.0, abs=1e-12)
-        assert algebra.contraction_deviation(4, 1) == pytest.approx(0.5, abs=1e-12)
-        assert algebra.contraction_deviation(4, 2) == pytest.approx(1.0, abs=1e-12)
-        assert algebra.contraction_deviation(3, 0) == pytest.approx(0.0, abs=1e-12)
+        assert _deviation(2, 1) == pytest.approx(1.0, abs=1e-12)
+        assert _deviation(4, 1) == pytest.approx(0.5, abs=1e-12)
+        assert _deviation(4, 2) == pytest.approx(1.0, abs=1e-12)
+        assert _deviation(3, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_halving_with_doubled_ensemble(self):
-        ratio = algebra.contraction_deviation(2, 1) / algebra.contraction_deviation(4, 1)
+        ratio = _deviation(2, 1) / _deviation(4, 1)
         assert abs(ratio - 2.0) <= 0.1 * 2.0
 
     def test_schwinger_variant(self):
-        reports = algebra.check_contraction(2, trunc=4)
+        reports = algebra.check_contraction(algebra.hubbard_ensemble(2), trunc=4)
         names = [r.name for r in reports]
         assert any("schwinger" in n for n in names)
         assert all(r.passed for r in reports)

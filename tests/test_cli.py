@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from magnonwalk import cli, model, solver
 from magnonwalk import observables as obs
@@ -381,26 +383,52 @@ class TestMainEntry:
                 2,
                 "numerical failure: propagation failed in segment 0",
             ),
+            ("alpha=1e200", 1, "configuration error: "),
+            (
+                "Gamma=1e307",
+                2,
+                "numerical failure: propagation failed in segment 0",
+            ),
+            (
+                "fock_dim=3 m_phase=3 alpha=1 d_sites=2 nu_q=2.87 nu_D=1e12"
+                " nu_eta=0.001 --samples-per-segment=1",
+                2,
+                "numerical failure: propagation failed in segment 0",
+            ),
+            ("--wigner-grid=-1e200:1e200:3", 2, "numerical failure: "),
         ],
     )
     def test_overflowing_parameter_exits_with_message(
         self, tmp_path, param, code, prefix
     ):
-        # finite inputs whose rates or frequencies overflow: a rate of inf,
-        # a step-matrix operand R dt beyond the float range, eta**2 beyond
-        # the float range, and an RK4 polynomial whose products overflow
-        # although R dt is finite; each is caught before numpy warns
-        param, *method = param.split()  # an optional second word is --method
-        argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner"]
-        if method:
-            argv += ["--method", *method]
-        for item in ("fock_dim=4", "alpha=1", "m_phase=8", param):
+        # finite inputs that overflow: a rate of inf, R dt, eta**2, an RK4
+        # polynomial of finite R dt, |alpha|**2, the generator's rate
+        # products, the squarings of exp(R dt) and the Wigner table; each
+        # exits with one stderr line and no numpy warning.  A word of
+        # ``param`` is a method name, a --flag=value or a --param item;
+        # without --wigner-grid the run has no Wigner table.
+        argv = ["run", "--preset", "base", "--steps", "1"]
+        items = ["fock_dim=4", "alpha=1", "m_phase=8"]
+        for word in param.split():
+            if word in solver.METHODS:
+                argv += ["--method", word]
+            elif word.startswith("--"):
+                argv.append(word)
+            else:
+                items.append(word)
+        if "--wigner-grid" not in param:
+            argv.append("--no-wigner")
+        for item in items:
             argv += ["--param", item]
-        proc = _python("-m", "magnonwalk.cli", *argv, "--out", str(tmp_path / "out"))
+        out = tmp_path / "out"
+        proc = _python("-m", "magnonwalk.cli", *argv, "--out", str(out))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith(prefix)
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(prefix)
+        for csv in out.glob("*.csv"):
+            assert "nan" not in csv.read_text()
 
     def test_readme_python_api(self):
         # the documented example runs as written
@@ -480,6 +508,23 @@ class TestMainEntry:
     def test_settings_errors_are_config_errors(self, exc):
         assert issubclass(exc, ConfigError) and issubclass(exc, ValueError)
 
+    @pytest.mark.parametrize(
+        "exc", [errors.FitDomainError, errors.FlatDistributionError]
+    )
+    def test_fit_and_distribution_errors_are_numerical_failures(self, exc):
+        assert issubclass(exc, errors.NumericalFailureError)
+        assert issubclass(exc, ValueError)
+
+    @pytest.mark.parametrize("argv", [["run", "--method", "bogus"], ["run", "--bogus"]])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit 2 is kept for numerical failures
+        assert cli.main(argv) == 1
+        assert "usage: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["run", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = cli.RunConfig(preset="base")
@@ -491,6 +536,71 @@ class TestMainEntry:
             assert parser.parse_args(["run", "--method", method]).method == method
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--method", "bogus"])
+
+
+# Edge values of a --param override and of a Wigner range end.
+EDGE_VALUES = (
+    "0", "5e-324", "1e-12", "1", "2.87", "1e12", "1e200", "1e307", "-1", "-1e200",
+)
+EDGE_RANGES = (
+    "-1e308", "-1e200", "-1e20", "-4.5", "0", "4.5", "1e20", "1e200", "1e308",
+)
+OVERRIDABLE = (
+    "nu_q", "nu_D", "nu_eta", "nu_eps0", "gamma1", "gamma_phi", "Gamma", "alpha",
+    "d_sites", "m_phase",
+)
+
+
+def _squaring_example(preset, *overrides):
+    """A two-step run at cutoff 3 whose exp(R dt) overflows in the squarings."""
+    params = [tuple(item.split("=")) for item in overrides]
+    return example(preset=preset, fock_dim=3, steps=2, method="expm",
+                   params=params, grid=None)
+
+
+class TestExitContract:
+    """Every input exits 0, 1, 2 or 3, with no exception and no numpy
+    warning; the command warns only that the dispersive regime is
+    marginal."""
+
+    @pytest.mark.filterwarnings("ignore::magnonwalk.errors.DispersiveRegimeWarning")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        preset=st.sampled_from(("base", "realistic")),
+        fock_dim=st.integers(2, 4),
+        steps=st.integers(0, 2),
+        method=st.sampled_from(solver.METHODS),
+        params=st.lists(
+            st.tuples(st.sampled_from(OVERRIDABLE), st.sampled_from(EDGE_VALUES)),
+            min_size=1, max_size=3,
+        ),
+        grid=st.none() | st.tuples(
+            st.sampled_from(EDGE_RANGES), st.sampled_from(EDGE_RANGES),
+            st.integers(1, 3),
+        ),
+    )
+    @_squaring_example("base", "m_phase=3", "alpha=1", "d_sites=2", "nu_q=2.87",
+                       "nu_D=1e12", "nu_eta=0.001")
+    @_squaring_example("realistic", "m_phase=8", "alpha=0", "nu_eps0=1e200", "nu_D=1.0")
+    @example(preset="base", fock_dim=4, steps=1, method="expm",
+             params=[("Gamma", "1e307")], grid=None)
+    @example(preset="base", fock_dim=4, steps=1, method="expm",
+             params=[("alpha", "1e200")], grid=None)
+    @example(preset="base", fock_dim=2, steps=1, method="rk4",
+             params=[("nu_q", "1e307")], grid=None)  # dt / dt_max overflows
+    @example(preset="base", fock_dim=4, steps=1, method="expm",
+             params=[("nu_q", "2.87")], grid=("1e308", "-1e308", 2))
+    def test_main_exits_with_a_code(
+        self, tmp_path, preset, fock_dim, steps, method, params, grid
+    ):
+        argv = ["run", "--preset", preset, "--steps", str(steps),
+                "--samples-per-segment", "1", "--method", method,
+                f"--param=fock_dim={fock_dim}", "--param=alpha=1",
+                *[f"--param={name}={value}" for name, value in params],
+                "--wigner-grid={}:{}:{}".format(*grid) if grid else "--no-wigner",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) in {0, 1, 2, 3}
 
 
 class TestConfigErrors:

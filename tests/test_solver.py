@@ -300,14 +300,13 @@ class TestPropagate:
             )
 
     def test_overflowing_step_matrix_names_segment(self):
-        # R dt beyond the float range is refused before it is formed, and
-        # evolve names the segment whose step matrix it was
+        # R dt beyond the float range, under the command's floating-point
+        # policy: evolve names the segment whose step matrix overflowed
         h = 1e300 * np.kron(model.SIGMA_Z, np.eye(2))
         rho = _density(np.kron(np.array([1.0, 1.0]) / np.sqrt(2.0), [1.0, 0.0]))
         with pytest.raises(
-            NumericalFailureError,
-            match=r"segment 0 \(step 1\): step-matrix operand R dt is not finite",
-        ):
+            NumericalFailureError, match=r"segment 0 \(step 1\): overflow"
+        ), np.errstate(over="raise", invalid="raise"):
             solver.evolve(_single_segment(1e10), rho, h, h,
                           model.DissipatorSpec(channels=()), samples_per_segment=1)
 
