@@ -50,7 +50,7 @@ from .observables import (
     sharpness_holevo,
     wigner,
 )
-from .solver import DT_MAX_DEFAULT, METHODS, evolve
+from .solver import METHODS, evolve
 
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
@@ -65,7 +65,6 @@ class RunConfig:
     method: str = "expm"
     samples_per_segment: int = 10
     fit_steps: int | None = None
-    dt_max: float = DT_MAX_DEFAULT
     drive_first: bool = True
     use_omega_r0: bool = False
     wigner_min: float = -4.5
@@ -170,7 +169,6 @@ _CONFIG_KEYS = {
     "model": {
         "drive_first": "drive_first",
         "use_omega_r0": "use_omega_r0",
-        "dt_max": "dt_max",
     },
     "emit": {
         "timeseries": "emit_timeseries",
@@ -264,7 +262,8 @@ def run(config: RunConfig) -> RunManifest:
     """Execute one full experiment and write the requested artifacts.
 
     The stages run one after another (build, evolve, observables,
-    emission) and their wall times go to the manifest's ``timings``.
+    emission) and their wall times go to the manifest's ``timings``; a
+    floating-point error in the observables names its walk step.
     """
     t_start = time.monotonic()
     t_build = time.perf_counter()
@@ -273,8 +272,6 @@ def run(config: RunConfig) -> RunManifest:
         raise ConfigError(f"unknown method {config.method!r}")
     if config.samples_per_segment < 1:
         raise ConfigError("samples_per_segment must be >= 1")
-    if not (math.isfinite(config.dt_max) and config.dt_max > 0):
-        raise ConfigError(f"dt_max must be finite and > 0, got {config.dt_max}")
     if config.wigner_points < 1:
         raise ConfigError(f"wigner points must be >= 1, got {config.wigner_points}")
     if not (math.isfinite(config.wigner_min) and math.isfinite(config.wigner_max)):
@@ -304,34 +301,39 @@ def run(config: RunConfig) -> RunManifest:
         diss,
         samples_per_segment=config.samples_per_segment,
         method=config.method,
-        dt_max=config.dt_max,
     )
     t_observables = time.perf_counter()
 
     steps, times, sharps, sigmas = [], [], [], []
     phases, grids = {}, {}  # step -> PhaseDistribution / WignerGrid
     for step, t_boundary, rho in traj.snapshots:
-        rho_m = reduce_boson(rho)
-        dist = phase_distribution(rho_m, p.m_phase)
-        sharp, sigma_h = sharpness_holevo(dist)
-        steps.append(step)
-        times.append(t_boundary)
-        sharps.append(sharp)
-        sigmas.append(sigma_h)
-        rho_view = (
-            rotate_mode(rho_m, -d.delta_c * t_boundary)
-            if config.corotating
-            else rho_m
-        )
-        if config.emit_phase and step <= MAX_PHASE_FILES:
-            phases[step] = phase_distribution(rho_view, p.m_phase)
-        if config.emit_wigner:
-            grids[step] = wigner(
-                rho_view,
-                x_min=config.wigner_min,
-                x_max=config.wigner_max,
-                points=config.wigner_points,
+        stage = "phase distribution"
+        try:
+            rho_m = reduce_boson(rho)
+            dist = phase_distribution(rho_m, p.m_phase)
+            sharp, sigma_h = sharpness_holevo(dist)
+            steps.append(step)
+            times.append(t_boundary)
+            sharps.append(sharp)
+            sigmas.append(sigma_h)
+            rho_view = (
+                rotate_mode(rho_m, -d.delta_c * t_boundary)
+                if config.corotating
+                else rho_m
             )
+            if config.emit_phase and step <= MAX_PHASE_FILES:
+                phases[step] = phase_distribution(rho_view, p.m_phase)
+            if config.emit_wigner:
+                stage = "Wigner grid"
+                grids[step] = wigner(
+                    rho_view,
+                    x_min=config.wigner_min,
+                    x_max=config.wigner_max,
+                    points=config.wigner_points,
+                )
+        except FloatingPointError as exc:
+            msg = f"observables of step {step} ({stage}): {exc}"
+            raise NumericalFailureError(msg) from exc
 
     fit_payload = None
     if fit_steps:
@@ -399,7 +401,6 @@ def run(config: RunConfig) -> RunManifest:
             "samples_per_segment": config.samples_per_segment,
             "drive_first": config.drive_first,
             "use_omega_r0": config.use_omega_r0,
-            "dt_max": config.dt_max,
             "fit_steps": fit_steps,
             "wigner_grid": [config.wigner_min, config.wigner_max, config.wigner_points],
             "corotating": config.corotating,

@@ -83,7 +83,6 @@ from .model import DissipatorSpec, PulseSchedule
 from .observables import mean_number, qubit_populations, reduce_boson
 
 __all__ = [
-    "DT_MAX_DEFAULT",
     "METHODS",
     "liouvillian",
     "vec",
@@ -94,15 +93,14 @@ __all__ = [
     "evolve",
 ]
 
-# RK4 sub-step ceiling (ns).  The spectral radius of the Liouvillians here
-# is about 440 rad/ns (base) and 930 rad/ns (realistic).  RK4 is stable up
-# to h*radius = 2*sqrt(2) on the imaginary axis but not accurate there: at
-# 1e-3 ns (h*radius ~ 0.44) a base segment loses positivity.  1e-5 ns keeps
-# h*radius below 0.01; since the step matrix is powered, the ~1e5 sub-steps
-# of a segment cost a few dozen matrix products.
-DT_MAX_DEFAULT = 1e-5
+# Largest ||h R||_1 of one RK4 sub-step h; ||R||_1 bounds the spectral
+# radius.  RK4 is stable to h*radius = 2*sqrt(2) but a base segment loses
+# positivity near 0.44.  Two walk steps of either preset agree with expm in
+# n_c to 4e-11..5e-10 for 0.002..0.006 (the rounding floor of the powering)
+# and to 2.2e-9 at 0.01 on realistic.
+_RK4_SUBSTEP_NORM = 0.004
 
-METHODS = ("expm", "rk4")  # integration methods, see _builder
+METHODS = ("expm", "rk4")  # integration methods, see evolve
 
 # Padé-13 coefficients b_0..b_13, and theta_13: the largest 1-norm at
 # which the unscaled approximant is accurate to double precision
@@ -190,6 +188,14 @@ def _hermitian_basis(n2: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.concatenate((own, other)), (rows, cols)), shape=(n2, n2))
 
 
+def _norm1(A) -> float:
+    """||A||_1 of a sparse kernel operand; NumericalFailureError if not finite."""
+    norm = abs(A).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise NumericalFailureError(f"step-matrix operand has 1-norm {norm}")
+    return norm
+
+
 def _expm_pade13(A) -> np.ndarray:
     """exp(A) for a real square A, sparse or dense: the [13/13] Padé
     approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
@@ -217,9 +223,7 @@ def _expm_pade13(A) -> np.ndarray:
     A = sp.csr_matrix(A, copy=True)
     A.sum_duplicates()
     n = A.shape[0]
-    norm = abs(A).sum(axis=0).max()
-    if not np.isfinite(norm):
-        raise NumericalFailureError(f"step-matrix operand has 1-norm {norm}")
+    norm = _norm1(A)
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     A = A * 2.0**-s
     A2 = (A @ A).tocoo()
@@ -316,13 +320,14 @@ def propagator(R, dt: float) -> list:
     return _blockwise(R * dt, _expm_pade13)
 
 
-def rk4_propagator(R, dt: float, dt_max: float = DT_MAX_DEFAULT) -> list:
-    """The RK4 step matrix over dt: n = ceil(dt / dt_max) fixed sub-steps
-    of h = dt / n, each the Taylor polynomial T4(hR), so T4(hR)^n, built
-    block by block like :func:`propagator` and applied the same way.
-    Overflow follows the caller's numpy floating-point settings; under
-    numpy's defaults it leaves non-finite entries, which evolve rejects."""
-    n_sub = max(1, math.ceil(dt / dt_max))
+def rk4_propagator(R, dt: float) -> list:
+    """The RK4 step matrix over dt: n = max(1, ceil(||R dt||_1 / 0.004))
+    sub-steps of h = dt / n, one n for all blocks, each the Taylor
+    polynomial T4(hR); so T4(hR)^n, built and applied block by block like
+    :func:`propagator`.  A non-finite R dt raises NumericalFailureError;
+    under numpy's defaults an overflowing polynomial leaves non-finite
+    entries, which evolve rejects."""
+    n_sub = max(1, math.ceil(_norm1(R * dt) / _RK4_SUBSTEP_NORM))
 
     def taylor4_power(A):
         A = A.toarray()
@@ -331,16 +336,6 @@ def rk4_propagator(R, dt: float, dt_max: float = DT_MAX_DEFAULT) -> list:
         return np.linalg.matrix_power(T, n_sub)
 
     return _blockwise(R * (dt / n_sub), taylor4_power)
-
-
-def _builder(method: str, dt_max: float):
-    """The step-matrix builder (R, dt) -> P for one of :data:`METHODS`;
-    ``propagator`` is looked up at call time, so a wrapper of it runs."""
-    if method == "expm":
-        return propagator
-    if method == "rk4":
-        return lambda R, dt: rk4_propagator(R, dt, dt_max)
-    raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
 
 
 def _condition(
@@ -427,7 +422,6 @@ def evolve(
     diss: DissipatorSpec,
     samples_per_segment: int = 10,
     method: str = "expm",
-    dt_max: float = DT_MAX_DEFAULT,
 ) -> Trajectory:
     """Propagate through the schedule, sampling observables on the way.
     This is the one driver of the state: a single interval of constant
@@ -438,22 +432,26 @@ def evolve(
     is recorded after each one.  The state is carried as its real
     coordinates x = S vec(rho) in the Hermitian basis (the Hermitian part
     of rho0), and every step matrix acts on them.  The step matrix of a
-    sub-interval is exp(R dt) for ``method="expm"`` and the powered RK4
-    polynomial T4(hR)^n for ``method="rk4"`` (sub-steps h <= ``dt_max``),
-    with R from :func:`liouvillian`.  Either is cached per (drive flag,
-    sub-interval) pair, so a run builds two step matrices regardless of
-    step count: one dense block for the drive-on generator, and one small
-    dense block per real-coordinate block of the drive-off generator (see
-    :func:`propagator`).  The blocks of each generator are found once, by
-    the builder, and ``propagators`` reads them off the step matrix.
-    Floating-point errors follow the caller's numpy settings.  A
-    NumericalFailureError, FloatingPointError or OverflowError in building
-    a step matrix or in stepping the state is raised again as
-    NumericalFailureError naming the segment and walk step.
+    sub-interval is exp(R dt) from :func:`propagator` for ``"expm"`` and
+    T4(hR)^n from :func:`rk4_propagator` for ``"rk4"`` (looked up per call,
+    so a wrapper of either runs), with R from :func:`liouvillian`.  Either
+    is cached per (drive flag, sub-interval) pair, so a run builds two step
+    matrices regardless of step count: one dense block for the drive-on
+    generator, and one small dense block per real-coordinate block of the
+    drive-off generator (see :func:`propagator`).  The blocks of each
+    generator are found once, by the builder, and ``propagators`` reads
+    them off the step matrix.  Floating-point errors follow the caller's
+    numpy settings.  A NumericalFailureError, FloatingPointError or
+    OverflowError (an RK4 sub-step count ||R dt||_1 / 0.004 past the float
+    range, under numpy's defaults) in building a step matrix or in stepping
+    the state is raised again as NumericalFailureError naming the segment
+    and walk step.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    build = _builder(method, dt_max)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
+    build = propagator if method == "expm" else rk4_propagator
     generators: dict[bool, sp.csr_matrix] = {}  # keyed by drive flag
     propagators: dict[tuple[bool, float], list] = {}
     paths: list[dict] = []

@@ -244,13 +244,12 @@ def test_criterion_6_solver_invariants(base_run, realistic_run):
 
     # expm vs rk4 over one full step per preset, through evolve with one
     # sample per segment, plus invariants of the rk4-propagated state.
-    # Sub-steps sized for the Liouvillian spectral radius (~440 and
-    # ~930 rad/ns).
-    for run, dt_max in ((base_run, 4e-5), (realistic_run, 1.5e-5)):
+    # rk4_propagator sizes its sub-steps from ||R dt||_1.
+    for run in (base_run, realistic_run):
         step_1 = model.PulseSchedule(run.schedule.segments[:2])
         args = (step_1, model.initial_state(run.params), run.h_on, run.h_off, run.diss)
         a, b = (
-            solver.evolve(*args, samples_per_segment=1, method=method, dt_max=dt_max)
+            solver.evolve(*args, samples_per_segment=1, method=method)
             .snapshots[0][2]
             for method in ("expm", "rk4")
         )
@@ -413,8 +412,8 @@ def test_criterion_9_phase_skew_direction(base_run):
     assert consistent
 
 
-@pytest.mark.parametrize("name,dt_max", [("base", 4e-5), ("realistic", 1.5e-5)])
-def test_full_rk4_boundary_invariants(name, dt_max):
+@pytest.mark.parametrize("name", ["base", "realistic"])
+def test_full_rk4_boundary_invariants(name):
     """Complete 8-step fixed-step RK4 runs; the two cached step matrices
     make each run a few seconds."""
     p = model.preset(name)
@@ -427,7 +426,6 @@ def test_full_rk4_boundary_invariants(name, dt_max):
         model.dissipators(p),
         samples_per_segment=1,
         method="rk4",
-        dt_max=dt_max,
     )
     ok, msg = _boundary_invariants(f"{name} rk4 full", [r for _, _, r in traj.snapshots])
     assert ok, msg

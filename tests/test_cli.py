@@ -72,7 +72,6 @@ class TestConfigFile:
             "out = somewhere\n"
             "[model]\n"
             "drive_first = false\n"
-            "dt_max = 0.002\n"
             "[emit]\n"
             "wigner = false\n"
             "[wigner]\n"
@@ -85,7 +84,6 @@ class TestConfigFile:
         assert cfg.steps == 3
         assert cfg.samples_per_segment == 5
         assert cfg.drive_first is False
-        assert cfg.dt_max == pytest.approx(0.002)
         assert cfg.emit_wigner is False
         assert cfg.wigner_points == 41
         assert cfg.params["nu_eps0"] == pytest.approx(5.0)
@@ -129,7 +127,6 @@ class TestConfigFile:
         cfg = cli.load_config(path)
         assert cfg.method == "expm"
         assert cfg.drive_first is True
-        assert cfg.dt_max == 1e-5
         assert cfg.params == {"nu_eps0": 10.0}
 
     def test_params_keys_are_case_sensitive(self, tmp_path):
@@ -395,7 +392,11 @@ class TestMainEntry:
                 2,
                 "numerical failure: propagation failed in segment 0",
             ),
-            ("--wigner-grid=-1e200:1e200:3", 2, "numerical failure: "),
+            (
+                "--wigner-grid=-1e200:1e200:3",
+                2,
+                "numerical failure: observables of step 1 (Wigner grid): ",
+            ),
         ],
     )
     def test_overflowing_parameter_exits_with_message(
@@ -473,8 +474,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("name", ["base", "realistic"])
     def test_rk4_default_dt_max_tracks_expm(self, tmp_path, name):
-        # at the full cutoff the default sub-step must be accurate, not
-        # just stable
+        # at the full cutoff the sub-step sized from ||R dt||_1 must be
+        # accurate, not just stable
         series = {}
         for method in ("expm", "rk4"):
             out = tmp_path / method
@@ -484,6 +485,28 @@ class TestMainEntry:
                 out / "timeseries.csv", delimiter=",", skiprows=1
             )
         assert np.max(np.abs(series["rk4"] - series["expm"])) <= 1e-8
+
+    def test_rk4_sub_step_is_not_a_setting(self, tmp_path, capsys):
+        # a [model] dt_max of 1e-12 rounded the diagonal of h R away against
+        # 1 and exited 0 with n_c off by 1.5e-5; the sub-step is now sized
+        # from ||R dt||_1, and the key is unknown
+        argv = ["run", "--steps", "1", "--samples-per-segment", "2", "--no-wigner",
+                "--param", "fock_dim=3", "--param", "alpha=1", "--param", "m_phase=3"]
+        ini = tmp_path / "walk.ini"
+        ini.write_text("[model]\ndt_max = 1e-12\n")
+        out = tmp_path / "dt_max"
+        argv_ini = [*argv, "--method", "rk4", "--config", str(ini)]
+        assert cli.main([*argv_ini, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown key 'dt_max'")
+        series = {}
+        for method in ("expm", "rk4"):
+            out = tmp_path / method
+            assert cli.main([*argv, "--method", method, "--out", str(out)]) == 0
+            series[method] = np.loadtxt(
+                out / "timeseries.csv", delimiter=",", skiprows=1
+            )
+        assert np.max(np.abs(series["rk4"] - series["expm"])) <= 1e-9
 
     def test_verify_subcommand(self, capsys):
         rc = cli.main(["verify", "--fock-dim", "5"])
@@ -588,7 +611,7 @@ class TestExitContract:
     @example(preset="base", fock_dim=4, steps=1, method="expm",
              params=[("alpha", "1e200")], grid=None)
     @example(preset="base", fock_dim=2, steps=1, method="rk4",
-             params=[("nu_q", "1e307")], grid=None)  # dt / dt_max overflows
+             params=[("nu_q", "1e307")], grid=None)  # R dt overflows
     @example(preset="base", fock_dim=4, steps=1, method="expm",
              params=[("nu_q", "2.87")], grid=("1e308", "-1e308", 2))
     def test_main_exits_with_a_code(
@@ -626,11 +649,6 @@ class TestConfigErrors:
 
     def test_unknown_method_in_config(self, tmp_path, capsys):
         self._main(tmp_path, capsys, ini="[run]\nmethod = bogus\n")
-
-    @pytest.mark.parametrize("value", ["0", "-1e-5", "nan", "inf"])
-    def test_bad_dt_max(self, tmp_path, capsys, value):
-        ini = f"[run]\nmethod = rk4\n[model]\ndt_max = {value}\n"
-        self._main(tmp_path, capsys, ini=ini)
 
     @pytest.mark.parametrize("points", ["-3", "0"])
     def test_bad_wigner_points_in_config(self, tmp_path, capsys, points):
@@ -711,10 +729,10 @@ class TestConfigErrors:
         [
             ("[run]\nsteps = 2.5\n", "steps", "2.5"),
             ("[emit]\nwigner = maybe\n", "wigner", "maybe"),
-            ("[model]\ndt_max = fast\n", "dt_max", "fast"),
+            ("[wigner]\nmin = left\n", "min", "left"),
             ("[params]\nd_sites = x\n", "d_sites", "x"),
         ],
-        ids=["steps", "wigner", "dt_max", "d_sites"],
+        ids=["steps", "wigner", "wigner_min", "d_sites"],
     )
     def test_bad_typed_value_in_config(self, tmp_path, capsys, ini, key, raw):
         (tmp_path / "walk.ini").write_text(ini)

@@ -138,12 +138,11 @@ def _random_density(dim, seed, rank=None):
     return rho / np.trace(rho).real
 
 
-def _rk4_loop(v, L, dt, dt_max):
-    """Fixed-step RK4 as a loop over the sub-steps: the oracle for the
+def _rk4_loop(v, L, dt, n):
+    """Fixed-step RK4 as a loop over n sub-steps: the oracle for the
     powered step matrix."""
-    n_sub = max(1, math.ceil(dt / dt_max))
-    h = dt / n_sub
-    for _ in range(n_sub):
+    h = dt / n
+    for _ in range(n):
         k1 = L @ v
         k2 = L @ (v + 0.5 * h * k1)
         k3 = L @ (v + 0.5 * h * k2)
@@ -198,20 +197,20 @@ class TestRK4StepMatrix:
         fock_dim=st.integers(3, 6),
         rates=_rates,
         drive_on=st.booleans(),
-        dt=st.floats(1e-3, 3.0),
-        h_frac=st.floats(0.0, 1.0),
+        n_frac=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_substep_loop(self, fock_dim, rates, drive_on, dt, h_frac, seed):
+    def test_matches_substep_loop(self, fock_dim, rates, drive_on, n_frac, seed):
         R, L = _small_generators(fock_dim, rates, drive_on)
-        # dt_max log-uniform between dt/2000 (at most ~2000 sub-steps) and
-        # the accurate regime h ||L||_1 <= 1
-        lo = dt / 2000
-        hi = min(dt, 1.0 / np.abs(L).sum(axis=0).max())
-        dt_max = lo * (hi / lo) ** h_frac
-        P = _vec_step(solver.rk4_propagator(R, dt, dt_max))
+        # the kernel takes n = max(1, ceil(||R dt||_1 / 0.004)) sub-steps;
+        # dt is drawn so that n is log-uniform over 1..2000
+        norm = np.abs(R).sum(axis=0).max()
+        dt = 1999 * 0.004 / norm * 2000.0**-n_frac
+        n = max(1, math.ceil(np.abs(R * dt).sum(axis=0).max() / 0.004))
+        assert n <= 2000
+        P = _vec_step(solver.rk4_propagator(R, dt))
         v = solver.vec(_random_density(2 * fock_dim, seed))
-        assert np.max(np.abs(P @ v - _rk4_loop(v, L, dt, dt_max))) <= 1e-11
+        assert np.max(np.abs(P @ v - _rk4_loop(v, L, dt, n))) <= 1e-11
         trace_vec = solver.vec(np.eye(2 * fock_dim))
         assert np.max(np.abs(trace_vec @ P - trace_vec)) <= 1e-12
 
@@ -230,8 +229,8 @@ class TestStepMatrixProperties:
         rank=st.integers(1, 6),
     )
     def test_hermitian_and_positive(self, fock_dim, rates, drive_on, dt, seed, rank):
-        # a low-rank state starts on the boundary of positivity.  RK4 at the
-        # default dt_max powers its step matrix up to ~3e5 sub-steps, and
+        # a low-rank state starts on the boundary of positivity.  RK4 at
+        # ||h R||_1 = 0.004 powers its step matrix up to ~1e5 sub-steps, and
         # the Hermiticity defect grows to ~1e-12 by rounding
         R, _ = _small_generators(fock_dim, rates, drive_on)
         dim = 2 * fock_dim
@@ -278,17 +277,33 @@ class TestPropagate:
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-8)
         assert np.trace(rho @ h).real == pytest.approx(e0, abs=1e-8 * abs(e0))
 
-    def test_every_method_has_a_builder(self):
+    def test_every_method_has_a_builder(self, small):
+        p, d = small
+        h = model.hamiltonian_rotframe(p, d, False)
         for method in solver.METHODS:
-            assert callable(solver._builder(method, 1e-3))
+            traj = solver.evolve(
+                _single_segment(0.1), model.initial_state(p), h, h,
+                model.dissipators(p), samples_per_segment=1, method=method,
+            )
+            assert [entry["dt"] for entry in traj.propagators] == [0.1]
 
-    def test_builder_looks_up_propagator_when_called(self, monkeypatch):
-        # a wrapper installed in place of solver.propagator must be used
-        def wrapped(L, dt):
-            raise AssertionError("not called here")
+    def test_builder_looks_up_propagator_when_called(self, small, monkeypatch):
+        # a wrapper installed in place of a builder, as a tracer installs
+        # one, must be the one evolve calls
+        p, d = small
+        h = model.hamiltonian_rotframe(p, d, False)
+        calls = []
+        for method, name in (("expm", "propagator"), ("rk4", "rk4_propagator")):
+            def wrapped(R, dt, build=getattr(solver, name)):
+                calls.append(name)
+                return build(R, dt)
 
-        monkeypatch.setattr(solver, "propagator", wrapped)
-        assert solver._builder("expm", 1e-3) is wrapped
+            monkeypatch.setattr(solver, name, wrapped)
+            solver.evolve(
+                _single_segment(0.1), model.initial_state(p), h, h,
+                model.dissipators(p), samples_per_segment=1, method=method,
+            )
+        assert calls == ["propagator", "rk4_propagator"]
 
     def test_unknown_method(self, small):
         p, d = small
@@ -401,9 +416,7 @@ class TestEvolve:
             model.dissipators(p2),
         )
         t_a = solver.evolve(sched, *args, samples_per_segment=2, method="expm")
-        t_b = solver.evolve(
-            sched, *args, samples_per_segment=2, method="rk4", dt_max=1e-4
-        )
+        t_b = solver.evolve(sched, *args, samples_per_segment=2, method="rk4")
         diff = np.abs(t_a.snapshots[0][2] - t_b.snapshots[0][2])
         assert diff.max() < 1e-7
         assert t_b.propagators == t_a.propagators
@@ -570,7 +583,7 @@ class TestRealCoordinates:
         R, _ = _small_generators(fock_dim, rates, drive_on)
         n_comp, labels = connected_components(abs(R), directed=False)
         want = sorted(tuple(np.flatnonzero(labels == c)) for c in range(n_comp))
-        for P in (solver.propagator(R, 0.1), solver.rk4_propagator(R, 0.1, 1e-2)):
+        for P in (solver.propagator(R, 0.1), solver.rk4_propagator(R, 0.1)):
             assert sorted(tuple(idx) for idx, _ in P) == want
 
     def test_drive_on_exponential_peak_memory(self):
@@ -635,6 +648,13 @@ class TestRealCoordinates:
         A[0, 1] = np.inf
         with pytest.raises(NumericalFailureError, match="1-norm inf"):
             solver._expm_pade13(A)
+
+    def test_rk4_rejects_non_finite_operand(self):
+        # under numpy's defaults, nu_q = 2e307 leaves NaN in R (inf - inf),
+        # whose 1-norm would reach math.ceil as a ValueError
+        R = sp.csr_matrix(np.array([[0.0, np.nan], [0.0, -1.0]]))
+        with pytest.raises(NumericalFailureError, match="1-norm nan"):
+            solver.rk4_propagator(R, 0.1)
 
     def test_pade_kernel_of_zero_is_identity(self):
         # norm 0 takes no log2 and no squaring
