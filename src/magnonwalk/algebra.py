@@ -478,9 +478,8 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
 
 
 def run_all_checks(fock_dim: int = 6) -> list[ResidualReport]:
-    """The full verification suite with standard sizes.  ``verify`` runs
-    it in about 0.036 s after import on a 2-core x86-64 virtual machine
-    (OpenBLAS, 2 threads; the median ``run_s`` of BENCH_15.json)."""
+    """The full verification suite with standard sizes, as ``verify``
+    runs it."""
     reports: list[ResidualReport] = []
     ens = {n: hubbard_ensemble(n) for n in (1, 2, 3, 4)}
     for n in (1, 2, 3):

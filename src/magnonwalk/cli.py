@@ -50,7 +50,7 @@ from .observables import (
     sharpness_holevo,
     wigner,
 )
-from .solver import METHODS, evolve
+from .solver import evolve
 
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
@@ -62,7 +62,6 @@ class RunConfig:
     preset: str = "base"
     params: dict = field(default_factory=dict)  # overrides for PhysicalParams
     steps: int | None = None
-    method: str = "expm"
     samples_per_segment: int = 10
     fit_steps: int | None = None
     drive_first: bool = True
@@ -161,7 +160,6 @@ _CONFIG_KEYS = {
     "run": {
         "preset": "preset",
         "steps": "steps",
-        "method": "method",
         "samples_per_segment": "samples_per_segment",
         "fit_steps": "fit_steps",
         "out": "out_dir",
@@ -268,8 +266,6 @@ def run(config: RunConfig) -> RunManifest:
     t_start = time.monotonic()
     t_build = time.perf_counter()
     p = config.resolve_params()
-    if config.method not in METHODS:
-        raise ConfigError(f"unknown method {config.method!r}")
     if config.samples_per_segment < 1:
         raise ConfigError("samples_per_segment must be >= 1")
     if config.wigner_points < 1:
@@ -300,7 +296,6 @@ def run(config: RunConfig) -> RunManifest:
         h_off,
         diss,
         samples_per_segment=config.samples_per_segment,
-        method=config.method,
     )
     t_observables = time.perf_counter()
 
@@ -397,7 +392,6 @@ def run(config: RunConfig) -> RunManifest:
         params=_params_dict(p),
         derived=dataclasses.asdict(d),
         options={
-            "method": config.method,
             "samples_per_segment": config.samples_per_segment,
             "drive_first": config.drive_first,
             "use_omega_r0": config.use_omega_r0,
@@ -459,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--preset", choices=PRESET_NAMES)
     runp.add_argument("--config", default=None, help="INI config file")
     runp.add_argument("--steps", type=int)
-    runp.add_argument("--method", choices=METHODS)
     runp.add_argument("--samples-per-segment", type=int)
     runp.add_argument("--fit-steps", type=int)
     runp.add_argument(

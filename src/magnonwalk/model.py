@@ -135,7 +135,7 @@ class PhysicalParams:
     d_sites:   number of sites on the phase-space cycle
     fock_dim:  bosonic Fock-space truncation
     n_steps:   number of walk steps to simulate
-    m_phase:   phase-grid size for the phase distribution
+    m_phase:   phase-grid size for the phase distribution, > fock_dim
     """
 
     nu_q: float
@@ -164,9 +164,9 @@ class PhysicalParams:
             raise InvalidParameterError("d_sites must be >= 2")
         if self.n_steps < 0:
             raise InvalidParameterError("n_steps must be >= 0")
-        if self.m_phase < self.fock_dim:
+        if self.m_phase <= self.fock_dim:  # see observables.phase_distribution
             raise InvalidParameterError(
-                f"m_phase = {self.m_phase} must be >= fock_dim = {self.fock_dim}"
+                f"m_phase = {self.m_phase} must exceed fock_dim = {self.fock_dim}"
             )
         # A hard limit on the input: |alpha|^2 within half the Fock space
         # (rounded up, so the stock alpha=3 / dim=17 combination is

@@ -97,12 +97,14 @@ def phase_distribution(rho_m: np.ndarray, M: int) -> PhaseDistribution:
 
     With |phi> = (1/sqrt(M)) sum_n exp(i n phi) |n> and M >= fock_dim the
     grid weights are exactly normalized (discrete orthogonality), and a
-    coherent state peaks at the phase of its amplitude.
+    coherent state peaks at the phase of its amplitude.  M <= fock_dim
+    raises DimensionError: at M = fock_dim the first moment picks up the
+    wrap term rho_{0, F-1}, so the sharpness is not rotation-invariant.
     """
     fock = rho_m.shape[0]
-    if M < fock:
+    if M <= fock:
         raise DimensionError(
-            f"phase grid M = {M} must be >= the Fock dimension {fock}"
+            f"phase grid M = {M} must exceed the Fock dimension {fock}"
         )
     phi = -np.pi + 2.0 * np.pi * np.arange(M) / M
     E = np.exp(1j * np.outer(phi, np.arange(fock)))  # E[k, n] = exp(i n phi_k)
@@ -117,7 +119,7 @@ def phase_distribution(rho_m: np.ndarray, M: int) -> PhaseDistribution:
 def sharpness_holevo(dist: PhaseDistribution) -> tuple[float, float]:
     """Sharpness |<exp(i phi)>| and the cyclic standard deviation
     sigma_H = sqrt(sharpness^-2 - 1); flat distributions have no finite
-    sigma_H and raise."""
+    sigma_H and raise.  Exact on any grid of M > fock_dim points."""
     mu1 = np.sum(dist.p * np.exp(1j * dist.phi))
     sharp = float(abs(mu1))
     if sharp < 1e-9:

@@ -11,17 +11,8 @@ The Liouvillian for dρ/dt = -i[H, rho] + sum_k gamma_k D[x_k] rho is then
                           - 1/2 (1 kron x_k^dag x_k + (x_k^dag x_k)^T kron 1) ]
 
 Within one schedule segment the Hamiltonian is constant (square-wave
-drive), so exp(L dt) propagates exactly up to floating point; this is the
-default method.  A fixed-step RK4 integrator is provided as an
-independent cross-check.  For a linear constant-coefficient system one
-RK4 sub-step of length h multiplies by the degree-4 Taylor polynomial
-T4(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so n sub-steps are the
-step matrix T4(hL)^n, computed by binary powering in about 2 log2 n
-products (the Taylor and scaling-and-squaring family of Moler & Van
-Loan, SIAM Rev. 45, 3 (2003)).  It is still Taylor-4, not Padé, so it
-stays independent of the expm reference, and it preserves the trace
-identically because vec(1)^T L = 0.  Both methods build their step matrix
-on the same blocks (below), in the same real coordinates.
+drive), so exp(L dt), the one step matrix the solver builds, propagates
+exactly up to floating point.
 
 Real Hermitian coordinates
 --------------------------
@@ -65,9 +56,7 @@ pairs, one per block, applied to x block by block: the drive-off one
 holds 18 blocks and 100,104 entries at cutoff 17.  Nothing about the
 model is assumed, so the split is exact for any parameters, zero rates
 included.  The drive eps (c + c^dag) connects every sector, so the
-drive-on generator is one component and one dense exponential.  The RK4
-step matrix is block diagonal in the same blocks, because a polynomial in
-R is, and is built block by block the same way.
+drive-on generator is one component and one dense exponential.
 """
 
 from __future__ import annotations
@@ -83,24 +72,13 @@ from .model import DissipatorSpec, PulseSchedule
 from .observables import mean_number, qubit_populations, reduce_boson
 
 __all__ = [
-    "METHODS",
     "liouvillian",
     "vec",
     "unvec",
     "propagator",
-    "rk4_propagator",
     "Trajectory",
     "evolve",
 ]
-
-# Largest ||h R||_1 of one RK4 sub-step h; ||R||_1 bounds the spectral
-# radius.  RK4 is stable to h*radius = 2*sqrt(2) but a base segment loses
-# positivity near 0.44.  Two walk steps of either preset agree with expm in
-# n_c to 4e-11..5e-10 for 0.002..0.006 (the rounding floor of the powering)
-# and to 2.2e-9 at 0.01 on realistic.
-_RK4_SUBSTEP_NORM = 0.004
-
-METHODS = ("expm", "rk4")  # integration methods, see evolve
 
 # Padé-13 coefficients b_0..b_13, and theta_13: the largest 1-norm at
 # which the unscaled approximant is accurate to double precision
@@ -133,11 +111,11 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
     """The real generator R = S L S^dag (S from :func:`_hermitian_basis`)
     of the Liouvillian L on column-vectorized density matrices, as a
-    float64 CSR matrix: the operand of :func:`propagator` and
-    :func:`rk4_propagator`.  A generator that does not map Hermitian
-    matrices to Hermitian matrices, such as that of a non-Hermitian H, has
-    no real R and raises ValueError.  Overflow follows the caller's numpy
-    floating-point settings."""
+    float64 CSR matrix: the operand of :func:`propagator`.  A generator
+    that does not map Hermitian matrices to Hermitian matrices, such as
+    that of a non-Hermitian H, has no real R and raises ValueError.
+    Overflow follows the caller's numpy floating-point settings; a
+    non-finite R raises NumericalFailureError."""
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise DimensionError("Hamiltonian must be square")
@@ -159,6 +137,8 @@ def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
         )
     S = _hermitian_basis(dim * dim)
     R = sp.csr_matrix(S @ L @ S.conj().T)
+    if not np.isfinite(R.data).all():
+        raise NumericalFailureError("generator has non-finite entries")
     scale = abs(L).max()
     if np.abs(R.data.imag).max(initial=0.0) > _HERMITICITY_TOL * scale:
         raise ValueError("generator does not preserve Hermiticity")
@@ -320,24 +300,6 @@ def propagator(R, dt: float) -> list:
     return _blockwise(R * dt, _expm_pade13)
 
 
-def rk4_propagator(R, dt: float) -> list:
-    """The RK4 step matrix over dt: n = max(1, ceil(||R dt||_1 / 0.004))
-    sub-steps of h = dt / n, one n for all blocks, each the Taylor
-    polynomial T4(hR); so T4(hR)^n, built and applied block by block like
-    :func:`propagator`.  A non-finite R dt raises NumericalFailureError;
-    under numpy's defaults an overflowing polynomial leaves non-finite
-    entries, which evolve rejects."""
-    n_sub = max(1, math.ceil(_norm1(R * dt) / _RK4_SUBSTEP_NORM))
-
-    def taylor4_power(A):
-        A = A.toarray()
-        eye = np.eye(len(A))
-        T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
-        return np.linalg.matrix_power(T, n_sub)
-
-    return _blockwise(R * (dt / n_sub), taylor4_power)
-
-
 def _condition(
     x: np.ndarray, S_dag: sp.csr_matrix
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -377,11 +339,10 @@ class Trajectory:
     ``snapshots`` holds one (step, time, rho) triple per completed walk
     step; the solver carries the state in real Hermitian coordinates and
     forms each rho from them only for a sample or a snapshot.
-    ``propagators`` describes each real step matrix built (exp(R dt) or
-    the powered RK4 polynomial), in build order: drive flag, sub-interval
-    ``dt``, and the number of dense blocks of the step matrix and the size
-    of the largest one, read off its list of blocks (1 block of the full
-    size means the generator is one component).
+    ``propagators`` describes each step matrix exp(R dt) built, in build
+    order: drive flag, sub-interval ``dt``, and the number of dense blocks
+    of the step matrix and the size of the largest one, read off its list
+    of blocks (1 block of the full size means one component).
     ``trace_err`` is the trace drift of each sample before ``_condition``
     repaired it, ``min_eig`` the smallest eigenvalue after and
     ``top_fock`` the population of the top Fock level (the last diagonal
@@ -421,7 +382,6 @@ def evolve(
     H_off: np.ndarray,
     diss: DissipatorSpec,
     samples_per_segment: int = 10,
-    method: str = "expm",
 ) -> Trajectory:
     """Propagate through the schedule, sampling observables on the way.
     This is the one driver of the state: a single interval of constant
@@ -432,26 +392,21 @@ def evolve(
     is recorded after each one.  The state is carried as its real
     coordinates x = S vec(rho) in the Hermitian basis (the Hermitian part
     of rho0), and every step matrix acts on them.  The step matrix of a
-    sub-interval is exp(R dt) from :func:`propagator` for ``"expm"`` and
-    T4(hR)^n from :func:`rk4_propagator` for ``"rk4"`` (looked up per call,
-    so a wrapper of either runs), with R from :func:`liouvillian`.  Either
-    is cached per (drive flag, sub-interval) pair, so a run builds two step
-    matrices regardless of step count: one dense block for the drive-on
-    generator, and one small dense block per real-coordinate block of the
-    drive-off generator (see :func:`propagator`).  The blocks of each
-    generator are found once, by the builder, and ``propagators`` reads
-    them off the step matrix.  Floating-point errors follow the caller's
-    numpy settings.  A NumericalFailureError, FloatingPointError or
-    OverflowError (an RK4 sub-step count ||R dt||_1 / 0.004 past the float
-    range, under numpy's defaults) in building a step matrix or in stepping
-    the state is raised again as NumericalFailureError naming the segment
-    and walk step.
+    sub-interval is exp(R dt) from :func:`propagator` (looked up when
+    called, so a wrapper installed in its place runs), with R from
+    :func:`liouvillian`, cached per (drive flag, sub-interval) pair, so a
+    run builds two step matrices regardless of step count: one dense block
+    for the drive-on generator, and one small dense block per
+    real-coordinate block of the drive-off generator (see
+    :func:`propagator`).  The blocks of each generator are found once, by
+    the builder, and ``propagators`` reads them off the step matrix.
+    Floating-point errors follow the caller's numpy settings.  A
+    NumericalFailureError or FloatingPointError in building a generator
+    or a step matrix or in stepping the state is raised again as
+    NumericalFailureError naming the segment and walk step.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
-    build = propagator if method == "expm" else rk4_propagator
     generators: dict[bool, sp.csr_matrix] = {}  # keyed by drive flag
     propagators: dict[tuple[bool, float], list] = {}
     paths: list[dict] = []
@@ -479,14 +434,14 @@ def evolve(
                     generators[seg.drive_on] = liouvillian(
                         H_on if seg.drive_on else H_off, diss
                     )
-                P = propagators[key] = build(generators[seg.drive_on], dt_sub)
+                P = propagators[key] = propagator(generators[seg.drive_on], dt_sub)
                 paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
                               "largest_block": max(len(idx) for idx, _ in P)})
             P = propagators[key]
             for j in range(samples_per_segment):
                 x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)
                 sample(seg.t_start + (j + 1) * dt_sub, seg.drive_on, rho, drift, min_eig)
-        except (NumericalFailureError, FloatingPointError, OverflowError) as exc:
+        except (NumericalFailureError, FloatingPointError) as exc:
             raise NumericalFailureError(
                 f"propagation failed in segment {i} (step {seg.step}): {exc}"
             ) from exc

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from magnonwalk import algebra, cli, model, solver
@@ -232,7 +233,9 @@ def _trace_distance(a, b):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
-def test_criterion_6_solver_invariants(base_run, realistic_run):
+def test_criterion_6_solver_invariants(
+    base_run, realistic_run, monkeypatch, rk4_propagator
+):
     details = []
     ok_all = True
 
@@ -243,16 +246,15 @@ def test_criterion_6_solver_invariants(base_run, realistic_run):
         details.append(msg)
 
     # expm vs rk4 over one full step per preset, through evolve with one
-    # sample per segment, plus invariants of the rk4-propagated state.
-    # rk4_propagator sizes its sub-steps from ||R dt||_1.
+    # sample per segment, plus invariants of the rk4-propagated state.  The
+    # RK4 oracle (conftest) sizes its sub-steps from ||R dt||_1.
     for run in (base_run, realistic_run):
         step_1 = model.PulseSchedule(run.schedule.segments[:2])
         args = (step_1, model.initial_state(run.params), run.h_on, run.h_off, run.diss)
-        a, b = (
-            solver.evolve(*args, samples_per_segment=1, method=method)
-            .snapshots[0][2]
-            for method in ("expm", "rk4")
-        )
+        a = solver.evolve(*args, samples_per_segment=1).snapshots[0][2]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "propagator", rk4_propagator)
+            b = solver.evolve(*args, samples_per_segment=1).snapshots[0][2]
         dist = _trace_distance(a, b)
         ok_inv, msg = _boundary_invariants(
             f"{run.params.nu_eps0:g}GHz-drive rk4", [b]
@@ -413,9 +415,10 @@ def test_criterion_9_phase_skew_direction(base_run):
 
 
 @pytest.mark.parametrize("name", ["base", "realistic"])
-def test_full_rk4_boundary_invariants(name):
+def test_full_rk4_boundary_invariants(name, monkeypatch, rk4_propagator):
     """Complete 8-step fixed-step RK4 runs; the two cached step matrices
     make each run a few seconds."""
+    monkeypatch.setattr(solver, "propagator", rk4_propagator)
     p = model.preset(name)
     d = model.derive(p)
     traj = solver.evolve(
@@ -425,7 +428,31 @@ def test_full_rk4_boundary_invariants(name):
         model.hamiltonian_rotframe(p, d, False),
         model.dissipators(p),
         samples_per_segment=1,
-        method="rk4",
     )
     ok, msg = _boundary_invariants(f"{name} rk4 full", [r for _, _, r in traj.snapshots])
     assert ok, msg
+
+
+@pytest.mark.parametrize("name", ["base", "realistic"])
+def test_rk4_two_steps_track_expm(name, request, monkeypatch, rk4_propagator):
+    """Two walk steps of RK4 at ten samples per segment, the command's
+    default, against the first two steps of the preset's expm run: at the
+    full cutoff the sub-step sized from ||R dt||_1 must be accurate, not
+    just stable."""
+    run = request.getfixturevalue(f"{name}_run")
+    assert run.samples_per_segment == 10
+    monkeypatch.setattr(solver, "propagator", rk4_propagator)
+    traj = solver.evolve(
+        model.PulseSchedule(run.schedule.segments[:4]),
+        model.initial_state(run.params),
+        run.h_on,
+        run.h_off,
+        run.diss,
+        samples_per_segment=10,
+    )
+    expm = run.traj
+    n = len(traj.times)
+    assert n == 1 + 4 * 10
+    npt.assert_array_equal(traj.times, expm.times[:n])
+    for got, want in ((traj.n_c, expm.n_c), (traj.p_e, expm.p_e), (traj.p_g, expm.p_g)):
+        assert np.max(np.abs(got - want[:n])) <= 1e-8

@@ -66,7 +66,6 @@ class TestConfigFile:
             "[run]\n"
             "preset = realistic\n"
             "steps = 3\n"
-            "method = expm\n"
             "samples_per_segment = 5\n"
             "fit_steps = 3\n"
             "out = somewhere\n"
@@ -125,7 +124,7 @@ class TestConfigFile:
         path = tmp_path / "walk.ini"
         path.write_text(block.group(1))
         cfg = cli.load_config(path)
-        assert cfg.method == "expm"
+        assert cfg.samples_per_segment == 10
         assert cfg.drive_first is True
         assert cfg.params == {"nu_eps0": 10.0}
 
@@ -375,11 +374,6 @@ class TestMainEntry:
             ("gamma1=1e308", 1, "configuration error: "),
             ("nu_q=1e200", 2, "numerical failure: "),
             ("nu_eta=1e200", 1, "configuration error: "),
-            (
-                "nu_q=1e200 rk4",
-                2,
-                "numerical failure: propagation failed in segment 0",
-            ),
             ("alpha=1e200", 1, "configuration error: "),
             (
                 "Gamma=1e307",
@@ -387,7 +381,7 @@ class TestMainEntry:
                 "numerical failure: propagation failed in segment 0",
             ),
             (
-                "fock_dim=3 m_phase=3 alpha=1 d_sites=2 nu_q=2.87 nu_D=1e12"
+                "fock_dim=3 m_phase=4 alpha=1 d_sites=2 nu_q=2.87 nu_D=1e12"
                 " nu_eta=0.001 --samples-per-segment=1",
                 2,
                 "numerical failure: propagation failed in segment 0",
@@ -402,18 +396,15 @@ class TestMainEntry:
     def test_overflowing_parameter_exits_with_message(
         self, tmp_path, param, code, prefix
     ):
-        # finite inputs that overflow: a rate of inf, R dt, eta**2, an RK4
-        # polynomial of finite R dt, |alpha|**2, the generator's rate
-        # products, the squarings of exp(R dt) and the Wigner table; each
-        # exits with one stderr line and no numpy warning.  A word of
-        # ``param`` is a method name, a --flag=value or a --param item;
-        # without --wigner-grid the run has no Wigner table.
+        # finite inputs that overflow: a rate of inf, R dt, eta**2,
+        # |alpha|**2, the generator's rate products, the squarings of
+        # exp(R dt) and the Wigner table; each exits with one stderr line
+        # and no numpy warning.  A word of ``param`` is a --flag=value or a
+        # --param item; without --wigner-grid the run has no Wigner table.
         argv = ["run", "--preset", "base", "--steps", "1"]
         items = ["fock_dim=4", "alpha=1", "m_phase=8"]
         for word in param.split():
-            if word in solver.METHODS:
-                argv += ["--method", word]
-            elif word.startswith("--"):
+            if word.startswith("--"):
                 argv.append(word)
             else:
                 items.append(word)
@@ -472,41 +463,29 @@ class TestMainEntry:
         lines = (tmp_path / "wg" / "wigner_step1.csv").read_text().splitlines()
         assert len(lines) == 1 + 7 * 7
 
-    @pytest.mark.parametrize("name", ["base", "realistic"])
-    def test_rk4_default_dt_max_tracks_expm(self, tmp_path, name):
-        # at the full cutoff the sub-step sized from ||R dt||_1 must be
-        # accurate, not just stable
-        series = {}
-        for method in ("expm", "rk4"):
-            out = tmp_path / method
-            argv = ["run", "--preset", name, "--method", method, "--steps", "2"]
-            assert cli.main([*argv, "--no-wigner", "--out", str(out)]) == 0
-            series[method] = np.loadtxt(
-                out / "timeseries.csv", delimiter=",", skiprows=1
-            )
-        assert np.max(np.abs(series["rk4"] - series["expm"])) <= 1e-8
-
-    def test_rk4_sub_step_is_not_a_setting(self, tmp_path, capsys):
+    def test_rk4_sub_step_is_not_a_setting(
+        self, tmp_path, capsys, monkeypatch, rk4_propagator
+    ):
         # a [model] dt_max of 1e-12 rounded the diagonal of h R away against
-        # 1 and exited 0 with n_c off by 1.5e-5; the sub-step is now sized
-        # from ||R dt||_1, and the key is unknown
+        # 1 and exited 0 with n_c off by 1.5e-5; the RK4 oracle sizes its
+        # sub-step from ||R dt||_1, and the key is unknown
         argv = ["run", "--steps", "1", "--samples-per-segment", "2", "--no-wigner",
-                "--param", "fock_dim=3", "--param", "alpha=1", "--param", "m_phase=3"]
+                "--param", "fock_dim=3", "--param", "alpha=1", "--param", "m_phase=4"]
         ini = tmp_path / "walk.ini"
         ini.write_text("[model]\ndt_max = 1e-12\n")
         out = tmp_path / "dt_max"
-        argv_ini = [*argv, "--method", "rk4", "--config", str(ini)]
-        assert cli.main([*argv_ini, "--out", str(out)]) == 1
+        assert cli.main([*argv, "--config", str(ini), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: unknown key 'dt_max'")
-        series = {}
-        for method in ("expm", "rk4"):
-            out = tmp_path / method
-            assert cli.main([*argv, "--method", method, "--out", str(out)]) == 0
-            series[method] = np.loadtxt(
-                out / "timeseries.csv", delimiter=",", skiprows=1
-            )
-        assert np.max(np.abs(series["rk4"] - series["expm"])) <= 1e-9
+
+        def timeseries(name):
+            out = tmp_path / name
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            return np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
+
+        expm = timeseries("expm")
+        monkeypatch.setattr(solver, "propagator", rk4_propagator)
+        assert np.max(np.abs(timeseries("rk4") - expm)) <= 1e-9
 
     def test_verify_subcommand(self, capsys):
         rc = cli.main(["verify", "--fock-dim", "5"])
@@ -538,9 +517,10 @@ class TestMainEntry:
         assert issubclass(exc, errors.NumericalFailureError)
         assert issubclass(exc, ValueError)
 
-    @pytest.mark.parametrize("argv", [["run", "--method", "bogus"], ["run", "--bogus"]])
+    @pytest.mark.parametrize("argv", [["run", "--method", "rk4"], ["run", "--bogus"]])
     def test_usage_error_exits_1(self, capsys, argv):
-        # exit 2 is kept for numerical failures
+        # exit 2 is kept for numerical failures; there is no integrator
+        # choice
         assert cli.main(argv) == 1
         assert "usage: " in capsys.readouterr().err
 
@@ -552,13 +532,6 @@ class TestMainEntry:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = cli.RunConfig(preset="base")
         assert cfg.resolve_out_dir() == tmp_path / "run_base"
-
-    def test_method_flag_takes_the_solver_methods(self, capsys):
-        parser = cli._build_parser()
-        for method in solver.METHODS:
-            assert parser.parse_args(["run", "--method", method]).method == method
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "--method", "bogus"])
 
 
 # Edge values of a --param override and of a Wigner range end.
@@ -577,8 +550,7 @@ OVERRIDABLE = (
 def _squaring_example(preset, *overrides):
     """A two-step run at cutoff 3 whose exp(R dt) overflows in the squarings."""
     params = [tuple(item.split("=")) for item in overrides]
-    return example(preset=preset, fock_dim=3, steps=2, method="expm",
-                   params=params, grid=None)
+    return example(preset=preset, fock_dim=3, steps=2, params=params, grid=None)
 
 
 class TestExitContract:
@@ -593,7 +565,6 @@ class TestExitContract:
         preset=st.sampled_from(("base", "realistic")),
         fock_dim=st.integers(2, 4),
         steps=st.integers(0, 2),
-        method=st.sampled_from(solver.METHODS),
         params=st.lists(
             st.tuples(st.sampled_from(OVERRIDABLE), st.sampled_from(EDGE_VALUES)),
             min_size=1, max_size=3,
@@ -603,22 +574,22 @@ class TestExitContract:
             st.integers(1, 3),
         ),
     )
-    @_squaring_example("base", "m_phase=3", "alpha=1", "d_sites=2", "nu_q=2.87",
+    @_squaring_example("base", "m_phase=4", "alpha=1", "d_sites=2", "nu_q=2.87",
                        "nu_D=1e12", "nu_eta=0.001")
     @_squaring_example("realistic", "m_phase=8", "alpha=0", "nu_eps0=1e200", "nu_D=1.0")
-    @example(preset="base", fock_dim=4, steps=1, method="expm",
-             params=[("Gamma", "1e307")], grid=None)
-    @example(preset="base", fock_dim=4, steps=1, method="expm",
-             params=[("alpha", "1e200")], grid=None)
-    @example(preset="base", fock_dim=2, steps=1, method="rk4",
-             params=[("nu_q", "1e307")], grid=None)  # R dt overflows
-    @example(preset="base", fock_dim=4, steps=1, method="expm",
-             params=[("nu_q", "2.87")], grid=("1e308", "-1e308", 2))
+    @example(preset="base", fock_dim=4, steps=1, params=[("Gamma", "1e307")],
+             grid=None)
+    @example(preset="base", fock_dim=4, steps=1, params=[("alpha", "1e200")],
+             grid=None)
+    @example(preset="base", fock_dim=2, steps=1, params=[("nu_q", "1e307")],
+             grid=None)  # R dt overflows
+    @example(preset="base", fock_dim=4, steps=1, params=[("nu_q", "2.87")],
+             grid=("1e308", "-1e308", 2))
     def test_main_exits_with_a_code(
-        self, tmp_path, preset, fock_dim, steps, method, params, grid
+        self, tmp_path, preset, fock_dim, steps, params, grid
     ):
         argv = ["run", "--preset", preset, "--steps", str(steps),
-                "--samples-per-segment", "1", "--method", method,
+                "--samples-per-segment", "1",
                 f"--param=fock_dim={fock_dim}", "--param=alpha=1",
                 *[f"--param={name}={value}" for name, value in params],
                 "--wigner-grid={}:{}:{}".format(*grid) if grid else "--no-wigner",
@@ -644,11 +615,10 @@ class TestConfigErrors:
             argv = (*argv, "--config", str(tmp_path / "walk.ini"))
         rc = cli.main(["run", *argv, "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
         assert not out.exists()
-
-    def test_unknown_method_in_config(self, tmp_path, capsys):
-        self._main(tmp_path, capsys, ini="[run]\nmethod = bogus\n")
+        return err
 
     @pytest.mark.parametrize("points", ["-3", "0"])
     def test_bad_wigner_points_in_config(self, tmp_path, capsys, points):
@@ -660,6 +630,11 @@ class TestConfigErrors:
 
     def test_m_phase_below_fock_dim(self, tmp_path, capsys):
         self._main(tmp_path, capsys, "--param", "m_phase=8")
+
+    def test_m_phase_equal_to_fock_dim(self, tmp_path, capsys):
+        # at m_phase = fock_dim the sharpness aliases the wrap term
+        err = self._main(tmp_path, capsys, "--param", "m_phase=17")
+        assert "m_phase = 17 must exceed fock_dim = 17" in err
 
     @pytest.mark.parametrize(
         "param", ["Gamma=nan", "gamma1=inf", "alpha=nan", "alpha=1+infj"]
@@ -689,19 +664,20 @@ class TestConfigErrors:
         self._main(tmp_path, capsys, ini=f"[wigner]\n{ini}\n")
 
     @pytest.mark.parametrize(
-        "ini",
+        "ini, message",
         [
-            "[run]\nsamples_per_segmnt = 5\n",
-            "[emitt]\nwigner = false\n",
-            "[wigner]\npoint = 7\n",
-            "[DEFAULT]\nsamples_per_segment = 5\n",
-            "[emit]\nfit = false\n",
+            ("[run]\nsamples_per_segmnt = 5\n", "unknown key 'samples_per_segmnt'"),
+            ("[emitt]\nwigner = false\n", "unknown section [emitt]"),
+            ("[wigner]\npoint = 7\n", "unknown key 'point'"),
+            ("[DEFAULT]\nsamples_per_segment = 5\n", "unknown section [DEFAULT]"),
+            ("[emit]\nfit = false\n", "unknown key 'fit'"),
+            ("[run]\nmethod = expm\n", "unknown key 'method'"),
         ],
-        ids=["key", "section", "wigner_key", "default_section", "emit_fit"],
+        ids=["key", "section", "wigner_key", "default_section", "emit_fit", "method"],
     )
-    def test_unknown_config_entry(self, tmp_path, capsys, ini):
-        # a misspelt setting would otherwise run on its default
-        self._main(tmp_path, capsys, ini=ini)
+    def test_unknown_config_entry(self, tmp_path, capsys, ini, message):
+        # a misspelt or retired setting would otherwise run on its default
+        assert message in self._main(tmp_path, capsys, ini=ini)
 
     # 0 stays the flag's way to switch the fit off
     @pytest.mark.parametrize("k", ["-3", "1"])

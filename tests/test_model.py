@@ -102,9 +102,12 @@ class TestPhysicalParams:
             model.preset("base", Gamma=-1e-4)
 
     def test_m_phase_below_fock_dim_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            model.preset("base", m_phase=8)
-        assert model.preset("base", m_phase=17).m_phase == 17
+        # the grid needs more points than Fock levels (see
+        # observables.phase_distribution), so fock_dim itself is too few
+        for m_phase in (8, 17):
+            with pytest.raises(InvalidParameterError):
+                model.preset("base", m_phase=m_phase)
+        assert model.preset("base", m_phase=18).m_phase == 18
 
     def test_truncation_budget_rejected(self):
         with pytest.raises(InvalidParameterError):

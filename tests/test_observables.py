@@ -135,8 +135,22 @@ class TestPhaseDistribution:
         assert dist.phi[np.argmax(dist.p)] == pytest.approx(theta - math.pi + math.pi, abs=0.05)
 
     def test_resolution_error(self):
-        with pytest.raises(DimensionError):
-            obs.phase_distribution(density(coherent_state(1.0, 17)), 16)
+        for M in (16, 17):
+            with pytest.raises(DimensionError):
+                obs.phase_distribution(density(coherent_state(1.0, 17)), M)
+
+    @pytest.mark.parametrize("theta", [0.7, 2.0, -1.3])
+    def test_sharpness_rotation_invariant_on_smallest_grid(self, theta):
+        # M = F + 1 is the smallest grid admitted: its first moment is that
+        # of a fine grid, for any rotation.  At M = F the wrap term
+        # rho_{0, F-1} entered it: 0.9657 unrotated and 0.8563 after 0.7 rad,
+        # against 0.8906 here
+        F = 6
+        rho = density(coherent_state(1.5, F))
+        fine, _ = obs.sharpness_holevo(obs.phase_distribution(rho, 64))
+        for state in (rho, obs.rotate_mode(rho, theta)):
+            sharp, _ = obs.sharpness_holevo(obs.phase_distribution(state, F + 1))
+            assert sharp == pytest.approx(fine, abs=1e-14)
 
     def test_refinement_invariance_of_sharpness(self):
         rho = density(coherent_state(3.0, 17))

@@ -100,6 +100,16 @@ class TestLiouvillian:
         trace_vec = _coordinates(np.eye(2 * p.fock_dim))[0]
         assert np.linalg.norm(trace_vec @ R) < 1e-10
 
+    @pytest.mark.parametrize("drive_on", [True, False])
+    def test_rejects_non_finite_generator(self, drive_on):
+        # under numpy's defaults nu_q = 2e307 leaves NaN in S L S^dag
+        # (inf - inf), which the Hermiticity check, a comparison, lets pass
+        p = model.preset("base", fock_dim=3, alpha=1.0, m_phase=8, nu_q=2e307)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = model.hamiltonian_rotframe(p, model.derive(p), drive_on)
+            with pytest.raises(NumericalFailureError, match="non-finite"):
+                solver.liouvillian(H, model.dissipators(p))
+
     def test_dimension_mismatch(self):
         c = model.annihilation(4)
         spec = model.DissipatorSpec(channels=((0.1, c),))
@@ -200,15 +210,17 @@ class TestRK4StepMatrix:
         n_frac=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_substep_loop(self, fock_dim, rates, drive_on, n_frac, seed):
+    def test_matches_substep_loop(
+        self, rk4_propagator, fock_dim, rates, drive_on, n_frac, seed
+    ):
         R, L = _small_generators(fock_dim, rates, drive_on)
-        # the kernel takes n = max(1, ceil(||R dt||_1 / 0.004)) sub-steps;
+        # the oracle takes n = max(1, ceil(||R dt||_1 / 0.004)) sub-steps;
         # dt is drawn so that n is log-uniform over 1..2000
         norm = np.abs(R).sum(axis=0).max()
         dt = 1999 * 0.004 / norm * 2000.0**-n_frac
         n = max(1, math.ceil(np.abs(R * dt).sum(axis=0).max() / 0.004))
         assert n <= 2000
-        P = _vec_step(solver.rk4_propagator(R, dt))
+        P = _vec_step(rk4_propagator(R, dt))
         v = solver.vec(_random_density(2 * fock_dim, seed))
         assert np.max(np.abs(P @ v - _rk4_loop(v, L, dt, n))) <= 1e-11
         trace_vec = solver.vec(np.eye(2 * fock_dim))
@@ -228,14 +240,16 @@ class TestStepMatrixProperties:
         seed=st.integers(0, 2**32 - 1),
         rank=st.integers(1, 6),
     )
-    def test_hermitian_and_positive(self, fock_dim, rates, drive_on, dt, seed, rank):
+    def test_hermitian_and_positive(
+        self, rk4_propagator, fock_dim, rates, drive_on, dt, seed, rank
+    ):
         # a low-rank state starts on the boundary of positivity.  RK4 at
         # ||h R||_1 = 0.004 powers its step matrix up to ~1e5 sub-steps, and
         # the Hermiticity defect grows to ~1e-12 by rounding
         R, _ = _small_generators(fock_dim, rates, drive_on)
         dim = 2 * fock_dim
         v = solver.vec(_random_density(dim, seed, rank))
-        for build in (solver.propagator, solver.rk4_propagator):
+        for build in (solver.propagator, rk4_propagator):
             rho = solver.unvec(_vec_step(build(R, dt)) @ v, dim)
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
             if build is solver.propagator:
@@ -277,42 +291,26 @@ class TestPropagate:
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-8)
         assert np.trace(rho @ h).real == pytest.approx(e0, abs=1e-8 * abs(e0))
 
-    def test_every_method_has_a_builder(self, small):
-        p, d = small
-        h = model.hamiltonian_rotframe(p, d, False)
-        for method in solver.METHODS:
-            traj = solver.evolve(
-                _single_segment(0.1), model.initial_state(p), h, h,
-                model.dissipators(p), samples_per_segment=1, method=method,
-            )
-            assert [entry["dt"] for entry in traj.propagators] == [0.1]
-
-    def test_builder_looks_up_propagator_when_called(self, small, monkeypatch):
-        # a wrapper installed in place of a builder, as a tracer installs
-        # one, must be the one evolve calls
+    def test_builder_looks_up_propagator_when_called(
+        self, small, monkeypatch, rk4_propagator
+    ):
+        # a builder installed in place of propagator, as a tracer or the
+        # RK4 oracle installs one, must be the one evolve calls
         p, d = small
         h = model.hamiltonian_rotframe(p, d, False)
         calls = []
-        for method, name in (("expm", "propagator"), ("rk4", "rk4_propagator")):
-            def wrapped(R, dt, build=getattr(solver, name)):
-                calls.append(name)
-                return build(R, dt)
 
-            monkeypatch.setattr(solver, name, wrapped)
-            solver.evolve(
-                _single_segment(0.1), model.initial_state(p), h, h,
-                model.dissipators(p), samples_per_segment=1, method=method,
-            )
-        assert calls == ["propagator", "rk4_propagator"]
+        def wrapped(R, dt):
+            calls.append(dt)
+            return rk4_propagator(R, dt)
 
-    def test_unknown_method(self, small):
-        p, d = small
-        h = model.hamiltonian_rotframe(p, d, False)
-        with pytest.raises(ValueError, match="euler"):
-            solver.evolve(
-                _single_segment(1.0), model.initial_state(p), h, h,
-                model.dissipators(p), method="euler",
-            )
+        monkeypatch.setattr(solver, "propagator", wrapped)
+        traj = solver.evolve(
+            _single_segment(0.1), model.initial_state(p), h, h,
+            model.dissipators(p), samples_per_segment=1,
+        )
+        assert calls == [0.1]
+        assert [entry["dt"] for entry in traj.propagators] == [0.1]
 
     def test_overflowing_step_matrix_names_segment(self):
         # R dt beyond the float range, under the command's floating-point
@@ -405,7 +403,7 @@ class TestEvolve:
             assert np.linalg.norm(rho - rho.conj().T) < 1e-10
             assert np.linalg.eigvalsh(rho)[0] >= -1e-7
 
-    def test_rk4_matches_expm_trajectory(self, small):
+    def test_rk4_matches_expm_trajectory(self, small, monkeypatch, rk4_propagator):
         p2 = model.preset("base", fock_dim=6, alpha=1.0, n_steps=1)
         d = model.derive(p2)
         sched = model.pulse_schedule(p2, d)
@@ -415,8 +413,9 @@ class TestEvolve:
             model.hamiltonian_rotframe(p2, d, False),
             model.dissipators(p2),
         )
-        t_a = solver.evolve(sched, *args, samples_per_segment=2, method="expm")
-        t_b = solver.evolve(sched, *args, samples_per_segment=2, method="rk4")
+        t_a = solver.evolve(sched, *args, samples_per_segment=2)
+        monkeypatch.setattr(solver, "propagator", rk4_propagator)
+        t_b = solver.evolve(sched, *args, samples_per_segment=2)
         diff = np.abs(t_a.snapshots[0][2] - t_b.snapshots[0][2])
         assert diff.max() < 1e-7
         assert t_b.propagators == t_a.propagators
@@ -537,14 +536,14 @@ class TestRealCoordinates:
         assert sp.isspmatrix_csr(R) and R.dtype == np.float64
         npt.assert_allclose((S.conj().T @ R @ S).toarray(), L, rtol=0, atol=1e-13)
 
-    def test_rejects_generator_that_breaks_hermiticity(self):
+    def test_rejects_generator_that_breaks_hermiticity(self, rk4_propagator):
         # -i[H, rho] of a non-Hermitian H leaves the Hermitian matrices
         h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermiticity"):
             solver.liouvillian(h, model.DissipatorSpec(channels=()))
         # a complex operand is no real generator
         eye = sp.identity(16, dtype=complex, format="csr")
-        for build in (solver.propagator, solver.rk4_propagator):
+        for build in (solver.propagator, rk4_propagator):
             with pytest.raises(ValueError, match="real generator"):
                 build(1j * eye, 1.0)
 
@@ -577,13 +576,13 @@ class TestRealCoordinates:
 
     @settings(max_examples=20, deadline=None)
     @given(fock_dim=st.integers(3, 6), rates=_rates, drive_on=st.booleans())
-    def test_blocks_read_off_step_matrix(self, fock_dim, rates, drive_on):
-        # both builders split R into the connected components of its
+    def test_blocks_read_off_step_matrix(self, rk4_propagator, fock_dim, rates, drive_on):
+        # the builder and the RK4 oracle split R into the connected components of its
         # sparsity pattern, which evolve reads off the step matrix
         R, _ = _small_generators(fock_dim, rates, drive_on)
         n_comp, labels = connected_components(abs(R), directed=False)
         want = sorted(tuple(np.flatnonzero(labels == c)) for c in range(n_comp))
-        for P in (solver.propagator(R, 0.1), solver.rk4_propagator(R, 0.1)):
+        for P in (solver.propagator(R, 0.1), rk4_propagator(R, 0.1)):
             assert sorted(tuple(idx) for idx, _ in P) == want
 
     def test_drive_on_exponential_peak_memory(self):
@@ -649,12 +648,12 @@ class TestRealCoordinates:
         with pytest.raises(NumericalFailureError, match="1-norm inf"):
             solver._expm_pade13(A)
 
-    def test_rk4_rejects_non_finite_operand(self):
-        # under numpy's defaults, nu_q = 2e307 leaves NaN in R (inf - inf),
-        # whose 1-norm would reach math.ceil as a ValueError
+    def test_rk4_rejects_non_finite_operand(self, rk4_propagator):
+        # a NaN in R dt would reach math.ceil as a ValueError through the
+        # oracle's sub-step count
         R = sp.csr_matrix(np.array([[0.0, np.nan], [0.0, -1.0]]))
         with pytest.raises(NumericalFailureError, match="1-norm nan"):
-            solver.rk4_propagator(R, 0.1)
+            rk4_propagator(R, 0.1)
 
     def test_pade_kernel_of_zero_is_identity(self):
         # norm 0 takes no log2 and no squaring
