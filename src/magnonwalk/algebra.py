@@ -55,8 +55,10 @@ __all__ = [
 
 SPIN_LABELS = ("+", "0", "-")
 EXACT_TOL = 1e-12
-# Coupling scales of the Frohlich residual fit, smallest first.
-FROHLICH_SCALES = (0.125, 0.25, 0.5, 1.0)
+# Coupling scales of the Frohlich residual fit, smallest first.  Each is
+# twice the one before, so one exponential and its squarings give them all
+# (see _exp_ladder).
+FROHLICH_SCALES = tuple(0.125 * 2.0**k for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -151,15 +153,32 @@ def schwinger_ensemble(n_sites: int, trunc: int = 3) -> EnsembleOperators:
 
 def check_hubbard_algebra(ensemble: EnsembleOperators) -> ResidualReport:
     """Max residual of [X^{mn}, X^{m'n'}] = d_{m'n} X^{mn'} - d_{mn'} X^{m'n}
-    over all 81 operator pairs."""
-    x = ensemble.x
-    residuals = []
-    for m, n, mp, np_ in itertools.product(SPIN_LABELS, repeat=4):
-        lhs = x[(m, n)] @ x[(mp, np_)] - x[(mp, np_)] @ x[(m, n)]
-        rhs = (mp == n) * x[(m, np_)] - (m == np_) * x[(mp, n)]
-        residuals.append(lhs - rhs)
-    # one batched call runs the same SVD per residual as _opnorm
-    worst = np.linalg.norm(np.stack(residuals), 2, axis=(1, 2)).max()
+    over all 81 operator pairs.
+
+    The nine X^{mn} are stacked, and one batched product of the stack with
+    itself gives all 81 X_a X_b; each batch entry is the same GEMM as the
+    single product.  The right side is the stack broadcast against
+    Kronecker deltas, built in the products' buffer once they are spent,
+    and subtracted as one term, so every residual equals the one taken
+    pair by pair (up to the sign of a zero).  One batched call runs the
+    same SVD per residual as _opnorm, on the residuals that are not
+    exactly zero; the norm of the others is 0.
+    """
+    k, dim = len(SPIN_LABELS), ensemble.dim
+    x = np.stack([ensemble.x[key] for key in itertools.product(SPIN_LABELS, repeat=2)])
+    prod = np.matmul(x[:, None], x[None, :])  # prod[a, b] = X_a X_b
+    residuals = prod - prod.transpose(1, 0, 2, 3)
+    # axes (m, n, m', n'): the pairs in itertools.product order
+    x = x.reshape(k, k, dim, dim)
+    delta = np.eye(k, dtype=bool)[:, :, None, None]
+    rhs = prod.reshape(k, k, k, k, dim, dim)
+    np.multiply(delta[None, :, :, None], x[:, None, None, :], out=rhs)
+    x_swapped = x.transpose(1, 0, 2, 3)[None, :, :, None]  # X^{m'n} at (n, m')
+    np.subtract(rhs, x_swapped, out=rhs, where=delta[:, None, None, :])
+    residuals -= rhs.reshape(residuals.shape)
+    residuals = residuals.reshape(k**4, dim, dim)
+    residuals = residuals[residuals.any(axis=(1, 2))]
+    worst = np.linalg.norm(residuals, 2, axis=(1, 2)).max(initial=0.0)
     return ResidualReport.bounded(
         f"hubbard_algebra[N={ensemble.n_sites},dim={ensemble.dim}]", worst
     )
@@ -418,6 +437,18 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
     ]
 
 
+def _exp_ladder(g: np.ndarray) -> list[np.ndarray]:
+    """exp(s g) for each s in FROHLICH_SCALES: one Padé exponential at the
+    smallest scale, then one squaring per doubling, exp(2 s g) = exp(s g)^2
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))."""
+    u = _expm_pade13(FROHLICH_SCALES[0] * g)
+    ladder = [u]
+    for _ in FROHLICH_SCALES[1:]:
+        u = u @ u
+        ladder.append(u)
+    return ladder
+
+
 def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
     """Residual scaling of the dispersive canonical transformation.
 
@@ -425,7 +456,8 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
     multiplied by s while the rotating-frame detunings stay fixed; the
     transformation generated by
     S = (s eta / (delta_c - delta_d)) (lower c^dag - raise c) is applied
-    with exact matrix exponentials and compared with the effective
+    with exact matrix exponentials (one Padé exponential at the smallest
+    scale, squared up the doubling scales) and compared with the effective
     Hamiltonian (whose dispersive coefficients scale as s^2).  The
     effective form captures everything through second order, so the
     residual must fall off at least as s^3 minus fit slack; the check also
@@ -445,18 +477,18 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
     sx_low = np.kron(SIGMA_X, low)
     sx_low_sq = 2.0 * (p.fock_dim - 1)
 
+    # the generator at scale s is s g1; it is real and antisymmetric, so
+    # exp(-s g1) = u^T
+    g1 = (2.0 * math.pi * p.nu_eta / delta_qm) * (
+        np.kron(LOWER, c.conj().T) - np.kron(RAISE, c)
+    )
     residuals = []
     sx_coeffs = []
-    for s in FROHLICH_SCALES:
+    for s, u in zip(FROHLICH_SCALES, _exp_ladder(g1.real)):
         p_s = replace(p, nu_eta=s * p.nu_eta, nu_eps0=s * p.nu_eps0)
         d_s = replace(d1, chi=s**2 * d1.chi, Omega_R=s**2 * d1.Omega_R)
         h = hamiltonian_rotframe(p_s, d_s, drive_on=True)
         h_eff = hamiltonian_effective(p_s, d_s, drive_on=True)
-        generator = (s * 2.0 * math.pi * p.nu_eta / delta_qm) * (
-            np.kron(LOWER, c.conj().T) - np.kron(RAISE, c)
-        )
-        # the generator is real and antisymmetric, so exp(-generator) = u^T
-        u = _expm_pade13(generator.real)
         transformed = u.T @ h @ u
         residuals.append(_opnorm(transformed - h_eff))
         sx_coeffs.append(np.trace(transformed @ sx_low).real / sx_low_sq)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -234,13 +235,21 @@ def _csv(header: list[str], columns: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=1)
+def _wigner_template(x: bytes, p: bytes) -> str:
+    """The long-form CSV of a grid with float64 axes ``x`` and ``p`` (their
+    bytes, so that 0.0 and -0.0 differ), x-major, with each axis value
+    formatted once and each W cell left as ``%.17g``.  Every snapshot of a
+    run shares its axes, so this is built once per run."""
+    xs, ps = _fmt(np.frombuffer(x)), _fmt(np.frombuffer(p))
+    return "x,p,W\n" + "".join(f"{xi},{pj},%.17g\n" for xi in xs for pj in ps)
+
+
 def _wigner_csv(grid: WignerGrid) -> str:
-    """The grid in long form, x-major; each axis value is formatted once."""
-    xs, ps = _fmt(grid.x), _fmt(grid.p)
-    return _csv(
-        ["x", "p", "W"],
-        [[x for x in xs for _ in ps], ps * len(xs), _fmt(grid.w.ravel())],
-    )
+    """The grid in long form, x-major, filled into its axes' row template
+    by one ``%``: ``%.17g`` and ``{:.17g}`` run the same float formatter."""
+    template = _wigner_template(grid.x.tobytes(), grid.p.tobytes())
+    return template % tuple(grid.w.ravel().tolist())
 
 
 def _write(path: Path, text: str) -> str:
@@ -261,7 +270,8 @@ def run(config: RunConfig) -> RunManifest:
 
     The stages run one after another (build, evolve, observables,
     emission) and their wall times go to the manifest's ``timings``; a
-    floating-point error in the observables names its walk step.
+    floating-point error in the model build names the operator being
+    built, and one in the observables names its walk step.
     """
     t_start = time.monotonic()
     t_build = time.perf_counter()
@@ -278,10 +288,17 @@ def run(config: RunConfig) -> RunManifest:
 
     d = derive(p, use_omega_r0=config.use_omega_r0)
     schedule = pulse_schedule(p, d, drive_first=config.drive_first)
-    h_on = hamiltonian_rotframe(p, d, drive_on=True)
-    h_off = hamiltonian_rotframe(p, d, drive_on=False)
-    diss = dissipators(p)
-    rho0 = initial_state(p)
+    stage = "drive-on Hamiltonian"
+    try:
+        h_on = hamiltonian_rotframe(p, d, drive_on=True)
+        stage = "drive-off Hamiltonian"
+        h_off = hamiltonian_rotframe(p, d, drive_on=False)
+        stage = "dissipators"
+        diss = dissipators(p)
+        stage = "initial state"
+        rho0 = initial_state(p)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"model build ({stage}): {exc}") from exc
     out = config.resolve_out_dir()
     try:
         out.mkdir(parents=True, exist_ok=True)

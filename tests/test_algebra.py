@@ -103,9 +103,35 @@ class TestHubbardAlgebra:
             worst = max(worst, algebra._opnorm(lhs - rhs))
         assert algebra.check_hubbard_algebra(ens).value == worst
 
+    @pytest.mark.parametrize("key", [("+", "-"), ("0", "0"), ("-", "0")])
+    def test_broken_ensemble_fails_with_oracle_value(self, key):
+        # one X^{mn} off by 1e-6 in one entry breaks the algebra; the batched
+        # check reports exactly the per-pair oracle's nonzero residual
+        ens = algebra.hubbard_ensemble(2)
+        x = dict(ens.x)
+        x[key] = x[key].copy()
+        x[key][1, 4] += 1e-6
+        broken = algebra.EnsembleOperators(ens.n_sites, ens.dim, x)
+        rep = algebra.check_hubbard_algebra(broken)
+        assert not rep.passed
+        assert rep.value > 1e-7
+        assert rep.value == _largest_pair_residual(broken)
+
     def test_schwinger_needs_headroom(self):
         with pytest.raises(DimensionError):
             algebra.schwinger_ensemble(3, trunc=3)
+
+
+def _largest_pair_residual(ens):
+    """The largest of the 81 commutator residuals, one pair at a time, as
+    test_value_is_largest_pair_residual takes them."""
+    x = ens.x
+    worst = 0.0
+    for m, n, mp, np_ in itertools.product(algebra.SPIN_LABELS, repeat=4):
+        lhs = x[(m, n)] @ x[(mp, np_)] - x[(mp, np_)] @ x[(m, n)]
+        rhs = (mp == n) * x[(m, np_)] - (m == np_) * x[(mp, n)]
+        worst = max(worst, algebra._opnorm(lhs - rhs))
+    return worst
 
 
 def _deviation(n_sites, k):
@@ -245,6 +271,25 @@ class TestFrohlichResidual:
         h = model.hamiltonian_rotframe(p0, d0, drive_on=True)
         h_eff = model.hamiltonian_effective(p0, d0, drive_on=True)
         assert np.linalg.norm(h - h_eff, 2) < 1e-12
+
+    @pytest.mark.parametrize("fock_dim", [3, 6, 8])
+    def test_ladder_matches_direct_exponentials(self, fock_dim):
+        # the squared exponentials equal a direct Pade exponential at every
+        # scale, within 1e-14 in the largest absolute entry; a scale that
+        # is not twice the one before fails this
+        p = model.preset("base", fock_dim=fock_dim, alpha=1.0 + 0.0j)
+        d = model.derive(p)
+        c = model.annihilation(fock_dim)
+        g1 = (2.0 * math.pi * p.nu_eta / (d.delta_c - d.delta_d)) * (
+            np.kron(model.LOWER, c.conj().T) - np.kron(model.RAISE, c)
+        )
+        ladder = algebra._exp_ladder(g1.real)
+        assert len(ladder) == len(algebra.FROHLICH_SCALES)
+        for s, u in zip(algebra.FROHLICH_SCALES, ladder):
+            direct = algebra._expm_pade13(s * g1.real)
+            assert np.abs(u - direct).max() <= 1e-14, s
+            # exp of a real antisymmetric generator is orthogonal
+            assert np.abs(u.T @ u - np.eye(2 * fock_dim)).max() <= 1e-14, s
 
     def test_large_fock_rejected(self):
         with pytest.raises(DimensionError):

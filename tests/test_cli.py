@@ -391,6 +391,11 @@ class TestMainEntry:
                 2,
                 "numerical failure: observables of step 1 (Wigner grid): ",
             ),
+            (
+                "fock_dim=3 nu_q=2e307",
+                2,
+                "numerical failure: model build (drive-on Hamiltonian): ",
+            ),
         ],
     )
     def test_overflowing_parameter_exits_with_message(
@@ -398,7 +403,8 @@ class TestMainEntry:
     ):
         # finite inputs that overflow: a rate of inf, R dt, eta**2,
         # |alpha|**2, the generator's rate products, the squarings of
-        # exp(R dt) and the Wigner table; each exits with one stderr line
+        # exp(R dt), the Wigner table and the Hamiltonian's detuning term;
+        # each exits with one stderr line
         # and no numpy warning.  A word of ``param`` is a --flag=value or a
         # --param item; without --wigner-grid the run has no Wigner table.
         argv = ["run", "--preset", "base", "--steps", "1"]
@@ -763,21 +769,31 @@ class TestEmission:
         assert sha == hashlib.sha256(data).hexdigest()
 
     def test_wigner_long_form_matches_per_cell_writer(self, tmp_path):
+        # W holds every EDGE_VALUE; the second W reuses the axes' cached
+        # row template, and the third grid's axes differ only in the sign
+        # of a zero, which the template must not share
         xs = np.array([-0.0, 5e-324, 1e300, -4.5])
         ps = np.array([np.nan, 0.1, -2.0])
         w = np.arange(12.0).reshape(4, 3) / 7.0
-        w[1, 2], w[3, 0] = -0.0, 5e-324
-        grid = obs.WignerGrid(x=xs, p=ps, w=w)
-        _per_cell_csv(
-            tmp_path / "old.csv",
-            ["x", "p", "W"],
-            (
-                (float(grid.x[i]), float(grid.p[j]), float(grid.w[i, j]))
-                for i in range(len(grid.x))
-                for j in range(len(grid.p))
-            ),
-        )
-        assert cli._wigner_csv(grid).encode() == (tmp_path / "old.csv").read_bytes()
+        w.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+        grids = [
+            obs.WignerGrid(x=xs, p=ps, w=w),
+            obs.WignerGrid(x=xs, p=ps, w=-w[::-1]),
+            obs.WignerGrid(x=np.abs(xs), p=ps, w=w),
+        ]
+        for grid in grids:
+            _per_cell_csv(
+                tmp_path / "old.csv",
+                ["x", "p", "W"],
+                (
+                    (float(grid.x[i]), float(grid.p[j]), float(grid.w[i, j]))
+                    for i in range(len(grid.x))
+                    for j in range(len(grid.p))
+                ),
+            )
+            text = cli._wigner_csv(grid)
+            assert text.encode() == (tmp_path / "old.csv").read_bytes()
+            assert "inf" in text and "e+300" in text
 
     def test_empty_columns_give_header_only(self):
         assert cli._csv(["a", "b"], [[], []]) == "a,b\n"
