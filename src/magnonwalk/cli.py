@@ -66,7 +66,6 @@ class RunConfig:
     samples_per_segment: int = 10
     fit_steps: int | None = None
     drive_first: bool = True
-    use_omega_r0: bool = False
     wigner_min: float = -4.5
     wigner_max: float = 4.5
     wigner_points: int = 101
@@ -165,10 +164,7 @@ _CONFIG_KEYS = {
         "fit_steps": "fit_steps",
         "out": "out_dir",
     },
-    "model": {
-        "drive_first": "drive_first",
-        "use_omega_r0": "use_omega_r0",
-    },
+    "model": {"drive_first": "drive_first"},
     "emit": {
         "timeseries": "emit_timeseries",
         "holevo": "emit_holevo",
@@ -286,7 +282,7 @@ def run(config: RunConfig) -> RunManifest:
         )
     fit_steps = config.resolve_fit_steps(p.n_steps)
 
-    d = derive(p, use_omega_r0=config.use_omega_r0)
+    d = derive(p)
     schedule = pulse_schedule(p, d, drive_first=config.drive_first)
     stage = "drive-on Hamiltonian"
     try:
@@ -322,8 +318,7 @@ def run(config: RunConfig) -> RunManifest:
         stage = "phase distribution"
         try:
             rho_m = reduce_boson(rho)
-            dist = phase_distribution(rho_m, p.m_phase)
-            sharp, sigma_h = sharpness_holevo(dist)
+            sharp, sigma_h = sharpness_holevo(rho_m)
             steps.append(step)
             times.append(t_boundary)
             sharps.append(sharp)
@@ -411,7 +406,6 @@ def run(config: RunConfig) -> RunManifest:
         options={
             "samples_per_segment": config.samples_per_segment,
             "drive_first": config.drive_first,
-            "use_omega_r0": config.use_omega_r0,
             "fit_steps": fit_steps,
             "wigner_grid": [config.wigner_min, config.wigner_max, config.wigner_points],
             "corotating": config.corotating,

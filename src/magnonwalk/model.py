@@ -135,7 +135,7 @@ class PhysicalParams:
     d_sites:   number of sites on the phase-space cycle
     fock_dim:  bosonic Fock-space truncation
     n_steps:   number of walk steps to simulate
-    m_phase:   phase-grid size for the phase distribution, > fock_dim
+    m_phase:   phase-grid points (phase CSV rows), fock_dim < m_phase <= 65536
     """
 
     nu_q: float
@@ -164,10 +164,14 @@ class PhysicalParams:
             raise InvalidParameterError("d_sites must be >= 2")
         if self.n_steps < 0:
             raise InvalidParameterError("n_steps must be >= 0")
-        if self.m_phase <= self.fock_dim:  # see observables.phase_distribution
+        # Only a grid of more points than Fock levels has the sharpness as
+        # its first moment (see observables.phase_distribution)
+        if self.m_phase <= self.fock_dim:
             raise InvalidParameterError(
                 f"m_phase = {self.m_phase} must exceed fock_dim = {self.fock_dim}"
             )
+        if self.m_phase > 65536:  # more rows than a phase CSV needs
+            raise InvalidParameterError(f"m_phase = {self.m_phase} exceeds 65536")
         # A hard limit on the input: |alpha|^2 within half the Fock space
         # (rounded up, so the stock alpha=3 / dim=17 combination is
         # admitted).  How much the cutoff actually clips is measured by the
@@ -203,16 +207,10 @@ class DerivedParams:
     n_bar: float      # |alpha|^2
 
 
-def derive(p: PhysicalParams, use_omega_r0: bool = False) -> DerivedParams:
-    """Compute the walk parameters from the physical ones.
-
-    ``use_omega_r0`` switches the pulse-duration convention to the nominal
-    Omega_R0 = 2pi*eps0/|Delta| instead of the coin-term coefficient
-    2*eta*eps0/|Delta|; the latter is the default because it is the
-    coefficient that actually multiplies sigma_x in the effective
-    Hamiltonian.  Parameters whose derived frequencies overflow the float
-    range raise InvalidParameterError.
-    """
+def derive(p: PhysicalParams) -> DerivedParams:
+    """Compute the walk parameters from the physical ones; the coin pulse
+    is timed by |Omega_R|.  Parameters whose derived frequencies overflow
+    the float range raise InvalidParameterError."""
     w = TWO_PI
     omega_q = w * p.nu_q
     omega_D = w * p.nu_D
@@ -247,10 +245,9 @@ def derive(p: PhysicalParams, use_omega_r0: bool = False) -> DerivedParams:
     if omega_p == 0:
         raise ScheduleInfeasibleError("zero coupling gives an infinite step period")
     t_p = TWO_PI / omega_p
-    rabi = TWO_PI * eps0 / abs(Delta) if use_omega_r0 else abs(Omega_R)
-    if rabi == 0:
+    if Omega_R == 0:
         raise ScheduleInfeasibleError("zero drive amplitude gives an infinite pulse")
-    t_H = math.pi / (math.sqrt(2.0) * rabi)
+    t_H = math.pi / (math.sqrt(2.0) * abs(Omega_R))
     if t_H >= t_p:
         raise ScheduleInfeasibleError(
             f"coin pulse t_H = {t_H:.4g} ns does not fit in the step "

@@ -1,4 +1,7 @@
-"""The fixed-step RK4 oracle that the tests hold the Padé step matrices to.
+"""Oracles that the tests hold the package to: the fixed-step RK4 step
+matrix for the Padé step matrices, and for the phase observables the
+direct-summation phase distribution and the first moment of a
+distribution on its grid.
 
 For a linear constant-coefficient system one RK4 sub-step of length h
 multiplies by the degree-4 Taylor polynomial
@@ -50,3 +53,36 @@ def rk4_propagator():
     """The Taylor-4 step-matrix builder, with the signature of
     ``solver.propagator``."""
     return _rk4_propagator
+
+
+def _phase_dist_oracle(state, M):
+    """Direct summation oracle: P(phi_k) = |<phi_k|psi>|^2 with explicit loops."""
+    dim = len(state)
+    p = []
+    for k in range(M):
+        phi = -math.pi + 2 * math.pi * k / M
+        amp = 0j
+        for n in range(dim):
+            amp += complex(math.cos(n * phi), -math.sin(n * phi)) * state[n]
+        p.append(abs(amp) ** 2 / M)
+    return np.array(p)
+
+
+@pytest.fixture(scope="session")
+def phase_dist_oracle():
+    """The phase distribution of a pure state by direct summation."""
+    return _phase_dist_oracle
+
+
+def _grid_holevo(dist) -> tuple[float, float]:
+    """Sharpness and Holevo deviation from the first moment of a phase
+    distribution on its grid, sum_k p_k exp(i phi_k): the oracle for
+    ``sharpness_holevo``, which reads the moment off the mode state."""
+    sharp = float(abs(np.sum(dist.p * np.exp(1j * dist.phi))))
+    return sharp, float(np.sqrt(1.0 / sharp**2 - 1.0))
+
+
+@pytest.fixture(scope="session")
+def grid_holevo():
+    """(sharpness, sigma_H) of a ``PhaseDistribution`` from its grid."""
+    return _grid_holevo

@@ -140,10 +140,10 @@ class TestConfigFile:
 
     def test_boolean_words(self, tmp_path):
         path = tmp_path / "walk.ini"
-        path.write_text("[model]\ndrive_first = off\nuse_omega_r0 = yes\n")
+        path.write_text("[model]\ndrive_first = off\n[emit]\nwigner = no\n")
         cfg = cli.load_config(path)
         assert cfg.drive_first is False
-        assert cfg.use_omega_r0 is True
+        assert cfg.emit_wigner is False
 
     def test_run_flags_name_run_config_fields(self):
         # every flag but these three is copied onto the RunConfig field of
@@ -321,6 +321,65 @@ class TestRunArtifacts:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def base_walk(tmp_path_factory):
+    """The stock 8-step ``base`` run, with its trajectory and the number of
+    phase grids it evaluated."""
+    trajectories, grids = [], []
+
+    def evolve(*args, **kwargs):
+        trajectories.append(solver.evolve(*args, **kwargs))
+        return trajectories[-1]
+
+    def phase_distribution(*args):
+        grids.append(args)
+        return obs.phase_distribution(*args)
+
+    config = cli.RunConfig(out_dir=str(tmp_path_factory.mktemp("base")))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "evolve", evolve)
+        mp.setattr(cli, "phase_distribution", phase_distribution)
+        cli.run(config)
+    return config, trajectories[0], len(grids)
+
+
+class TestPhaseObservables:
+    """The sharpness comes from the mode state; a phase grid is evaluated
+    only for a phase CSV, and the artifacts hold to the grid oracles within
+    1e-14 max(1, |ref|)."""
+
+    def test_phase_grids_only_for_the_csvs(self, base_walk, tmp_path, monkeypatch):
+        config, traj, grids = base_walk
+        assert len(traj.snapshots) == 8
+        assert grids == cli.MAX_PHASE_FILES
+        calls = []
+        monkeypatch.setattr(cli, "phase_distribution", lambda *a: calls.append(a))
+        cli.run(small_config(tmp_path, steps=8, emit_phase=False))
+        assert calls == []
+
+    def test_holevo_csv_matches_grid_oracle(self, base_walk, grid_holevo):
+        config, traj, _ = base_walk
+        m_phase = config.resolve_params().m_phase
+        out = config.resolve_out_dir()
+        table = np.loadtxt(out / "holevo.csv", delimiter=",", skiprows=1)
+        assert table[:, 0].tolist() == [step for step, _, _ in traj.snapshots]
+        for row, (_, _, rho) in zip(table, traj.snapshots):
+            ref = grid_holevo(obs.phase_distribution(obs.reduce_boson(rho), m_phase))
+            assert np.all(np.abs(row[2:] - ref) <= 1e-14 * np.maximum(1, np.abs(ref)))
+
+    def test_phase_csvs_match_direct_summation(self, base_walk, phase_dist_oracle):
+        config, traj, _ = base_walk
+        m_phase = config.resolve_params().m_phase
+        out = config.resolve_out_dir()
+        delta_c = cli.derive(config.resolve_params()).delta_c
+        for step, t, rho in traj.snapshots[: cli.MAX_PHASE_FILES]:
+            rho_m = obs.rotate_mode(obs.reduce_boson(rho), -delta_c * t)
+            weights, vectors = np.linalg.eigh(rho_m)
+            ref = sum(w * phase_dist_oracle(v, m_phase) for w, v in zip(weights, vectors.T))
+            table = np.loadtxt(out / f"phase_step{step}.csv", delimiter=",", skiprows=1)
+            assert np.all(np.abs(table[:, 1] - ref) <= 1e-14)
 
 
 class TestMainEntry:
@@ -543,6 +602,7 @@ class TestMainEntry:
 # Edge values of a --param override and of a Wigner range end.
 EDGE_VALUES = (
     "0", "5e-324", "1e-12", "1", "2.87", "1e12", "1e200", "1e307", "-1", "-1e200",
+    "100000000",
 )
 EDGE_RANGES = (
     "-1e308", "-1e200", "-1e20", "-4.5", "0", "4.5", "1e20", "1e200", "1e308",
@@ -583,6 +643,8 @@ class TestExitContract:
     @_squaring_example("base", "m_phase=4", "alpha=1", "d_sites=2", "nu_q=2.87",
                        "nu_D=1e12", "nu_eta=0.001")
     @_squaring_example("realistic", "m_phase=8", "alpha=0", "nu_eps0=1e200", "nu_D=1.0")
+    @example(preset="base", fock_dim=3, steps=1, params=[("m_phase", "100000000")],
+             grid=None)  # a grid of 1e8 x 3 complex entries is 4.8 GB
     @example(preset="base", fock_dim=4, steps=1, params=[("Gamma", "1e307")],
              grid=None)
     @example(preset="base", fock_dim=4, steps=1, params=[("alpha", "1e200")],
@@ -638,9 +700,14 @@ class TestConfigErrors:
         self._main(tmp_path, capsys, "--param", "m_phase=8")
 
     def test_m_phase_equal_to_fock_dim(self, tmp_path, capsys):
-        # at m_phase = fock_dim the sharpness aliases the wrap term
+        # at m_phase = fock_dim the phase CSV's first moment aliases the
+        # wrap term
         err = self._main(tmp_path, capsys, "--param", "m_phase=17")
         assert "m_phase = 17 must exceed fock_dim = 17" in err
+
+    def test_m_phase_above_ceiling(self, tmp_path, capsys):
+        err = self._main(tmp_path, capsys, "--param", "m_phase=100000000")
+        assert "m_phase = 100000000 exceeds 65536" in err
 
     @pytest.mark.parametrize(
         "param", ["Gamma=nan", "gamma1=inf", "alpha=nan", "alpha=1+infj"]
@@ -678,8 +745,10 @@ class TestConfigErrors:
             ("[DEFAULT]\nsamples_per_segment = 5\n", "unknown section [DEFAULT]"),
             ("[emit]\nfit = false\n", "unknown key 'fit'"),
             ("[run]\nmethod = expm\n", "unknown key 'method'"),
+            ("[model]\nuse_omega_r0 = yes\n", "unknown key 'use_omega_r0'"),
         ],
-        ids=["key", "section", "wigner_key", "default_section", "emit_fit", "method"],
+        ids=["key", "section", "wigner_key", "default_section", "emit_fit", "method",
+             "use_omega_r0"],
     )
     def test_unknown_config_entry(self, tmp_path, capsys, ini, message):
         # a misspelt or retired setting would otherwise run on its default

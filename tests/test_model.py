@@ -62,13 +62,6 @@ class TestDerive:
         assert d2.t_H == pytest.approx(d1.t_H / 2)
         assert d2.t_p == d1.t_p
 
-    def test_omega_r0_convention_flag(self, base):
-        p, d = base
-        d_alt = model.derive(p, use_omega_r0=True)
-        expected = 1.0 / (2 * math.sqrt(2) * p.nu_eps0 / 4.13)
-        assert d_alt.t_H == pytest.approx(expected, rel=1e-12)
-        assert d_alt.chi == d.chi
-
     def test_dispersive_warning(self):
         # eta large enough to break |Delta| >= 10 eta, drive raised to keep
         # the pulse inside the shrunken step period
@@ -80,12 +73,11 @@ class TestDerive:
         with pytest.raises(ScheduleInfeasibleError):
             model.derive(model.preset("base", nu_eps0=1e-4))
 
-    @pytest.mark.parametrize("use_omega_r0", [False, True])
-    def test_zero_coupling_is_infeasible(self, use_omega_r0):
+    def test_zero_coupling_is_infeasible(self):
         # chi = 0: no dispersive shift, so the step period 2pi/(|chi| d)
         # is infinite
         with pytest.raises(ScheduleInfeasibleError, match="zero coupling"):
-            model.derive(model.preset("base", nu_eta=0.0), use_omega_r0=use_omega_r0)
+            model.derive(model.preset("base", nu_eta=0.0))
 
     @pytest.mark.parametrize("field", ["nu_eta", "nu_eps0", "nu_q"])
     def test_overflowing_parameter_rejected(self, field):
@@ -102,12 +94,18 @@ class TestPhysicalParams:
             model.preset("base", Gamma=-1e-4)
 
     def test_m_phase_below_fock_dim_rejected(self):
-        # the grid needs more points than Fock levels (see
-        # observables.phase_distribution), so fock_dim itself is too few
+        # only a grid of more points than Fock levels has the sharpness as
+        # its first moment (see observables.phase_distribution), so
+        # fock_dim itself is too few
         for m_phase in (8, 17):
             with pytest.raises(InvalidParameterError):
                 model.preset("base", m_phase=m_phase)
         assert model.preset("base", m_phase=18).m_phase == 18
+
+    def test_m_phase_ceiling(self):
+        assert model.preset("base", m_phase=65536).m_phase == 65536
+        with pytest.raises(InvalidParameterError, match="exceeds 65536"):
+            model.preset("base", m_phase=65537)
 
     def test_truncation_budget_rejected(self):
         with pytest.raises(InvalidParameterError):

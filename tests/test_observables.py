@@ -94,19 +94,6 @@ class TestReduceBoson:
         npt.assert_allclose(reduced, expected, atol=1e-14)
 
 
-def phase_dist_oracle(state, M):
-    """Direct summation oracle: P(phi_k) = |<phi_k|psi>|^2 with explicit loops."""
-    dim = len(state)
-    p = []
-    for k in range(M):
-        phi = -math.pi + 2 * math.pi * k / M
-        amp = 0j
-        for n in range(dim):
-            amp += complex(math.cos(n * phi), -math.sin(n * phi)) * state[n]
-        p.append(abs(amp) ** 2 / M)
-    return np.array(p)
-
-
 class TestPhaseDistribution:
     def test_vacuum_is_flat(self):
         dist = obs.phase_distribution(density(ket(6, 0)), 64)
@@ -121,7 +108,7 @@ class TestPhaseDistribution:
         assert dist.p.sum() == pytest.approx(1.0, abs=1e-10)
         assert dist.p.min() >= 0.0
 
-    def test_against_direct_summation_oracle(self):
+    def test_against_direct_summation_oracle(self, phase_dist_oracle):
         state = coherent_state(3.0, 17)
         oracle = phase_dist_oracle(state, 64)
         dist = obs.phase_distribution(density(state), 64)
@@ -140,22 +127,22 @@ class TestPhaseDistribution:
                 obs.phase_distribution(density(coherent_state(1.0, 17)), M)
 
     @pytest.mark.parametrize("theta", [0.7, 2.0, -1.3])
-    def test_sharpness_rotation_invariant_on_smallest_grid(self, theta):
-        # M = F + 1 is the smallest grid admitted: its first moment is that
-        # of a fine grid, for any rotation.  At M = F the wrap term
-        # rho_{0, F-1} entered it: 0.9657 unrotated and 0.8563 after 0.7 rad,
-        # against 0.8906 here
+    def test_sharpness_rotation_invariant_on_smallest_grid(self, theta, grid_holevo):
+        # M = F + 1 is the smallest grid admitted: its first moment is the
+        # sharpness of the mode state, for any rotation.  At M = F the wrap
+        # term rho_{0, F-1} entered it: 0.9657 unrotated and 0.8563 after
+        # 0.7 rad, against 0.8906 here
         F = 6
         rho = density(coherent_state(1.5, F))
-        fine, _ = obs.sharpness_holevo(obs.phase_distribution(rho, 64))
+        fine, _ = obs.sharpness_holevo(rho)
         for state in (rho, obs.rotate_mode(rho, theta)):
-            sharp, _ = obs.sharpness_holevo(obs.phase_distribution(state, F + 1))
+            sharp, _ = grid_holevo(obs.phase_distribution(state, F + 1))
             assert sharp == pytest.approx(fine, abs=1e-14)
 
-    def test_refinement_invariance_of_sharpness(self):
+    def test_refinement_invariance_of_sharpness(self, grid_holevo):
         rho = density(coherent_state(3.0, 17))
-        s256, _ = obs.sharpness_holevo(obs.phase_distribution(rho, 256))
-        s512, _ = obs.sharpness_holevo(obs.phase_distribution(rho, 512))
+        s256, _ = grid_holevo(obs.phase_distribution(rho, 256))
+        s512, _ = grid_holevo(obs.phase_distribution(rho, 512))
         assert abs(s256 - s512) < 1e-6
 
     def test_rotation_covariance(self):
@@ -167,37 +154,60 @@ class TestPhaseDistribution:
         base = obs.phase_distribution(rho, M)
         shifted = obs.phase_distribution(rotated, M)
         npt.assert_allclose(shifted.p, np.roll(base.p, j), atol=1e-12)
-        s0, _ = obs.sharpness_holevo(base)
-        s1, _ = obs.sharpness_holevo(shifted)
+        s0, _ = obs.sharpness_holevo(rho)
+        s1, _ = obs.sharpness_holevo(rotated)
         assert abs(s0 - s1) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims=st.integers(2, 17).flatmap(
+            lambda f: st.tuples(st.just(f), st.integers(f + 1, 4 * f))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_states_match_grid_oracles(
+        self, dims, seed, phase_dist_oracle, grid_holevo
+    ):
+        # a mixed state's distribution is the eigenvalue-weighted sum of
+        # its eigenvectors' distributions
+        fock, M = dims
+        rho = _random_density(fock, seed)
+        weights, vectors = np.linalg.eigh(rho)
+        oracle = sum(w * phase_dist_oracle(v, M) for w, v in zip(weights, vectors.T))
+        dist = obs.phase_distribution(rho, M)
+        npt.assert_allclose(dist.p, oracle, rtol=0, atol=1e-12)
+        sharp, _ = obs.sharpness_holevo(rho)
+        assert abs(sharp - grid_holevo(dist)[0]) < 1e-14
 
 
 class TestSharpnessHolevo:
-    def test_delta_distribution(self):
+    """``sharpness_holevo`` reads the first moment off the mode state; the
+    grid oracle ``grid_holevo``, which the tests hold it to, is checked
+    here on distributions of known spread."""
+
+    def test_delta_distribution(self, grid_holevo):
         M = 128
         p = np.zeros(M)
         p[17] = 1.0
         phi = -np.pi + 2 * np.pi * np.arange(M) / M
-        sharp, sigma = obs.sharpness_holevo(obs.PhaseDistribution(phi, p))
+        sharp, sigma = grid_holevo(obs.PhaseDistribution(phi, p))
         assert sharp == pytest.approx(1.0)
         assert sigma == pytest.approx(0.0, abs=1e-9)
 
     def test_flat_distribution_raises(self):
-        M = 128
-        phi = -np.pi + 2 * np.pi * np.arange(M) / M
-        flat = obs.PhaseDistribution(phi, np.full(M, 1.0 / M))
+        # a Fock state has a flat phase distribution (TestPhaseDistribution)
+        # and no first moment
         with pytest.raises(FlatDistributionError):
-            obs.sharpness_holevo(flat)
+            obs.sharpness_holevo(density(ket(6, 4)))
 
-    def test_coherent_state_oracle(self):
+    def test_coherent_state_oracle(self, phase_dist_oracle):
         # sharpness from the direct-summation oracle, frozen band from the
         # Gaussian phase-width estimate exp(-1/(8 |alpha|^2))
         state = coherent_state(3.0, 17)
         oracle_p = phase_dist_oracle(state, 256)
         phi = -np.pi + 2 * np.pi * np.arange(256) / 256
         oracle_sharp = abs(np.sum(oracle_p * np.exp(1j * phi)))
-        dist = obs.phase_distribution(density(state), 256)
-        sharp, sigma = obs.sharpness_holevo(dist)
+        sharp, sigma = obs.sharpness_holevo(density(state))
         assert sharp == pytest.approx(oracle_sharp, abs=1e-9)
         assert 0.976 <= sharp <= 0.996
         assert abs(sharp - math.exp(-1 / 72)) < 0.01
@@ -205,13 +215,13 @@ class TestSharpnessHolevo:
         # 1/(2|alpha|) is only the Gaussian width estimate
         assert sigma == pytest.approx(1 / (2 * 3.0), abs=0.05)
 
-    def test_wrapped_gaussian_matches_width(self):
+    def test_wrapped_gaussian_matches_width(self, grid_holevo):
         M = 4096
         phi = -np.pi + 2 * np.pi * np.arange(M) / M
         for w in (0.05, 0.1):
             p = np.exp(-0.5 * (phi / w) ** 2)
             p /= p.sum()
-            _, sigma = obs.sharpness_holevo(obs.PhaseDistribution(phi, p))
+            _, sigma = grid_holevo(obs.PhaseDistribution(phi, p))
             assert abs(sigma - w) / w < 0.02
 
 
