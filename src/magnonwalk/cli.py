@@ -470,7 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--wigner-grid",
         default=None,
         metavar="MIN:MAX:POINTS",
-        help="phase-space grid, e.g. -4.5:4.5:101",
+        help="phase-space grid, as in --wigner-grid=-4.5:4.5:101; the '=' is "
+        "needed because a separate value that starts with '-' is read as an option",
     )
     runp.add_argument("--no-wigner", dest="emit_wigner", action="store_false")
     runp.add_argument("--out", dest="out_dir", help="output directory")

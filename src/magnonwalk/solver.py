@@ -19,23 +19,31 @@ Real Hermitian coordinates
 A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
 the orthonormal Hermitian basis E_ii, (E_ij + E_ji)/sqrt(2),
 i(E_ij - E_ji)/sqrt(2) it is a real matrix R = S L S^dag, with S unitary
-and at most 2 nonzeros per row (the coherence-vector form of Gorini,
-Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)).
-``liouvillian`` builds L once and returns this R, the one form of the
-generator that the solver takes.  The state and every step matrix live
-in these coordinates: the solver carries the real vector x = S vec(rho),
-every step matrix is built from R and applied to x, and
+and at most 2 nonzeros per row and per column (the coherence-vector form
+of Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)).
+``liouvillian`` sums the entries of L from the nonzeros of its Kronecker
+factors, sends each to the at most four entries of R it reaches, and
+returns R as a :class:`Generator`, its nonzero entries: the one form of
+the generator that the solver takes.  The state and every step matrix
+live in these coordinates: the solver carries the real vector
+x = S vec(rho), every step matrix is built from R and applied to x, and
 rho = unvec(S^dag x) is formed only where a sample or a snapshot needs
-it.  So rho is Hermitian by construction, and its trace
-is the sum of the diagonal coordinates x at the vec indices of |i><i|.
+it.  S and S^dag are applied as index gathers, each coordinate from the
+vec entries of |i><j| and |j><i|.  So rho is Hermitian by construction,
+and its trace is the sum of the diagonal coordinates x at the vec
+indices of |i><i|.
 A real dense product costs about a quarter of a complex one on half the
 bytes.  exp(R dt) is a hand-written real Padé-13
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
 (2005)), not ``scipy.linalg.expm``: on the real 1156 x 1156 drive-on
 matrix of the base preset scipy's real-dtype path errs by about 1e-11
 against the complex exponential of L, while this kernel stays near
-1e-13.  A generator whose R is not real to rounding does not preserve
-Hermiticity, and ``liouvillian`` rejects it with ValueError.
+1e-13.  The kernel takes its operand by its entries: A^2 is one join of
+the entries with the rows they meet, summed by ``np.bincount``, and only
+the outer product A @ (...) sees a dense A.  A generator whose R is not
+real to rounding does not preserve Hermiticity, and ``liouvillian``
+rejects it with ValueError.  The module is numpy only: no scipy is
+imported at run time.
 
 Block-wise exponential
 ----------------------
@@ -50,9 +58,9 @@ connected components of R's sparsity pattern are index sets that R never
 couples, so up to a permutation R is block diagonal, and the exponential
 of a block-diagonal matrix is the block-diagonal matrix of the blocks'
 exponentials.  The components are found by numpy label propagation over
-R's stored entries, in 5 passes for either generator of the base preset,
-so no graph library is imported.  Every step matrix is a list of (indices, dense block)
-pairs, one per block, applied to x block by block: the drive-off one
+R's entries, in 5 passes for either generator of the base preset, so no
+graph library is imported.  Every step matrix is a list of (indices,
+dense block) pairs, one per block, applied to x block by block: the drive-off one
 holds 18 blocks and 100,104 entries at cutoff 17.  Nothing about the
 model is assumed, so the split is exact for any parameters, zero rates
 included.  The drive eps (c + c^dag) connects every sector, so the
@@ -65,13 +73,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionError, NumericalFailureError
 from .model import DissipatorSpec, PulseSchedule
 from .observables import mean_number, qubit_populations, reduce_boson
 
 __all__ = [
+    "Generator",
     "liouvillian",
     "vec",
     "unvec",
@@ -108,20 +116,81 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class Generator:
+    """A real square matrix by its nonzero entries: the generator R that
+    :func:`liouvillian` returns, and each block of it that
+    :func:`_blockwise` passes to a kernel.  ``rows``, ``cols`` and
+    ``vals`` hold one entry per position, in row-major order.
+    ``np.asarray(R)`` gives the dense matrix and ``R * c`` the matrix
+    scaled by the number c."""
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a Generator has no dense array to share")
+        A = np.zeros(self.shape, dtype=self.vals.dtype if dtype is None else dtype)
+        A[self.rows, self.cols] = self.vals
+        return A
+
+    def __mul__(self, c) -> Generator:
+        return Generator(self.dim, self.rows, self.cols, self.vals * c)
+
+
+def _canonical(n: int, rows, cols, vals):
+    """The entries (rows, cols, vals) of an n x n matrix in canonical
+    form: one per position, in row-major order, each the sum of the
+    entries given at its position (added in the order given), with the
+    zero sums dropped."""
+    keys, inv = np.unique(rows * n + cols, return_inverse=True)
+    sums = np.bincount(inv, vals.real, len(keys)).astype(vals.dtype)
+    if np.iscomplexobj(vals):
+        sums.imag = np.bincount(inv, vals.imag, len(keys))
+    keep = sums != 0
+    return keys[keep] // n, keys[keep] % n, sums[keep]
+
+
+def _kron(A: np.ndarray, B: np.ndarray):
+    """The entries (rows, cols, vals) of kron(A, B), one per product of a
+    nonzero of A and a nonzero of B."""
+    ra, ca = np.nonzero(A)
+    rb, cb = np.nonzero(B)
+    m = B.shape[0]
+    return (
+        (ra[:, None] * m + rb).ravel(),
+        (ca[:, None] * m + cb).ravel(),
+        np.multiply.outer(A[ra, ca], B[rb, cb]).ravel(),
+    )
+
+
+def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> Generator:
     """The real generator R = S L S^dag (S from :func:`_hermitian_basis`)
     of the Liouvillian L on column-vectorized density matrices, as a
-    float64 CSR matrix: the operand of :func:`propagator`.  A generator
-    that does not map Hermitian matrices to Hermitian matrices, such as
-    that of a non-Hermitian H, has no real R and raises ValueError.
-    Overflow follows the caller's numpy floating-point settings; a
-    non-finite R raises NumericalFailureError."""
+    :class:`Generator`: the operand of :func:`propagator`.  L is summed
+    from the entries of the Kronecker products of its terms, and each of
+    its entries reaches at most four entries of R, since S has at most
+    two nonzeros per row and per column.  A generator that does not map
+    Hermitian matrices to Hermitian matrices, such as that of a
+    non-Hermitian H, has no real R and raises ValueError.  Overflow
+    follows the caller's numpy floating-point settings; a non-finite R
+    raises NumericalFailureError."""
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise DimensionError("Hamiltonian must be square")
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    Hs = sp.csr_matrix(H)
-    L = -1j * (sp.kron(eye, Hs) - sp.kron(Hs.T, eye))
+    eye = np.eye(dim)
+    terms = [_kron(eye, -1j * H), _kron(1j * H.T, eye)]
     for rate, x in diss.channels:
         if x.shape != (dim, dim):
             raise DimensionError(
@@ -129,86 +198,115 @@ def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> sp.csr_matrix:
             )
         if rate == 0.0:
             continue
-        xs = sp.csr_matrix(x)
-        xdx = sp.csr_matrix(x.conj().T @ x)
-        L = L + rate * (
-            sp.kron(xs.conjugate(), xs)
-            - 0.5 * (sp.kron(eye, xdx) + sp.kron(xdx.T, eye))
-        )
-    S = _hermitian_basis(dim * dim)
-    R = sp.csr_matrix(S @ L @ S.conj().T)
-    if not np.isfinite(R.data).all():
+        xdx = x.conj().T @ x
+        terms += [
+            _kron(rate * x.conj(), x),
+            _kron(eye, -0.5 * rate * xdx),
+            _kron(-0.5 * rate * xdx.T, eye),
+        ]
+    n2 = dim * dim
+    u, w, l = _canonical(n2, *map(np.concatenate, zip(*terms)))
+    # R[p, q] = sum over L[u, w] of S[p, u] L[u, w] conj(S[q, w]); column u
+    # of S holds own[u] at row u and other[partner[u]] at row partner[u]
+    partner, own, other = _hermitian_basis(n2)
+    at = np.stack((np.arange(n2), partner))
+    col = np.stack((own, other[partner]))
+    coef = col[:, None, u] * col[None, :, w].conj()
+    keep = coef != 0
+    rows, cols, vals = _canonical(
+        n2,
+        np.broadcast_to(at[:, None, u], coef.shape)[keep],
+        np.broadcast_to(at[None, :, w], coef.shape)[keep],
+        coef[keep] * np.broadcast_to(l, coef.shape)[keep],
+    )
+    if not np.isfinite(vals).all():
         raise NumericalFailureError("generator has non-finite entries")
-    scale = abs(L).max()
-    if np.abs(R.data.imag).max(initial=0.0) > _HERMITICITY_TOL * scale:
+    scale = np.abs(l).max(initial=0.0)
+    if np.abs(vals.imag).max(initial=0.0) > _HERMITICITY_TOL * scale:
         raise ValueError("generator does not preserve Hermiticity")
-    R = sp.csr_matrix(R.real)
-    R.eliminate_zeros()
-    return R
+    keep = vals.real != 0
+    return Generator(n2, rows[keep], cols[keep], vals.real[keep])
 
 
-def _hermitian_basis(n2: int) -> sp.csr_matrix:
+def _hermitian_basis(n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unitary S from column-stacked vec(rho) to the coordinates of rho
     in the orthonormal Hermitian basis E_ii, (E_ij + E_ji)/sqrt(2) and
     i(E_ij - E_ji)/sqrt(2) (i < j), kept at the vec index of |i><j|, |i><j|
-    and |j><i| respectively.  Real for Hermitian rho; at most 2 nonzeros
-    per row."""
+    and |j><i| respectively; real for Hermitian rho.  Returned as
+    (partner, own, other): row v of S holds own[v] at column v and
+    other[v] at column partner[v], the vec index of the transposed entry
+    (other[v] = 0 where partner[v] = v, on the diagonal).  So
+    S y = own y + other y[partner], and
+    S^dag x = conj(own) x + conj(other[partner]) x[partner]."""
     n = math.isqrt(n2)
     if n * n != n2:
         raise DimensionError(f"superoperator dimension {n2} is not a square")
     v = np.arange(n2)
     i, j = v % n, v // n
-    t = j + i * n  # vec index of |j><i|
     r = math.sqrt(0.5)
-    off = i != j
-    own = np.where(off, np.where(i < j, r, 1j * r), 1.0)
-    other = np.where(i < j, r, -1j * r)[off]
-    rows = np.concatenate((v, v[off]))
-    cols = np.concatenate((v, t[off]))
-    return sp.csr_matrix((np.concatenate((own, other)), (rows, cols)), shape=(n2, n2))
+    own = np.where(i < j, r, np.where(i > j, 1j * r, 1.0))
+    other = np.where(i < j, r, np.where(i > j, -1j * r, 0.0))
+    return j + i * n, own, other
 
 
-def _norm1(A) -> float:
-    """||A||_1 of a sparse kernel operand; NumericalFailureError if not finite."""
-    norm = abs(A).sum(axis=0).max()
+def _norm1(A: Generator) -> float:
+    """||A||_1 of a kernel operand; NumericalFailureError if not finite."""
+    norm = np.bincount(A.cols, np.abs(A.vals), A.dim).max(initial=0.0)
     if not np.isfinite(norm):
         raise NumericalFailureError(f"step-matrix operand has 1-norm {norm}")
     return norm
 
 
 def _expm_pade13(A) -> np.ndarray:
-    """exp(A) for a real square A, sparse or dense: the [13/13] Padé
-    approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
-    Appl. 26, 1179 (2005)), scaled by 2^-s with
+    """exp(A) for a real square A, a :class:`Generator` or a dense array:
+    the [13/13] Padé approximant with scaling and squaring (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)), scaled by 2^-s with
     s = max(0, ceil(log2(||A||_1 / theta_13))).
 
-    A stays sparse: A^2 is formed from it, and the outer A @ (...) of U is
-    a sparse-by-dense product.  A^2 is dense only for the two products
+    A is taken by its entries, put in canonical form first (see
+    :func:`_canonical`), so duplicate entries are summed before its
+    1-norm is taken and every product adds its terms in one order,
+    however the caller stored A.  A^2 is the one product formed from the
+    entries: every entry (i, j) is joined with every entry of row j, and
+    one ``np.bincount`` over the positions (i, k) sums the products, in
+    order of j, into the dense A^2.  A^2 is dense for the two products
     A^4 = A^2 A^2 and A^6 = A^4 A^2; in the four Padé sums it enters by
-    its stored entries (one per position: a sparse product sums its
-    terms), each added at its place.  The multiples of A^4 and A^6 pass
-    through one work buffer W, and U and V are accumulated in place, so
-    at most five dense n x n arrays are alive at once: A^4, A^6, W, U and
-    V.  Five is the floor here, since the solve holds five too: U, V, the
-    two copies of them that LAPACK factors and overwrites, and the
-    result.  The squarings alternate between two buffers.  Each sum takes
-    the same terms in the same order as the plain expression
-    b13 A^6 + b11 A^4 + b9 A^2 and its kin, so the result is bit for bit
-    that of the plain expressions.  A is put in canonical form first, on
-    a copy, so duplicate entries are summed before its 1-norm is taken
-    and the products add their terms in one order, however the caller
-    stored A.  An A of non-finite 1-norm (a rate or frequency beyond the
-    float range) raises NumericalFailureError."""
+    its nonzero entries, each added at its place.  The multiples of A^4
+    and A^6 pass through one work buffer W, and U and V are accumulated
+    in place, so at most five dense n x n arrays are alive at once: A^4,
+    A^6, W, U and V.  Five is the floor here, since the solve holds five
+    too: U, V, the two copies of them that LAPACK factors and overwrites,
+    and the result.  The dense A is built in W, only for the outer
+    product A @ (...) of U, and freed after it.  The squarings alternate
+    between two buffers.  Each sum takes the same terms in the same
+    order as the plain expression b13 A^6 + b11 A^4 + b9 A^2 and its kin,
+    so the result is bit for bit that of the plain expressions.  An A of
+    non-finite 1-norm (a rate or frequency beyond the float range) raises
+    NumericalFailureError."""
     b = _PADE13
-    A = sp.csr_matrix(A, copy=True)
-    A.sum_duplicates()
-    n = A.shape[0]
+    if isinstance(A, Generator):
+        n, rows, cols, vals = A.dim, A.rows, A.cols, A.vals
+    else:
+        n = len(A)
+        rows, cols = np.nonzero(A)
+        vals = A[rows, cols]
+    A = Generator(n, *_canonical(n, rows, cols, vals))
     norm = _norm1(A)
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     A = A * 2.0**-s
-    A2 = (A @ A).tocoo()
-    rows, cols, a2 = A2.row, A2.col, A2.data
-    A2 = A2.toarray()
+    # A^2[i, k] = sum_j A[i, j] A[j, k]: entry e = (i, j) meets the entries
+    # first[e] .. first[e] + count[e] - 1, which make up row j
+    indptr = np.searchsorted(A.rows, np.arange(n + 1))
+    first, count = indptr[A.cols], np.diff(indptr)[A.cols]
+    left = np.repeat(np.arange(A.nnz), count)
+    right = np.arange(len(left)) + np.repeat(first - (np.cumsum(count) - count), count)
+    A2 = np.bincount(
+        A.rows[left] * n + A.cols[right], A.vals[left] * A.vals[right], n * n
+    ).astype(float, copy=False)
+    del left, right
+    pos = np.flatnonzero(A2 != 0)  # on a mask: several times faster here
+    a2 = A2[pos]
+    A2 = A2.reshape(n, n)
     A4 = A2 @ A2
     A6 = A4 @ A2
     del A2
@@ -219,19 +317,22 @@ def _expm_pade13(A) -> np.ndarray:
         summed left to right."""
         out = np.multiply(A4, c4)
         np.add(np.multiply(A6, c6, out=W), out, out=W)
-        W[rows, cols] += c2 * a2
+        W.reshape(-1)[pos] += c2 * a2
         np.matmul(A6, W, out=out)
         for c, M in ((d6, A6), (d4, A4)):
             np.multiply(M, c, out=W)
             out += W
-        out[rows, cols] += d2 * a2
+        out.reshape(-1)[pos] += d2 * a2
         out.flat[:: n + 1] += d0
         return out
 
     U = pade_sum(*b[13::-2])
     V = pade_sum(*b[12::-2])
-    del A4, A6, W
-    U = A @ U
+    del A4, A6
+    W.fill(0.0)
+    W[A.rows, A.cols] = A.vals
+    U = W @ U
+    del W
     V -= U  # V - U
     U *= 2.0
     U += V  # V + U
@@ -244,27 +345,24 @@ def _expm_pade13(A) -> np.ndarray:
     return E
 
 
-def _blockwise(R, kernel) -> list[tuple[np.ndarray, np.ndarray]]:
+def _blockwise(R: Generator, kernel) -> list[tuple[np.ndarray, np.ndarray]]:
     """``kernel`` applied to each independent block of the real generator
     R: the real step matrix that advances the coordinates x = S vec(rho)
     (see :func:`_hermitian_basis`), as a list of (indices, block) pairs,
-    one per connected component of R's sparsity pattern (its stored
-    entries, taken as undirected edges).  The components are found by
-    numpy label propagation: every pass lowers each label to the smallest
-    label across any of its entries, then jumps each label to its
-    label's label, until nothing changes; each label is then the smallest
-    index of its component.  The components come in order of that index,
-    the indices of each are ascending, and the block is the dense float64
-    ``kernel`` of R's submatrix on them, passed as a real CSR matrix.  R
-    has no entry between two components, so this is exact for any kernel
-    that acts block by block on a block-diagonal matrix, such as a power
-    series.  A complex R raises ValueError."""
-    if np.iscomplexobj(R):
+    one per connected component of R's sparsity pattern (its entries,
+    taken as undirected edges).  The components are found by numpy label
+    propagation: every pass lowers each label to the smallest label
+    across any of its entries, then jumps each label to its label's
+    label, until nothing changes; each label is then the smallest index
+    of its component.  The components come in order of that index, the
+    indices of each are ascending, and the block is the dense float64
+    ``kernel`` of R's submatrix on them, passed as a :class:`Generator`
+    of the block.  R has no entry between two components, so this is
+    exact for any kernel that acts block by block on a block-diagonal
+    matrix, such as a power series.  A complex R raises ValueError."""
+    if np.iscomplexobj(R.vals):
         raise ValueError("step matrices take the real generator from liouvillian")
-    R = sp.csr_matrix(R)
-    n = R.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(R.indptr))
-    cols = R.indices
+    n, rows, cols = R.dim, R.rows, R.cols
     labels = np.arange(n)  # each label is an index of its own component
     while True:
         lower = labels.copy()
@@ -274,9 +372,18 @@ def _blockwise(R, kernel) -> list[tuple[np.ndarray, np.ndarray]]:
         if np.array_equal(lower, labels):
             break
         labels = lower
-    # every label is now the smallest index of its component
-    indices = [np.flatnonzero(labels == root) for root in np.unique(labels)]
-    return [(idx, kernel(R[idx[:, None], idx])) for idx in indices]
+    # every label is now the smallest index of its component; sort the
+    # indices and the entries by component, keeping their order within one
+    order = np.argsort(labels, kind="stable")
+    roots, starts = np.unique(labels[order], return_index=True)
+    local = np.empty(n, dtype=np.intp)  # the index within the component
+    local[order] = np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
+    entries = np.argsort(labels[rows], kind="stable")
+    cuts = np.searchsorted(labels[rows][entries], roots[1:])
+    return [
+        (idx, kernel(Generator(len(idx), local[rows[e]], local[cols[e]], R.vals[e])))
+        for idx, e in zip(np.split(order, starts[1:]), np.split(entries, cuts))
+    ]
 
 
 def _apply(P: list, x: np.ndarray) -> np.ndarray:
@@ -301,10 +408,11 @@ def propagator(R, dt: float) -> list:
 
 
 def _condition(
-    x: np.ndarray, S_dag: sp.csr_matrix
+    x: np.ndarray, S_dag: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Renormalize drifting trace and police positivity of the state with
-    real Hermitian coordinates x; ``S_dag`` maps them back to vec(rho).
+    real Hermitian coordinates x.  ``S_dag`` = (partner, a, b) maps them
+    back to vec(rho) = a x + b x[partner] (see :func:`_hermitian_basis`).
 
     Returns the repaired coordinates, the density matrix they give, the
     trace drift |Tr rho - 1| seen before the repair (above
@@ -322,7 +430,8 @@ def _condition(
         if abs(tr) < 1e-6:
             raise NumericalFailureError(f"state trace collapsed to {tr:.3e}")
         x = x / tr
-    rho = unvec(S_dag @ x, n)
+    partner, a, b = S_dag
+    rho = unvec(a * x + b * x[partner], n)
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < POSITIVITY_FLOOR:
         raise NumericalFailureError(
@@ -407,20 +516,21 @@ def evolve(
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    generators: dict[bool, sp.csr_matrix] = {}  # keyed by drive flag
+    generators: dict[bool, Generator] = {}  # keyed by drive flag
     propagators: dict[tuple[bool, float], list] = {}
     paths: list[dict] = []
     samples: list[tuple] = []
     snapshots: list[tuple[int, float, np.ndarray]] = []
-    S = _hermitian_basis(rho0.size)
-    S_dag = sp.csr_matrix(S.conj().T)
+    partner, own, other = _hermitian_basis(rho0.size)
+    S_dag = (partner, own.conj(), other[partner].conj())
+    v0 = vec(rho0)
 
     def sample(t, drive_on, rho, drift, min_eig):
         pe, pg = qubit_populations(rho)
         top = reduce_boson(rho)[-1, -1].real
         samples.append((t, mean_number(rho), pe, pg, drive_on, drift, min_eig, top))
 
-    x, rho, drift, min_eig = _condition((S @ vec(rho0)).real, S_dag)
+    x, rho, drift, min_eig = _condition((own * v0 + other * v0[partner]).real, S_dag)
     first_flag = schedule.segments[0].drive_on if schedule.segments else False
     sample(0.0, first_flag, rho, drift, min_eig)
 

@@ -40,7 +40,7 @@ def _rk4_propagator(R, dt: float) -> list:
     n_sub = max(1, math.ceil(solver._norm1(R * dt) / _RK4_SUBSTEP_NORM))
 
     def taylor4_power(A):
-        A = A.toarray()
+        A = np.asarray(A)
         eye = np.eye(len(A))
         T = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
         return np.linalg.matrix_power(T, n_sub)

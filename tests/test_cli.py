@@ -528,6 +528,39 @@ class TestMainEntry:
         lines = (tmp_path / "wg" / "wigner_step1.csv").read_text().splitlines()
         assert len(lines) == 1 + 7 * 7
 
+    def test_wigner_grid_help_example_runs(self, tmp_path, capsys, monkeypatch):
+        # the example of ``run --help`` runs as written; its value starts
+        # with '-', so it reaches the flag only in the '=' form
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main(["run", "--help"]) == 0
+        example = re.search(r"--wigner-grid=[^\s;]+", capsys.readouterr().out).group(0)
+        argv = ["run", "--preset", "base", "--steps", "1", "--samples-per-segment", "1",
+                "--fit-steps", "0", "--param", "fock_dim=3", "--param", "alpha=1",
+                "--out", str(tmp_path / "out")]
+        assert cli.main([*argv, example]) == 0
+        points = int(example.rsplit(":", 1)[1])
+        lines = (tmp_path / "out" / "wigner_step1.csv").read_text().splitlines()
+        assert len(lines) == 1 + points**2
+        # as a separate word the value is read as an option: a usage error
+        assert cli.main([*argv, *example.split("=", 1)]) == 1
+
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # scipy is the tests' oracle only: after the import, a verify and a
+        # 1-step run, a fresh interpreter holds no scipy module
+        run = ["run", "--preset", "base", "--steps", "1", "--param", "fock_dim=3",
+               "--param", "alpha=1", "--no-wigner", "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "import magnonwalk.cli as cli\n"
+            "assert cli.main(['verify']) == 0\n"
+            f"assert cli.main({run!r}) == 0\n"
+            "print('scipy modules:', sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+
     def test_rk4_sub_step_is_not_a_setting(
         self, tmp_path, capsys, monkeypatch, rk4_propagator
     ):

@@ -1,17 +1,23 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
 from magnonwalk import model, solver
-from magnonwalk.errors import NumericalFailureError
+from magnonwalk.errors import (
+    DispersiveRegimeWarning,
+    InvalidParameterError,
+    NumericalFailureError,
+    ScheduleInfeasibleError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,25 +64,53 @@ def _dense(P):
     return D
 
 
+def _basis(n2):
+    """The S of ``solver._hermitian_basis`` as a sparse matrix."""
+    partner, own, other = solver._hermitian_basis(n2)
+    v = np.arange(n2)
+    rows, cols = np.concatenate((v, v)), np.concatenate((v, partner))
+    return sp.csr_matrix((np.concatenate((own, other)), (rows, cols)), shape=(n2, n2))
+
+
+def _csr(R):
+    """A ``solver.Generator`` as a sparse matrix of its entries."""
+    return sp.csr_matrix((R.vals, (R.rows, R.cols)), shape=R.shape)
+
+
+def _generator(n, rows, cols, vals):
+    """A ``solver.Generator`` of the given entries, put in row-major order."""
+    order = np.lexsort((cols, rows))
+    return solver.Generator(n, np.asarray(rows, dtype=np.intp)[order],
+                            np.asarray(cols, dtype=np.intp)[order],
+                            np.asarray(vals, dtype=float)[order])
+
+
+def _vec_form(R):
+    """A real matrix in column-stacked vec coordinates: S^dag R S."""
+    S = _basis(R.shape[0])
+    return (S.conj().T @ sp.csr_matrix(R) @ S).toarray()
+
+
 def _vec_step(P):
     """A real step matrix in column-stacked vec coordinates: S^dag P S."""
-    S = solver._hermitian_basis(sum(len(idx) for idx, _ in P))
-    return (S.conj().T @ sp.csr_matrix(_dense(P)) @ S).toarray()
+    return _vec_form(_dense(P))
 
 
 def _coordinates(rho):
-    """The real Hermitian coordinates x = S vec(rho) and S^dag."""
-    S = solver._hermitian_basis(rho.size)
-    return (S @ solver.vec(rho)).real, sp.csr_matrix(S.conj().T)
+    """The real Hermitian coordinates x = S vec(rho), and S^dag as the
+    (partner, a, b) of vec(rho) = a x + b x[partner] that ``_condition``
+    takes."""
+    partner, own, other = solver._hermitian_basis(rho.size)
+    x = (_basis(rho.size) @ solver.vec(rho)).real
+    return x, (partner, own.conj(), other[partner].conj())
 
 
 class TestLiouvillian:
     def test_diagonal_hamiltonian_gives_diagonal_liouvillian(self):
         h = np.diag([0.0, 1.0, 3.5]).astype(complex)
         R = solver.liouvillian(h, model.DissipatorSpec(channels=()))
-        assert R.dtype == np.float64
-        S = solver._hermitian_basis(9)
-        L = (S.conj().T @ R @ S).toarray()
+        assert R.vals.dtype == np.float64
+        L = _vec_form(_csr(R))
         npt.assert_allclose(L, np.diag(np.diag(L)), atol=1e-14)
         # entries -i (H_jj - H_kk) at vec index (k-major, j-minor)
         expected = np.array(
@@ -90,7 +124,7 @@ class TestLiouvillian:
         spec = model.DissipatorSpec(channels=((0.3, c),))
         R = solver.liouvillian(np.zeros((dim, dim), dtype=complex), spec)
         vac = _density(np.eye(dim, dtype=complex)[0])
-        npt.assert_allclose(R @ _coordinates(vac)[0], 0, atol=1e-14)
+        npt.assert_allclose(np.asarray(R) @ _coordinates(vac)[0], 0, atol=1e-14)
 
     def test_trace_vector_annihilation_base_preset(self):
         # Tr rho is the sum of the diagonal coordinates, which are the
@@ -98,7 +132,7 @@ class TestLiouvillian:
         p = model.preset("base")
         R = _generators(p, True)[0]
         trace_vec = _coordinates(np.eye(2 * p.fock_dim))[0]
-        assert np.linalg.norm(trace_vec @ R) < 1e-10
+        assert np.linalg.norm(trace_vec @ np.asarray(R)) < 1e-10
 
     @pytest.mark.parametrize("drive_on", [True, False])
     def test_rejects_non_finite_generator(self, drive_on):
@@ -180,7 +214,7 @@ class TestBlockwisePropagator:
             return
         assert len(P) >= p.fock_dim + 1
         k = _excitation_difference(p.fock_dim)
-        S = solver._hermitian_basis(len(L))
+        S = _basis(len(L))
         for idx, _ in P:
             # the vec entries a block's coordinates are made of share one |k|
             vec_entries = np.unique(S[idx].indices)
@@ -522,7 +556,7 @@ def _longdouble_expm(A):
 class TestRealCoordinates:
     def test_hermitian_basis_is_unitary_and_real_on_hermitian_states(self):
         dim = 5
-        S = solver._hermitian_basis(dim * dim)
+        S = _basis(dim * dim)
         npt.assert_allclose((S @ S.conj().T).toarray(), np.eye(dim * dim), atol=1e-15)
         assert np.diff(S.indptr).max() == 2
         rho = _random_density(dim, seed=3)
@@ -532,9 +566,11 @@ class TestRealCoordinates:
     @pytest.mark.parametrize("drive_on", [True, False])
     def test_generator_is_real(self, drive_on):
         R, L = _small_generators(5, (0.01, 0.02, 0.03), drive_on)
-        S = solver._hermitian_basis(L.shape[0])
-        assert sp.isspmatrix_csr(R) and R.dtype == np.float64
-        npt.assert_allclose((S.conj().T @ R @ S).toarray(), L, rtol=0, atol=1e-13)
+        assert isinstance(R, solver.Generator) and R.shape == L.shape
+        assert R.vals.dtype == np.float64 and np.all(R.vals != 0)
+        # one entry per position, in row-major order
+        assert np.all(np.diff(R.rows * R.dim + R.cols) > 0) and R.nnz == len(R.rows)
+        npt.assert_allclose(_vec_form(_csr(R)), L, rtol=0, atol=1e-13)
 
     def test_rejects_generator_that_breaks_hermiticity(self, rk4_propagator):
         # -i[H, rho] of a non-Hermitian H leaves the Hermitian matrices
@@ -542,23 +578,23 @@ class TestRealCoordinates:
         with pytest.raises(ValueError, match="Hermiticity"):
             solver.liouvillian(h, model.DissipatorSpec(channels=()))
         # a complex operand is no real generator
-        eye = sp.identity(16, dtype=complex, format="csr")
+        eye = _generator(16, np.arange(16), np.arange(16), np.ones(16))
         for build in (solver.propagator, rk4_propagator):
             with pytest.raises(ValueError, match="real generator"):
-                build(1j * eye, 1.0)
+                build(eye * 1j, 1.0)
 
     def test_drive_off_blocks_merge_k_and_minus_k(self):
         # cutoff 17: k in -17..17 gives 35 sectors, |k| gives 18 real blocks
         p = model.preset("base")
         R = _generators(p, False)[0]
-        blocks = solver._blockwise(R, lambda A: A.toarray())
+        blocks = solver._blockwise(R, np.asarray)
         assert len(blocks) == 18 and max(len(idx) for idx, _ in blocks) == 128
         # the blocks partition the coordinates and hold every entry of R
         npt.assert_array_equal(np.sort(np.concatenate([i for i, _ in blocks])),
                                np.arange(R.shape[0]))
-        npt.assert_array_equal(_dense(blocks), R.toarray())
+        npt.assert_array_equal(_dense(blocks), np.asarray(R))
         k = _excitation_difference(p.fock_dim)
-        S = solver._hermitian_basis(R.shape[0])
+        S = _basis(R.shape[0])
         for idx, _ in blocks:
             assert len(np.unique(np.abs(k[np.unique(S[idx].indices)]))) == 1
 
@@ -580,15 +616,15 @@ class TestRealCoordinates:
         # the builder and the RK4 oracle split R into the connected components of its
         # sparsity pattern, which evolve reads off the step matrix
         R, _ = _small_generators(fock_dim, rates, drive_on)
-        n_comp, labels = connected_components(abs(R), directed=False)
+        n_comp, labels = connected_components(_csr(R), directed=False)
         want = sorted(tuple(np.flatnonzero(labels == c)) for c in range(n_comp))
         for P in (solver.propagator(R, 0.1), rk4_propagator(R, 0.1)):
             assert sorted(tuple(idx) for idx, _ in P) == want
 
     def test_drive_on_exponential_peak_memory(self):
         # the 1156 x 1156 drive-on exponential of base keeps at most five
-        # dense float64 operands alive at once, plus the sparse A and the
-        # stored entries of A^2
+        # dense float64 operands alive at once, plus the entries of A and
+        # the nonzero entries of A^2
         p = model.preset("base")
         d = model.derive(p)
         R = solver.liouvillian(
@@ -611,23 +647,22 @@ class TestRealCoordinates:
         R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
-        R = (R * (d.t_H / 10)).toarray()
+        R = np.asarray(R * (d.t_H / 10))
         err = np.abs(solver._expm_pade13(R) - _longdouble_expm(R)).max()
         assert err <= 1e-13
 
     def test_pade_kernel_index_form(self):
-        # A^2 enters the Padé sums by its stored entries.  An operand
-        # stored with duplicate (same- and opposite-sign halves, exact in
-        # binary) and explicit-zero entries, rows unsorted, has the
-        # exponential of its canonical form, bit for bit
+        # The kernel takes its operand by its entries.  An operand stored
+        # with duplicate (same- and opposite-sign halves, exact in binary)
+        # and explicit-zero entries, rows unsorted, has the exponential of
+        # its canonical form bit for bit, and so has its dense array
         p = model.preset("base", fock_dim=4, alpha=1.0 + 0.0j)
         d = model.derive(p)
         R = solver.liouvillian(
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
-        canon = sp.csr_matrix((R * (d.t_H / 10)).toarray())
-        coo = canon.tocoo()
-        r, c, v = coo.row, coo.col, coo.data
+        canon = R * (d.t_H / 10)
+        r, c, v = canon.rows, canon.cols, canon.vals
         half = np.arange(len(v)) % 2 == 0
         rows = np.concatenate((r[half], r[half], r[~half], r[~half], np.arange(5)))
         cols = np.concatenate((c[half], c[half], c[~half], c[~half], 4 - np.arange(5)))
@@ -635,12 +670,13 @@ class TestRealCoordinates:
                                np.zeros(5)))
         order = np.random.default_rng(0).permutation(len(vals))
         order = order[np.argsort(rows[order], kind="stable")]  # rows shuffled
-        indptr = np.searchsorted(rows[order], np.arange(canon.shape[0] + 1))
-        stored = sp.csr_matrix((vals[order], cols[order], indptr), shape=canon.shape)
-        assert stored.nnz == 2 * canon.nnz + 5 and not stored.has_canonical_format
+        stored = solver.Generator(canon.dim, rows[order], cols[order], vals[order])
+        assert stored.nnz == 2 * canon.nnz + 5
+        assert np.any(np.diff(stored.rows * stored.dim + stored.cols) <= 0)
         E = solver._expm_pade13(stored)
         assert E.tobytes() == solver._expm_pade13(canon).tobytes()
-        assert np.abs(E - _longdouble_expm(canon.toarray())).max() <= 1e-13
+        assert E.tobytes() == solver._expm_pade13(np.asarray(canon)).tobytes()
+        assert np.abs(E - _longdouble_expm(np.asarray(canon))).max() <= 1e-13
 
     def test_pade_kernel_rejects_non_finite_operand(self):
         A = np.zeros((3, 3))
@@ -651,7 +687,7 @@ class TestRealCoordinates:
     def test_rk4_rejects_non_finite_operand(self, rk4_propagator):
         # a NaN in R dt would reach math.ceil as a ValueError through the
         # oracle's sub-step count
-        R = sp.csr_matrix(np.array([[0.0, np.nan], [0.0, -1.0]]))
+        R = _generator(2, [0, 1], [1, 1], [np.nan, -1.0])
         with pytest.raises(NumericalFailureError, match="1-norm nan"):
             rk4_propagator(R, 0.1)
 
@@ -661,43 +697,91 @@ class TestRealCoordinates:
         npt.assert_allclose(E, np.eye(3), rtol=0, atol=2e-16)
 
 
+_log_rate = st.floats(-5.0, -1.0).map(lambda e: 10.0**e)
+
+
+class TestKernelAccuracy:
+    # Every step matrix against the longdouble oracle within
+    # 4 u ||R dt||_1 + 1e-15 in the largest absolute entry, u = 2^-53.
+    # Over this space ||R dt||_1 spans about 1.1 to 2e5 (300 feasible
+    # draws, most between 10 and 5e3): the drive-off segment of a small
+    # nu_eta lasts longest.  The constant 4 is fixed before any run.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fock_dim=st.integers(3, 6),
+        nu_q=st.floats(4.0, 10.0),
+        nu_D=st.floats(1.0, 4.0),
+        nu_eta=st.floats(0.005, 0.2),
+        nu_eps0=st.floats(0.1, 20.0),
+        rates=st.tuples(_log_rate, _log_rate, _log_rate),
+        samples=st.integers(1, 20),
+        drive_on=st.booleans(),
+    )
+    def test_step_matrix_matches_longdouble(
+        self, fock_dim, nu_q, nu_D, nu_eta, nu_eps0, rates, samples, drive_on
+    ):
+        gamma1, gamma_phi, Gamma = rates
+        try:
+            with warnings.catch_warnings():
+                # the dispersive picture does not enter the exponential
+                warnings.simplefilter("ignore", DispersiveRegimeWarning)
+                p = model.preset(
+                    "base", fock_dim=fock_dim, alpha=1.0, nu_q=nu_q, nu_D=nu_D,
+                    nu_eta=nu_eta, nu_eps0=nu_eps0, gamma1=gamma1,
+                    gamma_phi=gamma_phi, Gamma=Gamma,
+                )
+                d = model.derive(p)
+        except (InvalidParameterError, ScheduleInfeasibleError):
+            assume(False)  # resonant, or the coin pulse outlasts the step
+        R = solver.liouvillian(
+            model.hamiltonian_rotframe(p, d, drive_on), model.dissipators(p)
+        )
+        dt = (d.t_H if drive_on else d.t_p - d.t_H) / samples
+        err = np.abs(_dense(solver.propagator(R, dt))
+                     - _longdouble_expm(np.asarray(R * dt))).max()
+        assert err <= 4 * 2.0**-53 * solver._norm1(R * dt) + 1e-15
+
+
 @st.composite
-def _csr_patterns(draw):
-    """A real n x n CSR matrix, n <= 60, whose stored entries are random
-    one-directional edges (zero values included), optionally plus a path
-    through all n nodes in random order: the longest diameter, so the
-    most passes of the label search."""
+def _generator_patterns(draw):
+    """A real n x n ``solver.Generator``, n <= 60, whose entries are
+    random one-directional edges with nonzero values, optionally plus a
+    path through all n nodes in random order: the longest diameter, so
+    the most passes of the label search."""
     n = draw(st.integers(1, 60))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
     if draw(st.booleans()):
         path = draw(st.permutations(range(n)))
         edges += list(zip(path[:-1], path[1:]))
-    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(edges),
+    edges = sorted(set(edges))
+    values = draw(st.lists(st.floats(-2.0, 2.0).filter(bool), min_size=len(edges),
                            max_size=len(edges)))
     rows, cols = np.array(edges, dtype=int).reshape(-1, 2).T
-    return sp.csr_matrix((np.array(values, dtype=float), (rows, cols)), shape=(n, n))
+    return _generator(n, rows, cols, values)
 
 
 def _permuted_path(n, seed):
     path = np.random.default_rng(seed).permutation(n)
-    return sp.csr_matrix((np.ones(n - 1), (path[:-1], path[1:])), shape=(n, n))
+    return _generator(n, path[:-1], path[1:], np.ones(n - 1))
 
 
 class TestComponentSearch:
     @settings(max_examples=200, deadline=None)
-    @given(R=_csr_patterns())
-    @example(R=sp.csr_matrix((7, 7)))  # all zero: every node its own block
+    @given(R=_generator_patterns())
+    @example(R=_generator(7, [], [], []))  # all zero: every node its own block
     # isolated nodes and one-directional edges
-    @example(R=sp.csr_matrix(([1.0, -3.0], ([0, 5], [3, 1])), shape=(8, 8)))
+    @example(R=_generator(8, [0, 5], [3, 1], [1.0, -3.0]))
     @example(R=_permuted_path(60, seed=0))
     def test_matches_csgraph(self, R):
         # _blockwise's blocks are scipy's undirected connected components
         # of R's stored entries, in scipy's order
-        n_comp, labels = connected_components(abs(R), directed=False)
+        n_comp, labels = connected_components(_csr(R), directed=False)
         blocks = solver._blockwise(R, lambda A: A)
         assert len(blocks) == n_comp
-        dense = R.toarray()
+        dense = np.asarray(R)
         for comp, (idx, block) in enumerate(blocks):
             npt.assert_array_equal(idx, np.flatnonzero(labels == comp))
-            npt.assert_array_equal(block.toarray(), dense[np.ix_(idx, idx)])
+            npt.assert_array_equal(np.asarray(block), dense[np.ix_(idx, idx)])
+            # each block keeps one entry per position, in row-major order
+            assert np.all(np.diff(block.rows * block.dim + block.cols) > 0)
