@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -420,6 +424,27 @@ BASE_SIGMA_H = np.array([
 ])
 
 
+@pytest.fixture(scope="module")
+def cli_scipy_modules():
+    """The scipy modules in ``sys.modules`` of a fresh interpreter after
+    ``import magnonwalk.cli``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    code = (
+        "import sys, magnonwalk.cli; "
+        "print('\\n'.join(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestOls:
     """``_ols`` against ``scipy.stats.linregress``, which the package no
     longer imports."""
@@ -445,3 +470,12 @@ class TestOls:
     def test_identical_x_rejected(self):
         with pytest.raises(ValueError):
             obs._ols(np.ones(4), np.arange(4.0))
+
+    @pytest.mark.parametrize(
+        "module",
+        ["scipy.stats", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"],
+    )
+    def test_import_leaves_scipy_module_out(self, cli_scipy_modules, module):
+        # the runtime imports no scipy module; the tests use it as an oracle
+        assert [m for m in cli_scipy_modules
+                if m == module or m.startswith(module + ".")] == []
