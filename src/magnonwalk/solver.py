@@ -280,9 +280,11 @@ def _expm_pade13(A) -> np.ndarray:
     product A @ (...) of U, and freed after it.  The squarings alternate
     between two buffers.  Each sum takes the same terms in the same
     order as the plain expression b13 A^6 + b11 A^4 + b9 A^2 and its kin,
-    so the result is bit for bit that of the plain expressions.  An A of
-    non-finite 1-norm (a rate or frequency beyond the float range) raises
-    NumericalFailureError."""
+    so U and V are bit for bit those of the plain expressions; the
+    numerator V + U is formed in place as (V - U) + 2U, which may differ
+    from V + U in the last bit (a test holds the kernel to the plain
+    expressions with this numerator).  An A of non-finite 1-norm (a rate
+    or frequency beyond the float range) raises NumericalFailureError."""
     b = _PADE13
     if isinstance(A, Generator):
         n, rows, cols, vals = A.dim, A.rows, A.cols, A.vals

@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +51,14 @@ def _python(*args):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, check=False
     )
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or None where there is none."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +570,64 @@ class TestMainEntry:
         proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+
+    @pytest.mark.skipif(
+        _mallopt() is None,
+        reason="no mallopt in the C library: cli.main leaves the allocator's own"
+        " policy, and the growth measured here depends on that allocator",
+    )
+    def test_drive_on_build_returns_freed_operands(self, tmp_path):
+        # with the mmap threshold fixed at 1 MiB every freed 1156^2 operand
+        # goes back to the OS: the peak RSS of base grows by 5.3 operands
+        # across the drive-on build; with glibc's dynamic threshold the
+        # later operands reuse heap pages and it grows by 6.4
+        argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner",
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import resource\n"
+            "import magnonwalk.cli as cli\n"
+            "from magnonwalk import solver\n"
+            "build, growth = solver.propagator, []\n"
+            "def propagator(R, dt):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    P = build(R, dt)\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    growth.append((len(P), R.shape[0], after - before))\n"
+            "    return P\n"
+            "solver.propagator = propagator\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(*growth[0])\n"
+        )
+        # Linux carries the RSS high-water mark of the process that starts
+        # an interpreter into its ru_maxrss, so the measured one is started
+        # from a small interpreter, not from this test process
+        proc = _python(
+            "-c", f"import subprocess, sys; sys.exit(subprocess.run("
+            f"[sys.executable, '-c', {code!r}]).returncode)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        blocks, n, kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert blocks == 1  # the drive-on step matrix is one dense block
+        assert kib * 1024 <= 5.6 * n * n * 8  # ru_maxrss is in KiB
+
+    @pytest.mark.parametrize("library", [SimpleNamespace(), None])
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch, library):
+        # a C library without mallopt, or none that ctypes loads, keeps its
+        # own allocator policy, and the command runs as before
+        loaded = []
+
+        def load(name):
+            loaded.append(name)
+            if library is None:
+                raise OSError("no C library")
+            return library
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        argv = ["run", "--steps", "1", "--samples-per-segment", "1", "--no-wigner",
+                "--param", "fock_dim=3", "--param", "alpha=1", "--param", "m_phase=4",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert loaded == [None]
 
     def test_rk4_sub_step_is_not_a_setting(
         self, tmp_path, capsys, monkeypatch, rk4_propagator
