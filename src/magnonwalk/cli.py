@@ -14,12 +14,9 @@ failure (floating-point overflow included), 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import ctypes
 import dataclasses
 import functools
-import hashlib
-import json
 import math
 import os
 import sys
@@ -53,6 +50,12 @@ from .observables import (
     wigner,
 )
 from .solver import evolve
+
+# configparser, hashlib and json are imported in the functions that use
+# them: only --config reads INI, and only run's emission hashes (hashlib
+# loads OpenSSL's libcrypto, about 3.5 MB of RSS) and writes JSON.  So
+# the import and verify load none of them, and a run loads OpenSSL after
+# the drive-on exponential, past the walk's peak RSS.
 
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
@@ -141,14 +144,16 @@ class RunManifest:
 _RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(PhysicalParams)}
 
+
+def _bool(raw: str) -> bool:
+    """``raw`` as an INI boolean (1/0, yes/no, true/false, on/off)."""
+    import configparser
+
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
 # Annotated type -> parser of a raw string; "int | None" parses as int.
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "complex": complex,
-    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
-}
+_PARSERS = {"str": str, "int": int, "float": float, "complex": complex, "bool": _bool}
 
 
 def _parse(kind: str, label: str, raw: str):
@@ -200,6 +205,8 @@ def load_config(path: str | Path) -> RunConfig:
     unknown section or key is a ConfigError, so that a misspelt setting
     cannot leave its default in place unnoticed; so is a file that is not
     UTF-8 INI (no section header, a repeated key)."""
+    import configparser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # [params] takes Gamma and nu_D as written
     try:
@@ -264,6 +271,8 @@ def _wigner_csv(grid: WignerGrid) -> str:
 
 def _write(path: Path, text: str) -> str:
     """Write ``text`` as UTF-8 and return the sha256 of the bytes written."""
+    import hashlib
+
     data = text.encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
@@ -370,6 +379,8 @@ def run(config: RunConfig) -> RunManifest:
             "abscissa": "step_boundary_time_ns",
         }
     t_emission = time.perf_counter()
+
+    import json
 
     files: dict[str, str] = {}
 

@@ -70,6 +70,7 @@ drive-on generator is one component and one dense exponential.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -453,7 +454,9 @@ class Trajectory:
     ``propagators`` describes each step matrix exp(R dt) built, in build
     order: drive flag, sub-interval ``dt``, and the number of dense blocks
     of the step matrix and the size of the largest one, read off its list
-    of blocks (1 block of the full size means one component).
+    of blocks (1 block of the full size means one component), and
+    ``build_s``, the wall seconds of the :func:`propagator` call that
+    built it.
     ``trace_err`` is the trace drift of each sample before ``_condition``
     repaired it, ``min_eig`` the smallest eigenvalue after and
     ``top_fock`` the population of the top Fock level (the last diagonal
@@ -546,9 +549,11 @@ def evolve(
                     generators[seg.drive_on] = liouvillian(
                         H_on if seg.drive_on else H_off, diss
                     )
+                t_build = time.perf_counter()
                 P = propagators[key] = propagator(generators[seg.drive_on], dt_sub)
                 paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
-                              "largest_block": max(len(idx) for idx, _ in P)})
+                              "largest_block": max(len(idx) for idx, _ in P),
+                              "build_s": time.perf_counter() - t_build})
             P = propagators[key]
             for j in range(samples_per_segment):
                 x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)

@@ -1,7 +1,8 @@
 """Oracles that the tests hold the package to: the fixed-step RK4 step
 matrix for the Padé step matrices, and for the phase observables the
 direct-summation phase distribution and the first moment of a
-distribution on its grid.
+distribution on its grid; and a fresh interpreter on the package source,
+for what only a new process shows (its imports, its warnings, its RSS).
 
 For a linear constant-coefficient system one RK4 sub-step of length h
 multiplies by the degree-4 Taylor polynomial
@@ -16,6 +17,10 @@ it through ``evolve`` installs it with
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,3 +91,23 @@ def _grid_holevo(dist) -> tuple[float, float]:
 def grid_holevo():
     """(sharpness, sigma_H) of a ``PhaseDistribution`` from its grid."""
     return _grid_holevo
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with ``src`` first on
+    ``PYTHONPATH``, as a user starts it; its output is captured as text and
+    its exit code left to the caller."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs ``python *args`` in a fresh interpreter on the package source."""
+    return _fresh_python

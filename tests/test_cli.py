@@ -4,10 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,17 +37,6 @@ def small_config(tmp_path, **kw):
 RUN_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-
-
-def _python(*args):
-    """A fresh interpreter on the package source, as a user starts it."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
-    )
 
 
 def _mallopt():
@@ -355,6 +341,42 @@ def base_walk(tmp_path_factory):
     return config, trajectories[0], len(grids)
 
 
+@pytest.fixture(scope="module")
+def runtime_modules(tmp_path_factory, fresh_python):
+    """What a fresh interpreter holds after ``import magnonwalk.cli``, a
+    ``verify`` and a 1-step ``run`` at cutoff 3, line by line: the modules
+    of OpenSSL, json and configparser after each command, the scipy modules
+    at the end, and per step matrix built its block count and whether
+    OpenSSL was loaded when ``solver.propagator`` returned it."""
+    run = ["run", "--preset", "base", "--steps", "1", "--param", "fock_dim=3",
+           "--param", "alpha=1", "--no-wigner",
+           "--out", str(tmp_path_factory.mktemp("fresh") / "out")]
+    code = (
+        "import sys\n"
+        "import magnonwalk.cli as cli\n"
+        "from magnonwalk import solver\n"
+        "def loaded():\n"
+        "    names = ('hashlib', '_hashlib', 'json', 'configparser')\n"
+        "    return sorted(m for m in names if m in sys.modules)\n"
+        "assert cli.main(['verify']) == 0\n"
+        "print('after verify:', loaded())\n"
+        "build, builds = solver.propagator, []\n"
+        "def propagator(R, dt):\n"
+        "    P = build(R, dt)\n"
+        "    builds.append((len(P), '_hashlib' in sys.modules))\n"
+        "    return P\n"
+        "solver.propagator = propagator\n"
+        f"assert cli.main({run!r}) == 0\n"
+        "print('builds:', builds)\n"
+        "print('after run:', loaded())\n"
+        "print('scipy modules:', sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split(": ", 1) for line in proc.stdout.splitlines() if ": " in line)
+
+
 class TestPhaseObservables:
     """The sharpness comes from the mode state; a phase grid is evaluated
     only for a phase CSV, and the artifacts hold to the grid oracles within
@@ -422,12 +444,12 @@ class TestMainEntry:
         assert not (tmp_path / "cli_out" / "fit.json").exists()
         assert not (tmp_path / "cli_out" / "wigner_step1.csv").exists()
 
-    def test_cli_process_is_warning_free(self, tmp_path):
+    def test_cli_process_is_warning_free(self, tmp_path, fresh_python):
         # the stock path under -W error, as a user starts it; the success
         # line reports the measured clipping of the Fock cutoff
         out = tmp_path / "base"
         argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner", "--out"]
-        proc = _python("-W", "error", "-m", "magnonwalk.cli", *argv, str(out))
+        proc = fresh_python("-W", "error", "-m", "magnonwalk.cli", *argv, str(out))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         top = json.loads((out / "manifest.json").read_text())["health"][
@@ -468,7 +490,7 @@ class TestMainEntry:
         ],
     )
     def test_overflowing_parameter_exits_with_message(
-        self, tmp_path, param, code, prefix
+        self, tmp_path, fresh_python, param, code, prefix
     ):
         # finite inputs that overflow: a rate of inf, R dt, eta**2,
         # |alpha|**2, the generator's rate products, the squarings of
@@ -488,7 +510,7 @@ class TestMainEntry:
         for item in items:
             argv += ["--param", item]
         out = tmp_path / "out"
-        proc = _python("-m", "magnonwalk.cli", *argv, "--out", str(out))
+        proc = fresh_python("-m", "magnonwalk.cli", *argv, "--out", str(out))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
@@ -497,12 +519,12 @@ class TestMainEntry:
         for csv in out.glob("*.csv"):
             assert "nan" not in csv.read_text()
 
-    def test_readme_python_api(self):
+    def test_readme_python_api(self, fresh_python):
         # the documented example runs as written
         block = re.search(
             r"## Python API\n\n```python\n(.*?)```", README.read_text(), re.DOTALL
         )
-        proc = _python("-W", "error", "-c", block.group(1))
+        proc = fresh_python("-W", "error", "-c", block.group(1))
         assert proc.returncode == 0, proc.stderr
 
     def test_bad_preset_exit_code(self, tmp_path, capsys):
@@ -554,29 +576,27 @@ class TestMainEntry:
         # as a separate word the value is read as an option: a usage error
         assert cli.main([*argv, *example.split("=", 1)]) == 1
 
-    def test_runtime_imports_no_scipy(self, tmp_path):
+    def test_runtime_imports_no_scipy(self, runtime_modules):
         # scipy is the tests' oracle only: after the import, a verify and a
         # 1-step run, a fresh interpreter holds no scipy module
-        run = ["run", "--preset", "base", "--steps", "1", "--param", "fock_dim=3",
-               "--param", "alpha=1", "--no-wigner", "--out", str(tmp_path / "out")]
-        code = (
-            "import sys\n"
-            "import magnonwalk.cli as cli\n"
-            "assert cli.main(['verify']) == 0\n"
-            f"assert cli.main({run!r}) == 0\n"
-            "print('scipy modules:', sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))\n"
-        )
-        proc = _python("-c", code)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+        assert runtime_modules["scipy modules"] == "[]"
+
+    def test_emission_modules_load_only_for_emission(self, runtime_modules):
+        # OpenSSL (hashlib's _hashlib), json and configparser serve only a
+        # run's emission and --config: verify leaves them out, and a run
+        # loads OpenSSL only after its step matrices are built (the
+        # drive-on one first, one dense block; the drive-off one four at
+        # cutoff 3), past the drive-on build, where the walk's RSS peaks
+        assert runtime_modules["after verify"] == "[]"
+        assert runtime_modules["builds"] == "[(1, False), (4, False)]"
+        assert runtime_modules["after run"] == "['_hashlib', 'hashlib', 'json']"
 
     @pytest.mark.skipif(
         _mallopt() is None,
         reason="no mallopt in the C library: cli.main leaves the allocator's own"
         " policy, and the growth measured here depends on that allocator",
     )
-    def test_drive_on_build_returns_freed_operands(self, tmp_path):
+    def test_drive_on_build_returns_freed_operands(self, tmp_path, fresh_python):
         # with the mmap threshold fixed at 1 MiB every freed 1156^2 operand
         # goes back to the OS: the peak RSS of base grows by 5.3 operands
         # across the drive-on build; with glibc's dynamic threshold the
@@ -601,7 +621,7 @@ class TestMainEntry:
         # Linux carries the RSS high-water mark of the process that starts
         # an interpreter into its ru_maxrss, so the measured one is started
         # from a small interpreter, not from this test process
-        proc = _python(
+        proc = fresh_python(
             "-c", f"import subprocess, sys; sys.exit(subprocess.run("
             f"[sys.executable, '-c', {code!r}]).returncode)"
         )
@@ -984,6 +1004,18 @@ class TestManifestTelemetry:
         assert all(t >= 0 for t in manifest.timings.values())
         assert sum(manifest.timings.values()) <= manifest.duration_s
         assert not set(manifest.timings) & set(manifest.files)
+
+    def test_propagator_build_times(self, base_walk):
+        # evolve times each step-matrix build; on base the drive-on
+        # exponential of one 1156^2 block takes about 0.63 s and the 18
+        # drive-off blocks about 0.025 s
+        config, _, _ = base_walk
+        written = json.loads((config.resolve_out_dir() / "manifest.json").read_text())
+        build_s = {e["drive_on"]: e["build_s"] for e in written["propagators"]}
+        assert len(written["propagators"]) == len(build_s) == 2
+        assert all(t > 0 for t in build_s.values())
+        assert sum(build_s.values()) <= written["timings"]["evolve"]
+        assert build_s[True] > build_s[False]
 
     def test_health(self, completed_run):
         config, manifest = completed_run

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -136,17 +133,9 @@ class TestPhysicalParams:
                 model.preset(name, n_steps=32, Gamma=1e-3)
                 model.preset(name, alpha=3.0, fock_dim=17)
 
-    def test_import_is_silent(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.abspath(src), *filter(None, [env.get("PYTHONPATH")])]
-        )
+    def test_import_is_silent(self, fresh_python):
         # -W error turns any warning raised on import into an error
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-c", "import magnonwalk.cli"],
-            capture_output=True, text=True, env=env, check=False,
-        )
+        proc = fresh_python("-W", "error", "-c", "import magnonwalk.cli")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -425,22 +421,14 @@ BASE_SIGMA_H = np.array([
 
 
 @pytest.fixture(scope="module")
-def cli_scipy_modules():
+def cli_scipy_modules(fresh_python):
     """The scipy modules in ``sys.modules`` of a fresh interpreter after
     ``import magnonwalk.cli``."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src), *filter(None, [env.get("PYTHONPATH")])]
-    )
     code = (
         "import sys, magnonwalk.cli; "
         "print('\\n'.join(m for m in sys.modules if m.startswith('scipy')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        check=False,
-    )
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 

@@ -452,7 +452,10 @@ class TestEvolve:
         t_b = solver.evolve(sched, *args, samples_per_segment=2)
         diff = np.abs(t_a.snapshots[0][2] - t_b.snapshots[0][2])
         assert diff.max() < 1e-7
-        assert t_b.propagators == t_a.propagators
+        # the same step matrices, built in other times
+        untimed = [[{k: v for k, v in e.items() if k != "build_s"} for e in t.propagators]
+                   for t in (t_a, t_b)]
+        assert untimed[1] == untimed[0]
 
 
 class TestHealth:
