@@ -60,6 +60,10 @@ from .solver import evolve
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
 MAX_PHASE_FILES = 4
+# The Wigner table holds 2 x F(F+1)/2 x points^2 float64 values (2.45 GB
+# at cutoff 17 and 1001 points); 256 points caps a Wigner CSV at 65,536
+# rows, the ceiling m_phase puts on a phase CSV.
+MAX_WIGNER_POINTS = 256
 
 # glibc serves an allocation of at least its mmap threshold by a mapping of
 # its own, which goes back to the OS when freed.  Left dynamic, the
@@ -82,19 +86,10 @@ class RunConfig:
     steps: int | None = None
     samples_per_segment: int = 10
     fit_steps: int | None = None
-    drive_first: bool = True
     wigner_min: float = -4.5
     wigner_max: float = 4.5
     wigner_points: int = 101
-    emit_timeseries: bool = True
-    emit_holevo: bool = True
-    emit_phase: bool = True
     emit_wigner: bool = True
-    # Report phase/Wigner snapshots in the frame co-rotating with the mode
-    # (the drive-mode detuning winds the raw rotating-frame state by many
-    # turns per step; unwinding keeps the walk centered at phase 0).
-    # Sharpness and sigma_H are rotation-invariant either way.
-    corotating: bool = True
     out_dir: str | None = None
 
     def resolve_params(self) -> PhysicalParams:
@@ -183,14 +178,7 @@ _CONFIG_KEYS = {
         "fit_steps": "fit_steps",
         "out": "out_dir",
     },
-    "model": {"drive_first": "drive_first"},
-    "emit": {
-        "timeseries": "emit_timeseries",
-        "holevo": "emit_holevo",
-        "phase": "emit_phase",
-        "wigner": "emit_wigner",
-        "corotating": "corotating",
-    },
+    "emit": {"wigner": "emit_wigner"},
     "wigner": {
         "min": "wigner_min",
         "max": "wigner_max",
@@ -297,8 +285,10 @@ def run(config: RunConfig) -> RunManifest:
     p = config.resolve_params()
     if config.samples_per_segment < 1:
         raise ConfigError("samples_per_segment must be >= 1")
-    if config.wigner_points < 1:
-        raise ConfigError(f"wigner points must be >= 1, got {config.wigner_points}")
+    if not 1 <= config.wigner_points <= MAX_WIGNER_POINTS:
+        raise ConfigError(
+            f"wigner points must be 1..{MAX_WIGNER_POINTS}, got {config.wigner_points}"
+        )
     if not (math.isfinite(config.wigner_min) and math.isfinite(config.wigner_max)):
         raise ConfigError(
             f"wigner range must be finite, got {config.wigner_min}:{config.wigner_max}"
@@ -306,7 +296,7 @@ def run(config: RunConfig) -> RunManifest:
     fit_steps = config.resolve_fit_steps(p.n_steps)
 
     d = derive(p)
-    schedule = pulse_schedule(p, d, drive_first=config.drive_first)
+    schedule = pulse_schedule(p, d)
     stage = "drive-on Hamiltonian"
     try:
         h_on = hamiltonian_rotframe(p, d, drive_on=True)
@@ -346,12 +336,11 @@ def run(config: RunConfig) -> RunManifest:
             times.append(t_boundary)
             sharps.append(sharp)
             sigmas.append(sigma_h)
-            rho_view = (
-                rotate_mode(rho_m, -d.delta_c * t_boundary)
-                if config.corotating
-                else rho_m
-            )
-            if config.emit_phase and step <= MAX_PHASE_FILES:
+            # the snapshots are reported in the frame co-rotating with the
+            # mode: the drive-mode detuning winds the raw rotating-frame
+            # state by many turns per step
+            rho_view = rotate_mode(rho_m, -d.delta_c * t_boundary)
+            if step <= MAX_PHASE_FILES:
                 phases[step] = phase_distribution(rho_view, p.m_phase)
             if config.emit_wigner:
                 stage = "Wigner grid"
@@ -387,20 +376,19 @@ def run(config: RunConfig) -> RunManifest:
     def emit(name: str, text: str) -> None:
         files[name] = _write(out / name, text)
 
-    if config.emit_timeseries:
-        emit(
-            "timeseries.csv",
-            _csv(
-                ["t_ns", "n_c", "P_e", "P_g", "drive_on"],
-                [
-                    _fmt(traj.times),
-                    _fmt(traj.n_c),
-                    _fmt(traj.p_e),
-                    _fmt(traj.p_g),
-                    list(map(str, traj.drive_on.astype(int).tolist())),
-                ],
-            ),
-        )
+    emit(
+        "timeseries.csv",
+        _csv(
+            ["t_ns", "n_c", "P_e", "P_g", "drive_on"],
+            [
+                _fmt(traj.times),
+                _fmt(traj.n_c),
+                _fmt(traj.p_e),
+                _fmt(traj.p_g),
+                list(map(str, traj.drive_on.astype(int).tolist())),
+            ],
+        ),
+    )
     for step in steps:
         if step in phases:
             view = phases[step]
@@ -411,7 +399,7 @@ def run(config: RunConfig) -> RunManifest:
         if step in grids:
             emit(f"wigner_step{step}.csv", _wigner_csv(grids[step]))
 
-    if config.emit_holevo and steps:
+    if steps:
         emit(
             "holevo.csv",
             _csv(
@@ -430,10 +418,8 @@ def run(config: RunConfig) -> RunManifest:
         derived=dataclasses.asdict(d),
         options={
             "samples_per_segment": config.samples_per_segment,
-            "drive_first": config.drive_first,
             "fit_steps": fit_steps,
             "wigner_grid": [config.wigner_min, config.wigner_max, config.wigner_points],
-            "corotating": config.corotating,
         },
         files=files,
         duration_s=time.monotonic() - t_start,

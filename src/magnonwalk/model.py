@@ -364,27 +364,16 @@ class PulseSchedule:
     segments: tuple[Segment, ...]
 
 
-def pulse_schedule(
-    p: PhysicalParams, d: DerivedParams, drive_first: bool = True
-) -> PulseSchedule:
-    """Square-wave schedule: each step is a drive-on stretch of t_H and a
-    drive-off stretch of t_p - t_H, coin toss first by default."""
+def pulse_schedule(p: PhysicalParams, d: DerivedParams) -> PulseSchedule:
+    """Square-wave schedule: each step is the coin toss, a drive-on stretch
+    of t_H, then the shift, a drive-off stretch of t_p - t_H."""
     if d.t_H >= d.t_p:
         raise ScheduleInfeasibleError("t_H >= t_p")
     segments = []
     for k in range(p.n_steps):
         t0 = k * d.t_p
-        on = Segment(k + 1, t0, d.t_H, True)
-        off = Segment(k + 1, t0 + d.t_H, d.t_p - d.t_H, False)
-        if drive_first:
-            segments.extend([on, off])
-        else:
-            segments.extend(
-                [
-                    Segment(k + 1, t0, d.t_p - d.t_H, False),
-                    Segment(k + 1, t0 + d.t_p - d.t_H, d.t_H, True),
-                ]
-            )
+        segments.append(Segment(k + 1, t0, d.t_H, True))
+        segments.append(Segment(k + 1, t0 + d.t_H, d.t_p - d.t_H, False))
     return PulseSchedule(tuple(segments))
 
 

@@ -508,9 +508,9 @@ def evolve(
     of rho0), and every step matrix acts on them.  The step matrix of a
     sub-interval is exp(R dt) from :func:`propagator` (looked up when
     called, so a wrapper installed in its place runs), with R from
-    :func:`liouvillian`, cached per (drive flag, sub-interval) pair, so a
-    run builds two step matrices regardless of step count: one dense block
-    for the drive-on generator, and one small dense block per
+    :func:`liouvillian`, both built once per (drive flag, sub-interval)
+    pair, so a run builds two step matrices regardless of step count: one
+    dense block for the drive-on generator, and one small dense block per
     real-coordinate block of the drive-off generator (see
     :func:`propagator`).  The blocks of each generator are found once, by
     the builder, and ``propagators`` reads them off the step matrix.
@@ -521,7 +521,6 @@ def evolve(
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    generators: dict[bool, Generator] = {}  # keyed by drive flag
     propagators: dict[tuple[bool, float], list] = {}
     paths: list[dict] = []
     samples: list[tuple] = []
@@ -545,12 +544,9 @@ def evolve(
         key = (seg.drive_on, dt_sub)
         try:
             if key not in propagators:
-                if seg.drive_on not in generators:
-                    generators[seg.drive_on] = liouvillian(
-                        H_on if seg.drive_on else H_off, diss
-                    )
+                R = liouvillian(H_on if seg.drive_on else H_off, diss)
                 t_build = time.perf_counter()
-                P = propagators[key] = propagator(generators[seg.drive_on], dt_sub)
+                P = propagators[key] = propagator(R, dt_sub)
                 paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
                               "largest_block": max(len(idx) for idx, _ in P),
                               "build_s": time.perf_counter() - t_build})

@@ -286,7 +286,8 @@ class TestPulseSchedule:
         total = sum(s.duration for s in sched.segments)
         assert total == pytest.approx(8 * d.t_p, rel=1e-12)
         assert round(total, 1) == 206.5
-        assert sched.segments[0].drive_on
+        # the coin toss opens every step, the shift closes it
+        assert [s.drive_on for s in sched.segments] == [True, False] * 8
         assert sched.segments[0].t_start == 0.0
 
     def test_segments_tile_without_gaps(self, base):
@@ -307,14 +308,6 @@ class TestPulseSchedule:
         sched = model.pulse_schedule(model.preset("base", n_steps=0), d)
         assert sched.segments == ()
         assert max((s.step for s in sched.segments), default=0) == 0
-
-    def test_shift_first_ordering(self, base):
-        p, d = base
-        sched = model.pulse_schedule(p, d, drive_first=False)
-        assert not sched.segments[0].drive_on
-        assert sched.segments[1].drive_on
-        total = sum(s.duration for s in sched.segments)
-        assert total == pytest.approx(8 * d.t_p, rel=1e-12)
 
 
 class TestInitialState:

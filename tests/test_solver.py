@@ -408,6 +408,37 @@ class TestEvolve:
         )
         assert np.all(traj.trace_err < 1e-8)
 
+    def test_shift_first_schedule_builds_each_generator_once(self, small, monkeypatch):
+        # a walk that shifts before it tosses the coin is a schedule of
+        # Segments; over 3 steps evolve builds one generator and one step
+        # matrix per (drive flag, sub-interval), drive-off first
+        p, d = small
+        h_on = model.hamiltonian_rotframe(p, d, True)
+        h_off = model.hamiltonian_rotframe(p, d, False)
+        off = d.t_p - d.t_H
+        sched = model.PulseSchedule(tuple(
+            seg
+            for k in range(3)
+            for seg in (model.Segment(k + 1, k * d.t_p, off, False),
+                        model.Segment(k + 1, k * d.t_p + off, d.t_H, True))
+        ))
+        built, liouvillian = [], solver.liouvillian
+
+        def counted(H, diss):
+            built.append(H)
+            return liouvillian(H, diss)
+
+        monkeypatch.setattr(solver, "liouvillian", counted)
+        traj = solver.evolve(sched, model.initial_state(p), h_on, h_off,
+                             model.dissipators(p), samples_per_segment=2)
+        assert len(built) == 2 and built[0] is h_off and built[1] is h_on
+        assert [e["drive_on"] for e in traj.propagators] == [False, True]
+        assert traj.drive_on.tolist() == [False] + [False, False, True, True] * 3
+        npt.assert_allclose(
+            [s[1] for s in traj.snapshots], [d.t_p, 2 * d.t_p, 3 * d.t_p], rtol=1e-12
+        )
+        assert np.all(traj.trace_err < 1e-8)
+
     def test_populations_sum_to_one(self, small):
         p2 = model.preset("base", fock_dim=6, alpha=1.0, n_steps=2)
         d = model.derive(p2)
