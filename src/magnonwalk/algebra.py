@@ -38,7 +38,7 @@ from .model import (
     preset,
 )
 from .observables import _ols
-from .solver import _expm_pade13
+from .solver import Generator, _expm_pade13
 
 __all__ = [
     "EnsembleOperators",
@@ -440,8 +440,10 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
 def _exp_ladder(g: np.ndarray) -> list[np.ndarray]:
     """exp(s g) for each s in FROHLICH_SCALES: one Padé exponential at the
     smallest scale, then one squaring per doubling, exp(2 s g) = exp(s g)^2
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))."""
-    u = _expm_pade13(FROHLICH_SCALES[0] * g)
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  The kernel
+    takes g by its nonzero entries."""
+    rows, cols = np.nonzero(g)
+    u = _expm_pade13(Generator(len(g), rows, cols, FROHLICH_SCALES[0] * g[rows, cols]))
     ladder = [u]
     for _ in FROHLICH_SCALES[1:]:
         u = u @ u

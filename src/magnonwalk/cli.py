@@ -336,6 +336,8 @@ def run(config: RunConfig) -> RunManifest:
             times.append(t_boundary)
             sharps.append(sharp)
             sigmas.append(sigma_h)
+            if step > MAX_PHASE_FILES and not config.emit_wigner:
+                continue  # no phase CSV and no Wigner grid reads the view
             # the snapshots are reported in the frame co-rotating with the
             # mode: the drive-mode detuning winds the raw rotating-frame
             # state by many turns per step

@@ -100,6 +100,12 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
+# Rows per panel of the Padé sums in _expm_pade13.  Every drive-off block
+# of the base preset (at most 128 x 128) stays one panel, so its products
+# are the one-shot ones; a panel of 1156 columns holds 1.2 MB, a ninth of
+# a 1156^2 array.
+_PANEL = 128
+
 # Largest imaginary part of S A S^dag, relative to A's largest entry,
 # still taken for rounding.
 _HERMITICITY_TOL = 1e-13
@@ -258,42 +264,46 @@ def _norm1(A: Generator) -> float:
     return norm
 
 
-def _expm_pade13(A) -> np.ndarray:
-    """exp(A) for a real square A, a :class:`Generator` or a dense array:
-    the [13/13] Padé approximant with scaling and squaring (Higham, SIAM
-    J. Matrix Anal. Appl. 26, 1179 (2005)), scaled by 2^-s with
+def _expm_pade13(A: Generator) -> np.ndarray:
+    """exp(A) for a real square :class:`Generator` A: the [13/13] Padé
+    approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)), scaled by 2^-s with
     s = max(0, ceil(log2(||A||_1 / theta_13))).
 
-    A is taken by its entries, put in canonical form first (see
-    :func:`_canonical`), so duplicate entries are summed before its
-    1-norm is taken and every product adds its terms in one order,
-    however the caller stored A.  A^2 is the one product formed from the
-    entries: every entry (i, j) is joined with every entry of row j, and
-    one ``np.bincount`` over the positions (i, k) sums the products, in
-    order of j, into the dense A^2.  A^2 is dense for the two products
-    A^4 = A^2 A^2 and A^6 = A^4 A^2; in the four Padé sums it enters by
-    its nonzero entries, each added at its place.  The multiples of A^4
-    and A^6 pass through one work buffer W, and U and V are accumulated
-    in place, so at most five dense n x n arrays are alive at once: A^4,
-    A^6, W, U and V.  Five is the floor here, since the solve holds five
-    too: U, V, the two copies of them that LAPACK factors and overwrites,
-    and the result.  The dense A is built in W, only for the outer
-    product A @ (...) of U, and freed after it.  The squarings alternate
-    between two buffers.  Each sum takes the same terms in the same
-    order as the plain expression b13 A^6 + b11 A^4 + b9 A^2 and its kin,
-    so U and V are bit for bit those of the plain expressions; the
-    numerator V + U is formed in place as (V - U) + 2U, which may differ
-    from V + U in the last bit (a test holds the kernel to the plain
-    expressions with this numerator).  An A of non-finite 1-norm (a rate
-    or frequency beyond the float range) raises NumericalFailureError."""
+    A is put in canonical form first (see :func:`_canonical`), so
+    duplicate entries are summed before its 1-norm is taken and every
+    product adds its terms in one order, however the caller stored A.
+    A^2 is the one product formed from the entries: every entry (i, j) is
+    joined with every entry of row j, and one ``np.bincount`` over the
+    positions (i, k) sums the products, in order of j, into the dense A^2.
+    A^2 is dense for the two products A^4 = A^2 A^2 and A^6 = A^4 A^2; in
+    the four Padé sums it enters by its nonzero entries, each added at its
+    place.  Each sum is taken in row panels of _PANEL rows: the inner sum
+    c6 A^6 + c4 A^4 + c2 A^2 goes into the work buffer W, then panel r of
+    A^6 (c6 A^6 + ...) + d6 A^6 + d4 A^4 is its product A^6[r] @ W in one
+    reused panel buffer, plus the panel's multiples.  U gets an array of
+    its own, but V is summed into A^6: panel r reads only rows r of A^6
+    once W holds the inner sum, so V needs no array.  So at most four
+    dense n x n arrays are alive at once, A^4, A^6 (then V), W and U, plus
+    the panel; the dense A is built in W, only for the outer product
+    A @ (...) of U, whose result takes A^4's place.  Each sum takes the
+    same terms in the same order as the plain expression
+    b13 A^6 + b11 A^4 + b9 A^2 and its kin; the numerator V + U is formed
+    in place as (V - U) + 2U, which may differ from V + U in the last bit.
+    ``np.linalg.solve`` copies both its operands for LAPACK and allocates
+    its result, so one call on all n right-hand sides would hold five
+    arrays: V, U, their two copies and the result.  The quotient is
+    solved in two column halves instead, each written back into U, which
+    holds four: V, U, and 1.5 and 0.5 arrays for the copies and the half
+    result.  Four is this design's floor: the sums need A^4, A^6, W and U
+    at once, and since ``solve`` copies V, more column blocks would each
+    cost one more LU factorization and leave that peak where it is.  The
+    squarings alternate between two buffers.  An A of non-finite 1-norm
+    (a rate or frequency beyond the float range) raises
+    NumericalFailureError."""
     b = _PADE13
-    if isinstance(A, Generator):
-        n, rows, cols, vals = A.dim, A.rows, A.cols, A.vals
-    else:
-        n = len(A)
-        rows, cols = np.nonzero(A)
-        vals = A[rows, cols]
-    A = Generator(n, *_canonical(n, rows, cols, vals))
+    n = A.dim
+    A = Generator(n, *_canonical(n, A.rows, A.cols, A.vals))
     norm = _norm1(A)
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     A = A * 2.0**-s
@@ -314,34 +324,41 @@ def _expm_pade13(A) -> np.ndarray:
     A6 = A4 @ A2
     del A2
     W = np.empty_like(A6)
+    P = np.empty((min(_PANEL, n), n))
+    panels = [slice(r, min(r + _PANEL, n)) for r in range(0, n, _PANEL)]
 
-    def pade_sum(c6, c4, c2, d6, d4, d2, d0):
+    def pade_sum(c6, c4, c2, d6, d4, d2, d0, out):
         """A^6 (c6 A^6 + c4 A^4 + c2 A^2) + d6 A^6 + d4 A^4 + d2 A^2 + d0 I,
-        summed left to right."""
-        out = np.multiply(A4, c4)
-        np.add(np.multiply(A6, c6, out=W), out, out=W)
+        summed left to right into out, which may be A^6."""
+        for r in panels:
+            p = P[: r.stop - r.start]
+            np.multiply(A6[r], c6, out=W[r])
+            W[r] += np.multiply(A4[r], c4, out=p)
         W.reshape(-1)[pos] += c2 * a2
-        np.matmul(A6, W, out=out)
-        for c, M in ((d6, A6), (d4, A4)):
-            np.multiply(M, c, out=W)
-            out += W
+        for r in panels:
+            p = P[: r.stop - r.start]
+            np.matmul(A6[r], W, out=p)
+            np.multiply(A6[r], d6, out=out[r])  # the last read of A^6[r]
+            out[r] += p
+            out[r] += np.multiply(A4[r], d4, out=p)
         out.reshape(-1)[pos] += d2 * a2
         out.flat[:: n + 1] += d0
         return out
 
-    U = pade_sum(*b[13::-2])
-    V = pade_sum(*b[12::-2])
-    del A4, A6
+    U = pade_sum(*b[13::-2], out=np.empty_like(A6))
+    V = pade_sum(*b[12::-2], out=A6)
+    del A6, P
     W.fill(0.0)
     W[A.rows, A.cols] = A.vals
-    U = W @ U
-    del W
+    U = np.matmul(W, U, out=A4)
+    del A4, W
     V -= U  # V - U
     U *= 2.0
     U += V  # V + U
-    E = np.linalg.solve(V, U)
-    del U, V
-    F = np.empty_like(E)
+    for half in (slice(0, n // 2), slice(n // 2, n)):
+        U[:, half] = np.linalg.solve(V, U[:, half])
+    del V
+    E, F = U, np.empty_like(U)
     for _ in range(s):
         np.matmul(E, E, out=F)
         E, F = F, E

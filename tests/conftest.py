@@ -1,8 +1,10 @@
 """Oracles that the tests hold the package to: the fixed-step RK4 step
 matrix for the Padé step matrices, and for the phase observables the
 direct-summation phase distribution and the first moment of a
-distribution on its grid; and a fresh interpreter on the package source,
-for what only a new process shows (its imports, its warnings, its RSS).
+distribution on its grid; a fresh interpreter on the package source,
+for what only a new process shows (its imports, its warnings, its RSS);
+and the ``solver.Generator`` of a dense matrix's nonzero entries, the one
+operand type of the Padé kernel.
 
 For a linear constant-coefficient system one RK4 sub-step of length h
 multiplies by the degree-4 Taylor polynomial
@@ -51,6 +53,20 @@ def _rk4_propagator(R, dt: float) -> list:
         return np.linalg.matrix_power(T, n_sub)
 
     return solver._blockwise(R * (dt / n_sub), taylor4_power)
+
+
+def _entries(A) -> solver.Generator:
+    """The dense real matrix A as a ``solver.Generator`` of its nonzero
+    entries, in row-major order: the one operand type of the Padé kernel."""
+    rows, cols = np.nonzero(A)
+    return solver.Generator(len(A), rows, cols, A[rows, cols])
+
+
+@pytest.fixture(scope="session")
+def entries():
+    """Converts a dense real matrix to a ``solver.Generator`` of its
+    nonzero entries."""
+    return _entries
 
 
 @pytest.fixture(scope="session")
