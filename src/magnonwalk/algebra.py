@@ -38,7 +38,7 @@ from .model import (
     preset,
 )
 from .observables import _ols
-from .solver import Generator, _expm_pade13
+from .solver import Generator, _expm_taylor21
 
 __all__ = [
     "EnsembleOperators",
@@ -438,12 +438,12 @@ def check_inhomogeneous_mode(couplings) -> list[ResidualReport]:
 
 
 def _exp_ladder(g: np.ndarray) -> list[np.ndarray]:
-    """exp(s g) for each s in FROHLICH_SCALES: one Padé exponential at the
-    smallest scale, then one squaring per doubling, exp(2 s g) = exp(s g)^2
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  The kernel
-    takes g by its nonzero entries."""
+    """exp(s g) for each s in FROHLICH_SCALES: one exponential from the
+    solver's Taylor-21 kernel at the smallest scale, then one squaring per
+    doubling, exp(2 s g) = exp(s g)^2.  The kernel takes g by its nonzero
+    entries."""
     rows, cols = np.nonzero(g)
-    u = _expm_pade13(Generator(len(g), rows, cols, FROHLICH_SCALES[0] * g[rows, cols]))
+    u = _expm_taylor21(Generator(len(g), rows, cols, FROHLICH_SCALES[0] * g[rows, cols]))
     ladder = [u]
     for _ in FROHLICH_SCALES[1:]:
         u = u @ u
@@ -458,9 +458,9 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
     multiplied by s while the rotating-frame detunings stay fixed; the
     transformation generated by
     S = (s eta / (delta_c - delta_d)) (lower c^dag - raise c) is applied
-    with exact matrix exponentials (one Padé exponential at the smallest
-    scale, squared up the doubling scales) and compared with the effective
-    Hamiltonian (whose dispersive coefficients scale as s^2).  The
+    with exact matrix exponentials (one Taylor-21 exponential at the
+    smallest scale, squared up the doubling scales) and compared with the
+    effective Hamiltonian (whose dispersive coefficients scale as s^2).  The
     effective form captures everything through second order, so the
     residual must fall off at least as s^3 minus fit slack; the check also
     confirms that the transformed drive projects onto sigma_x with the

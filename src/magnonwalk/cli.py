@@ -69,12 +69,12 @@ MAX_WIGNER_POINTS = 256
 # its own, which goes back to the OS when freed.  Left dynamic, the
 # threshold rises to the size of the first such block freed, a 10.7 MB
 # 1156^2 operand of the drive-on exponential, so the later operands land on
-# the heap, which keeps freed pages, and a base walk peaks about 10 MB above
-# its live set.  1 MiB sits below one dense operand and above the 131 KB
-# drive-off blocks.  The fixed threshold costs page faults: a base run
-# takes about 24k minor faults after the import, against 15k with the
-# dynamic one and 31k with glibc's default 128 KiB, which reaches the same
-# peak.
+# the heap, which keeps freed pages, and a base walk peaks about 8.5 MB
+# higher (79.2 MB against 70.7 MB).  1 MiB sits below one dense operand
+# and above the 131 KB drive-off blocks.  The fixed threshold costs page
+# faults: a base run takes about 22k minor faults after the import,
+# against 11k with the dynamic one and 36k with glibc's default 128 KiB,
+# which reaches the same peak.
 _M_MMAP_THRESHOLD = -3  # mallopt's parameter number in glibc's malloc.h
 _MMAP_THRESHOLD = 1 << 20
 

@@ -33,14 +33,17 @@ vec entries of |i><j| and |j><i|.  So rho is Hermitian by construction,
 and its trace is the sum of the diagonal coordinates x at the vec
 indices of |i><i|.
 A real dense product costs about a quarter of a complex one on half the
-bytes.  exp(R dt) is a hand-written real Padé-13
-scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-(2005)), not ``scipy.linalg.expm``: on the real 1156 x 1156 drive-on
-matrix of the base preset scipy's real-dtype path errs by about 1e-11
-against the complex exponential of L, while this kernel stays near
-1e-13.  The kernel takes its operand by its entries: A^2 is one join of
-the entries with the rows they meet, summed by ``np.bincount``, and only
-the outer product A @ (...) sees a dense A.  A generator whose R is not
+bytes.  exp(R dt) is a hand-written real degree-21 Taylor scaling and
+squaring, scaled to the backward-error threshold theta_21 of Al-Mohy &
+Higham (SIAM J. Sci. Comput. 33, 488 (2011)), not ``scipy.linalg.expm``:
+on the real 1156 x 1156 drive-on matrix of the base preset scipy's
+real-dtype path errs by about 1e-11 against the complex exponential of
+L, while this kernel stays near 1e-13.  It takes no solve: 6 dense
+products by Horner's rule in A^3, then the squarings, with at most three
+dense arrays alive.  The kernel takes its operand by its entries: A^2
+and A^3 are joins of entries with the rows they meet, summed by
+``np.bincount``, and A and A^2 enter the polynomial only at their
+entries, so A^3 is the one dense power.  A generator whose R is not
 real to rounding does not preserve Hermiticity, and ``liouvillian``
 rejects it with ValueError.  The module is numpy only: no scipy is
 imported at run time.
@@ -89,22 +92,12 @@ __all__ = [
     "evolve",
 ]
 
-# Padé-13 coefficients b_0..b_13, and theta_13: the largest 1-norm at
-# which the unscaled approximant is accurate to double precision
-# (Higham 2005).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-# Rows per panel of the Padé sums in _expm_pade13.  Every drive-off block
-# of the base preset (at most 128 x 128) stays one panel, so its products
-# are the one-shot ones; a panel of 1156 columns holds 1.2 MB, a ninth of
-# a 1156^2 array.
-_PANEL = 128
+# Taylor coefficients c_k = 1/k!, k = 0..21, each correctly rounded, and
+# theta_21: the largest 1-norm at which the degree-21 Taylor polynomial
+# has a relative backward error of at most 2^-53 (Al-Mohy & Higham, SIAM
+# J. Sci. Comput. 33, 488 (2011); derived in tests/test_solver.py).
+_TAYLOR21 = tuple(1 / math.factorial(k) for k in range(22))
+_THETA21 = 1.6237159502358214
 
 # Largest imaginary part of S A S^dag, relative to A's largest entry,
 # still taken for rounding.
@@ -256,113 +249,88 @@ def _hermitian_basis(n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j + i * n, own, other
 
 
+def _column_norms(A: Generator) -> np.ndarray:
+    """The 1-norm of each column of A, summed in the order of A's entries."""
+    return np.bincount(A.cols, np.abs(A.vals), A.dim)
+
+
 def _norm1(A: Generator) -> float:
     """||A||_1 of a kernel operand; NumericalFailureError if not finite."""
-    norm = np.bincount(A.cols, np.abs(A.vals), A.dim).max(initial=0.0)
+    norm = _column_norms(A).max(initial=0.0)
     if not np.isfinite(norm):
         raise NumericalFailureError(f"step-matrix operand has 1-norm {norm}")
     return norm
 
 
-def _expm_pade13(A: Generator) -> np.ndarray:
-    """exp(A) for a real square :class:`Generator` A: the [13/13] Padé
-    approximant with scaling and squaring (Higham, SIAM J. Matrix Anal.
-    Appl. 26, 1179 (2005)), scaled by 2^-s with
-    s = max(0, ceil(log2(||A||_1 / theta_13))).
+def _squarings(norm: float) -> int:
+    """The squarings s = max(0, ceil(log2(norm / theta_21))) that
+    :func:`_expm_taylor21` runs on an operand of 1-norm ``norm``."""
+    return max(0, math.ceil(math.log2(norm / _THETA21))) if norm > 0 else 0
+
+
+def _product(L: Generator, R: Generator) -> np.ndarray:
+    """The dense n x n product L @ R of two canonical generators, from
+    their entries: every entry (i, j) of L is joined with every entry of
+    row j of R, and one ``np.bincount`` over the positions (i, k) sums
+    the products, in order of j."""
+    n = L.dim
+    # entry e = (i, j) of L meets the entries first[e] .. first[e] +
+    # count[e] - 1 of R, which make up its row j
+    indptr = np.searchsorted(R.rows, np.arange(n + 1))
+    first, count = indptr[L.cols], np.diff(indptr)[L.cols]
+    left = np.repeat(np.arange(L.nnz), count)
+    right = np.arange(len(left)) + np.repeat(first - (np.cumsum(count) - count), count)
+    return np.bincount(
+        L.rows[left] * n + R.cols[right], L.vals[left] * R.vals[right], n * n
+    ).astype(float, copy=False).reshape(n, n)
+
+
+def _expm_taylor21(A: Generator) -> np.ndarray:
+    """exp(A) for a real square :class:`Generator` A: the degree-21 Taylor
+    polynomial T_21 with scaling and squaring, scaled by 2^-s (see
+    :func:`_squarings`).  theta_21 bounds the relative backward error of
+    T_21 by 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
     A is put in canonical form first (see :func:`_canonical`), so
     duplicate entries are summed before its 1-norm is taken and every
     product adds its terms in one order, however the caller stored A.
-    A^2 is the one product formed from the entries: every entry (i, j) is
-    joined with every entry of row j, and one ``np.bincount`` over the
-    positions (i, k) sums the products, in order of j, into the dense A^2.
-    A^2 is dense for the two products A^4 = A^2 A^2 and A^6 = A^4 A^2; in
-    the four Padé sums it enters by its nonzero entries, each added at its
-    place.  Each sum is taken in row panels of _PANEL rows: the inner sum
-    c6 A^6 + c4 A^4 + c2 A^2 goes into the work buffer W, then panel r of
-    A^6 (c6 A^6 + ...) + d6 A^6 + d4 A^4 is its product A^6[r] @ W in one
-    reused panel buffer, plus the panel's multiples.  U gets an array of
-    its own, but V is summed into A^6: panel r reads only rows r of A^6
-    once W holds the inner sum, so V needs no array.  So at most four
-    dense n x n arrays are alive at once, A^4, A^6 (then V), W and U, plus
-    the panel; the dense A is built in W, only for the outer product
-    A @ (...) of U, whose result takes A^4's place.  Each sum takes the
-    same terms in the same order as the plain expression
-    b13 A^6 + b11 A^4 + b9 A^2 and its kin; the numerator V + U is formed
-    in place as (V - U) + 2U, which may differ from V + U in the last bit.
-    ``np.linalg.solve`` copies both its operands for LAPACK and allocates
-    its result, so one call on all n right-hand sides would hold five
-    arrays: V, U, their two copies and the result.  The quotient is
-    solved in two column halves instead, each written back into U, which
-    holds four: V, U, and 1.5 and 0.5 arrays for the copies and the half
-    result.  Four is this design's floor: the sums need A^4, A^6, W and U
-    at once, and since ``solve`` copies V, more column blocks would each
-    cost one more LU factorization and leave that peak where it is.  The
-    squarings alternate between two buffers.  An A of non-finite 1-norm
-    (a rate or frequency beyond the float range) raises
-    NumericalFailureError."""
-    b = _PADE13
+    A^2 and A^3 are formed from entries (see :func:`_product`): A^2 from
+    A's, A^3 from A^2's nonzeros and A's rows, so A^3 is the one dense
+    power.  T_21 is evaluated by Horner's rule in A^3: with
+    D_j = c_3j I + c_3j+1 A + c_3j+2 A^2 and c_k = 1/k!,
+    X = c_21 A^3 + D_6, then X = A^3 @ X + D_j for j = 5, ..., 0, each D_j
+    added at its entries, A^2 first and I last.  That is 6 dense products
+    and no solve, in two buffers, so at most three dense n x n arrays are
+    alive: A^3 and the two buffers, in which the s squarings alternate
+    once A^3 is freed.  An A of non-finite 1-norm (a rate or frequency
+    beyond the float range) raises NumericalFailureError."""
+    c = _TAYLOR21
     n = A.dim
     A = Generator(n, *_canonical(n, A.rows, A.cols, A.vals))
-    norm = _norm1(A)
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    s = _squarings(_norm1(A))
     A = A * 2.0**-s
-    # A^2[i, k] = sum_j A[i, j] A[j, k]: entry e = (i, j) meets the entries
-    # first[e] .. first[e] + count[e] - 1, which make up row j
-    indptr = np.searchsorted(A.rows, np.arange(n + 1))
-    first, count = indptr[A.cols], np.diff(indptr)[A.cols]
-    left = np.repeat(np.arange(A.nnz), count)
-    right = np.arange(len(left)) + np.repeat(first - (np.cumsum(count) - count), count)
-    A2 = np.bincount(
-        A.rows[left] * n + A.cols[right], A.vals[left] * A.vals[right], n * n
-    ).astype(float, copy=False)
-    del left, right
+    A2 = _product(A, A).reshape(-1)
     pos = np.flatnonzero(A2 != 0)  # on a mask: several times faster here
-    a2 = A2[pos]
-    A2 = A2.reshape(n, n)
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    del A2
-    W = np.empty_like(A6)
-    P = np.empty((min(_PANEL, n), n))
-    panels = [slice(r, min(r + _PANEL, n)) for r in range(0, n, _PANEL)]
+    A2 = Generator(n, pos // n, pos % n, A2[pos])
+    A3 = _product(A2, A)
+    at = A.rows * n + A.cols
 
-    def pade_sum(c6, c4, c2, d6, d4, d2, d0, out):
-        """A^6 (c6 A^6 + c4 A^4 + c2 A^2) + d6 A^6 + d4 A^4 + d2 A^2 + d0 I,
-        summed left to right into out, which may be A^6."""
-        for r in panels:
-            p = P[: r.stop - r.start]
-            np.multiply(A6[r], c6, out=W[r])
-            W[r] += np.multiply(A4[r], c4, out=p)
-        W.reshape(-1)[pos] += c2 * a2
-        for r in panels:
-            p = P[: r.stop - r.start]
-            np.matmul(A6[r], W, out=p)
-            np.multiply(A6[r], d6, out=out[r])  # the last read of A^6[r]
-            out[r] += p
-            out[r] += np.multiply(A4[r], d4, out=p)
-        out.reshape(-1)[pos] += d2 * a2
-        out.flat[:: n + 1] += d0
-        return out
+    def add_d(X, j):
+        """X + D_j, added at the entries of A^2, A and I in turn."""
+        flat = X.reshape(-1)
+        flat[pos] += c[3 * j + 2] * A2.vals
+        flat[at] += c[3 * j + 1] * A.vals
+        flat[:: n + 1] += c[3 * j]
+        return X
 
-    U = pade_sum(*b[13::-2], out=np.empty_like(A6))
-    V = pade_sum(*b[12::-2], out=A6)
-    del A6, P
-    W.fill(0.0)
-    W[A.rows, A.cols] = A.vals
-    U = np.matmul(W, U, out=A4)
-    del A4, W
-    V -= U  # V - U
-    U *= 2.0
-    U += V  # V + U
-    for half in (slice(0, n // 2), slice(n // 2, n)):
-        U[:, half] = np.linalg.solve(V, U[:, half])
-    del V
-    E, F = U, np.empty_like(U)
+    X = add_d(np.multiply(A3, c[21]), 6)
+    Y = np.empty_like(X)
+    for j in range(5, -1, -1):
+        X, Y = add_d(np.matmul(A3, X, out=Y), j), X
+    del A3
     for _ in range(s):
-        np.matmul(E, E, out=F)
-        E, F = F, E
-    return E
+        X, Y = np.matmul(X, X, out=Y), X
+    return X
 
 
 def _blockwise(R: Generator, kernel) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -424,7 +392,7 @@ def propagator(R, dt: float) -> list:
     Overflow follows the caller's numpy floating-point settings; under
     numpy's defaults a non-finite R dt raises NumericalFailureError.
     """
-    return _blockwise(R * dt, _expm_pade13)
+    return _blockwise(R * dt, _expm_taylor21)
 
 
 def _condition(
@@ -471,9 +439,11 @@ class Trajectory:
     ``propagators`` describes each step matrix exp(R dt) built, in build
     order: drive flag, sub-interval ``dt``, and the number of dense blocks
     of the step matrix and the size of the largest one, read off its list
-    of blocks (1 block of the full size means one component), and
-    ``build_s``, the wall seconds of the :func:`propagator` call that
-    built it.
+    of blocks (1 block of the full size means one component); ``norm1``,
+    the largest block's ||R dt||_1, and ``squarings``, the kernel's
+    squarings summed over the blocks (see :func:`_squarings`), both from
+    the column norms of R dt on each block's indices; and ``build_s``, the
+    wall seconds of the :func:`propagator` call that built it.
     ``trace_err`` is the trace drift of each sample before ``_condition``
     repaired it, ``min_eig`` the smallest eigenvalue after and
     ``top_fock`` the population of the top Fock level (the last diagonal
@@ -564,9 +534,14 @@ def evolve(
                 R = liouvillian(H_on if seg.drive_on else H_off, diss)
                 t_build = time.perf_counter()
                 P = propagators[key] = propagator(R, dt_sub)
+                build_s = time.perf_counter() - t_build
+                sums = _column_norms(R * dt_sub)
+                norms = [sums[idx].max(initial=0.0) for idx, _ in P]
                 paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
                               "largest_block": max(len(idx) for idx, _ in P),
-                              "build_s": time.perf_counter() - t_build})
+                              "norm1": float(max(norms)),
+                              "squarings": sum(map(_squarings, norms)),
+                              "build_s": build_s})
             P = propagators[key]
             for j in range(samples_per_segment):
                 x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)

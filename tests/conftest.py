@@ -1,18 +1,19 @@
 """Oracles that the tests hold the package to: the fixed-step RK4 step
-matrix for the Padé step matrices, and for the phase observables the
+matrix for the Taylor-21 step matrices, and for the phase observables the
 direct-summation phase distribution and the first moment of a
 distribution on its grid; a fresh interpreter on the package source,
 for what only a new process shows (its imports, its warnings, its RSS);
 and the ``solver.Generator`` of a dense matrix's nonzero entries, the one
-operand type of the Padé kernel.
+operand type of the step-matrix kernel.
 
 For a linear constant-coefficient system one RK4 sub-step of length h
 multiplies by the degree-4 Taylor polynomial
 T4(hR) = 1 + hR + (hR)^2/2 + (hR)^3/6 + (hR)^4/24, so n sub-steps are the
 step matrix T4(hR)^n, computed by binary powering in about 2 log2 n
 products (the Taylor and scaling-and-squaring family of Moler & Van Loan,
-SIAM Rev. 45, 3 (2003)).  It is Taylor-4, not Padé, so it stays
-independent of ``solver.propagator``, and it preserves the trace
+SIAM Rev. 45, 3 (2003)).  It is a fixed-step product of Taylor-4
+polynomials, not the kernel's degree-21 polynomial scaled by 2^-s, so it
+stays independent of ``solver.propagator``, and it preserves the trace
 identically because the trace coordinates annihilate R.  A test that runs
 it through ``evolve`` installs it with
 ``monkeypatch.setattr(solver, "propagator", rk4_propagator)``.
@@ -57,7 +58,7 @@ def _rk4_propagator(R, dt: float) -> list:
 
 def _entries(A) -> solver.Generator:
     """The dense real matrix A as a ``solver.Generator`` of its nonzero
-    entries, in row-major order: the one operand type of the Padé kernel."""
+    entries, in row-major order: the one operand type of the step-matrix kernel."""
     rows, cols = np.nonzero(A)
     return solver.Generator(len(A), rows, cols, A[rows, cols])
 

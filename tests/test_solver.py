@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -346,6 +347,37 @@ class TestPropagate:
         assert calls == [0.1]
         assert [entry["dt"] for entry in traj.propagators] == [0.1]
 
+    def test_propagators_report_the_kernels_norm_and_squarings(self, monkeypatch):
+        # each entry's norm1 is the largest 1-norm of a block the kernel
+        # took, and squarings the sum of the s it ran on them
+        p = model.preset("base", fock_dim=6, alpha=1.0, n_steps=1)
+        d = model.derive(p)
+        build, kernel, runs = solver.propagator, solver._expm_taylor21, []
+
+        def propagator(R, dt):
+            runs.append([])
+            return build(R, dt)
+
+        def taylor21(A):
+            runs[-1].append(solver._norm1(A))
+            return kernel(A)
+
+        monkeypatch.setattr(solver, "propagator", propagator)
+        monkeypatch.setattr(solver, "_expm_taylor21", taylor21)
+        traj = solver.evolve(
+            model.pulse_schedule(p, d), model.initial_state(p),
+            model.hamiltonian_rotframe(p, d, True), model.hamiltonian_rotframe(p, d, False),
+            model.dissipators(p), samples_per_segment=2,
+        )
+        assert len(runs) == 2
+        assert [len(norms) for norms in runs] == [e["blocks"] for e in traj.propagators]
+        for entry, norms in zip(traj.propagators, runs):
+            assert entry["norm1"] == max(norms)
+            assert entry["squarings"] == sum(
+                max(0, math.ceil(math.log2(x / solver._THETA21))) for x in norms if x > 0
+            )
+            assert entry["squarings"] > 0
+
     def test_overflowing_step_matrix_names_segment(self):
         # R dt beyond the float range, under the command's floating-point
         # policy: evolve names the segment whose step matrix overflowed
@@ -571,7 +603,9 @@ class TestHealth:
 
 def _longdouble_expm(A):
     """exp(A) by a Taylor series with scaling and squaring in np.longdouble:
-    an oracle for the double-precision Padé kernel."""
+    an oracle for the double-precision Taylor-21 kernel, with its own
+    scaling (to norm 0.5), its own degree (to a term below 1e-30) and its
+    own precision."""
     A = np.asarray(A, dtype=np.longdouble)
     s = max(0, math.ceil(math.log2(float(np.abs(A).sum(axis=0).max()) / 0.5)))
     A = A / np.longdouble(2) ** s
@@ -587,34 +621,76 @@ def _longdouble_expm(A):
     return E
 
 
-def _plain_pade13(A, solve):
-    """exp(A) by the plain Padé-13 expressions, with the kernel's s and
-    its numerator V + U taken as (V - U) + 2U, the quotient Q^-1 N taken
-    by solve(Q, N)."""
+# Padé-13 coefficients b_0..b_13 and theta_13 (Higham, SIAM J. Matrix
+# Anal. Appl. 26, 1179 (2005)): the reference kernel of _plain_pade13.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _plain_pade13(A):
+    """exp(A) by the plain [13/13] Padé expressions with scaling and
+    squaring and one np.linalg.solve: the reference the Taylor-21 kernel
+    is held to."""
     n = len(A)
     norm = np.abs(A).sum(axis=0).max()
-    s = max(0, math.ceil(math.log2(norm / solver._THETA13))) if norm > 0 else 0
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     X = A * 2.0**-s
     X2 = X @ X
     X4 = X2 @ X2
     X6 = X4 @ X2
-    b, eye = solver._PADE13, np.eye(n)
+    b, eye = _PADE13, np.eye(n)
     U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
              + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
     V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
          + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
-    Q = V - U
-    E = solve(Q, Q + 2.0 * U)
+    E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E
     return E
 
 
-def _half_solve(Q, N):
-    """The kernel's quotient Q^-1 N: one solve for the first n // 2
-    columns of N and one for the rest."""
-    h = len(N) // 2
-    return np.hstack((np.linalg.solve(Q, N[:, :h]), np.linalg.solve(Q, N[:, h:])))
+def _plain_taylor21(A):
+    """exp(A) by the plain expressions of the kernel's Horner order, with
+    its s: X = c_21 A^3 + c_20 A^2 + c_19 A + c_18 I, then
+    X = A^3 @ X + c_3j+2 A^2 + c_3j+1 A + c_3j I for j = 5..0, squared s
+    times."""
+    norm = np.abs(A).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(norm / solver._THETA21))) if norm > 0 else 0
+    X = A * 2.0**-s
+    X2 = X @ X
+    X3 = X2 @ X
+    c, eye = solver._TAYLOR21, np.eye(len(A))
+    E = c[21] * X3 + c[20] * X2 + c[19] * X + c[18] * eye
+    for j in range(5, -1, -1):
+        E = X3 @ E + c[3 * j + 2] * X2 + c[3 * j + 1] * X + c[3 * j] * eye
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _backward_error_series(m, terms=100):
+    """The coefficients h_0..h_terms of h(x) = log(e^-x T_m(x)), T_m the
+    degree-m Taylor polynomial of e^x, as exact fractions: h(A) is the
+    backward error of T_m(A) as exp(A + h(A)) (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)).  With g = e^-x T_m(x) - 1, which starts
+    at x^(m+1), h = g - g^2/2 + g^3/3 - ... up to the last power with a
+    term below x^terms."""
+    e = [Fraction((-1) ** k, math.factorial(k)) for k in range(terms + 1)]
+    g = [sum(e[k - i] / math.factorial(i) for i in range(min(k, m) + 1))
+         for k in range(terms + 1)]
+    g[0] -= 1
+    assert not any(g[: m + 1])
+    h, power, j = [Fraction(0)] * (terms + 1), g, 1
+    while any(power):
+        h = [hk + Fraction((-1) ** (j + 1), j) * pk for hk, pk in zip(h, power)]
+        power = [sum(power[i] * g[k - i] for i in range(k + 1)) for k in range(terms + 1)]
+        j += 1
+    return h
 
 
 class TestRealCoordinates:
@@ -686,13 +762,10 @@ class TestRealCoordinates:
             assert sorted(tuple(idx) for idx, _ in P) == want
 
     def test_drive_on_exponential_peak_memory(self):
-        # the 1156 x 1156 drive-on exponential of base keeps at most four
-        # dense float64 operands alive at once, plus one panel of 128 rows,
-        # the entries of A and the nonzero entries of A^2.  tracemalloc
-        # does not see the two operand copies that np.linalg.solve makes
-        # for LAPACK (a traced 1156^2 solve peaks at its 1.0-array result),
-        # so this bounds the Padé sums; test_cli's
-        # test_drive_on_build_returns_freed_operands bounds the solve
+        # the 1156 x 1156 drive-on exponential of base keeps at most three
+        # dense float64 arrays alive at once (A^3 and the two Horner
+        # buffers), plus the entries of A and of A^2; it calls no LAPACK
+        # routine, so every array it holds is one tracemalloc sees
         p = model.preset("base")
         d = model.derive(p)
         R = solver.liouvillian(
@@ -705,10 +778,10 @@ class TestRealCoordinates:
         finally:
             tracemalloc.stop()
         n = R.shape[0]
-        assert peak <= 4.5 * n * n * 8
+        assert peak <= 3.5 * n * n * 8
 
     @pytest.mark.parametrize("fock_dim", [6, 9])
-    def test_pade_kernel_matches_longdouble_taylor(self, fock_dim):
+    def test_taylor_kernel_matches_longdouble(self, fock_dim):
         # the real drive-on generator over one sample interval of a run
         p = model.preset("base", fock_dim=fock_dim, alpha=1.0 + 0.0j)
         d = model.derive(p)
@@ -716,10 +789,10 @@ class TestRealCoordinates:
             model.hamiltonian_rotframe(p, d, True), model.dissipators(p)
         )
         A = R * (d.t_H / 10)
-        err = np.abs(solver._expm_pade13(A) - _longdouble_expm(A)).max()
+        err = np.abs(solver._expm_taylor21(A) - _longdouble_expm(A)).max()
         assert err <= 1e-13
 
-    def test_pade_kernel_index_form(self):
+    def test_taylor_kernel_index_form(self):
         # The kernel takes its operand by its entries.  An operand stored
         # with duplicate (same- and opposite-sign halves, exact in binary)
         # and explicit-zero entries, rows unsorted, has the exponential of
@@ -741,48 +814,42 @@ class TestRealCoordinates:
         stored = solver.Generator(canon.dim, rows[order], cols[order], vals[order])
         assert stored.nnz == 2 * canon.nnz + 5
         assert np.any(np.diff(stored.rows * stored.dim + stored.cols) <= 0)
-        E = solver._expm_pade13(stored)
-        assert E.tobytes() == solver._expm_pade13(canon).tobytes()
+        E = solver._expm_taylor21(stored)
+        assert E.tobytes() == solver._expm_taylor21(canon).tobytes()
         assert np.abs(E - _longdouble_expm(np.asarray(canon))).max() <= 1e-13
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_pade_kernel_sums_are_the_plain_expressions(self, entries, seed):
+    def test_taylor_kernel_horner_is_the_plain_expressions(self, entries, seed):
         # Only the order of the kernel's in-place sums is tested, against
-        # the plain Padé-13 expressions with the same s and the same two
-        # half solves, on operands whose products do not depend on how
-        # BLAS sums their terms.  At n = 40, one panel, A has integer
-        # entries of at most 9 times 2^-1, at most 15 per row
-        # (135^6 < 2^53), so every power of A up to A^6, scaled by 2^-s,
-        # is exact, and A^6 @ W is the same BLAS call as the plain one.
+        # the plain Horner expressions with the same s, on operands whose
+        # powers do not depend on how BLAS or the entry join sums their
+        # terms, so A^3 @ X and the squarings are the same BLAS calls on
+        # the same operands.  At n = 40 A has integer entries of at most
+        # 9 times 2^-1, at most 15 per row (135^3 < 2^53), so A^2 and A^3,
+        # scaled by 2^-s, are exact.
         rng = np.random.default_rng(seed)
         n = 40
         A = rng.integers(-9, 10, (n, n)) * (rng.random((n, n)) < 0.2) * 0.5
         assert np.count_nonzero(A, axis=1).max() <= 15
-        # At n = 301, panels of 128, 128 and 45 rows and halves of 150 and
-        # 151 columns, A is a signed permutation of cycles of 1 to 6
-        # indices: every row of A, A^2, A^4 and A^6 holds one nonzero, so
-        # every entry of every product before the solve is one product,
-        # whatever rows a panel holds, while the powers of the short
-        # cycles meet on the diagonal, where the sums add several terms
+        # At n = 301 A is a signed permutation of cycles of 1 to 6 indices:
+        # every row of A, A^2 and A^3 holds one nonzero, so every entry of
+        # a power is one product, while the powers of the short cycles
+        # meet on the diagonal, where D_j adds three terms to one entry
         m = 301
         lengths = np.cumsum(rng.integers(1, 7, m))
         cycles = np.split(rng.permutation(m), lengths[lengths < m])
         to = np.concatenate([np.roll(c, 1) for c in cycles])
         B = np.zeros((m, m))
         B[np.concatenate(cycles), to] = rng.integers(1, 10, m) * rng.choice([-4.0, 4.0], m)
-        assert m > 2 * solver._PANEL and m % solver._PANEL and m % 2
         for X in (A, B):
-            assert np.abs(X).sum(axis=0).max() > solver._THETA13  # s > 0: squarings too
-            assert np.array_equal(solver._expm_pade13(entries(X)),
-                                  _plain_pade13(X, _half_solve))
+            assert np.abs(X).sum(axis=0).max() > solver._THETA21  # s > 0: squarings too
+            assert np.array_equal(solver._expm_taylor21(entries(X)), _plain_taylor21(X))
 
-    # The base step matrices against the plain expressions with one
-    # np.linalg.solve on all columns.  The kernel differs from them in how
-    # it sums A^2 (from the entries), in its panel products and in its two
-    # half solves.  Each is held to the exact exponential within
-    # 4 u ||R dt||_1 + 1e-15 (TestKernelAccuracy), so every entry is held
-    # within twice that, 8 u ||R dt||_1 + 2e-15, u = 2^-53; the bound is
-    # fixed before any run.
+    # The base step matrices against the plain Padé-13 expressions with
+    # one np.linalg.solve, the reference kernel.  Each is held to the
+    # exact exponential within 4 u ||R dt||_1 + 1e-15 (TestKernelAccuracy),
+    # so every entry is held within twice that, 8 u ||R dt||_1 + 2e-15,
+    # u = 2^-53; the bound is fixed before any run.
     @pytest.mark.parametrize("drive_on", [True, False])
     def test_base_step_matrix_is_the_plain_expressions(self, drive_on):
         p = model.preset("base")
@@ -794,14 +861,36 @@ class TestRealCoordinates:
         dense = np.asarray(R * dt)
         tol = 8 * 2.0**-53 * solver._norm1(R * dt) + 2e-15
         for idx, block in solver.propagator(R, dt):
-            plain = _plain_pade13(dense[np.ix_(idx, idx)], np.linalg.solve)
+            plain = _plain_pade13(dense[np.ix_(idx, idx)])
             assert np.abs(block - plain).max() <= tol
 
-    def test_pade_kernel_rejects_non_finite_operand(self, entries):
+    @pytest.mark.parametrize(
+        "m, theta", [(18, 1.0908637192900361), (21, solver._THETA21)], ids=["18", "21"]
+    )
+    def test_taylor_theta_is_the_largest_double_within_unit_roundoff(self, m, theta):
+        # theta_m is the largest double x with sum_{k>m} |h_k| x^(k-1)
+        # <= 2^-53, the relative backward error of T_m at ||A||_1 = x,
+        # summed over 100 terms in exact arithmetic; theta_18 is the
+        # published cross-check.  The 100th term is negligible
+        h = _backward_error_series(m)
+        bound = Fraction(2) ** -53
+
+        def worst(x):
+            x = Fraction(x)
+            return sum(abs(hk) * x ** (k - 1) for k, hk in enumerate(h) if k > m)
+
+        assert worst(theta) <= bound < worst(math.nextafter(theta, math.inf))
+        assert abs(h[-1]) * Fraction(theta) ** 99 < 1e-40 * bound
+        # the kernel's coefficients are 1/k!, each correctly rounded
+        assert solver._TAYLOR21 == tuple(
+            float(Fraction(1, math.factorial(k))) for k in range(22)
+        )
+
+    def test_taylor_kernel_rejects_non_finite_operand(self, entries):
         A = np.zeros((3, 3))
         A[0, 1] = np.inf
         with pytest.raises(NumericalFailureError, match="1-norm inf"):
-            solver._expm_pade13(entries(A))
+            solver._expm_taylor21(entries(A))
 
     def test_rk4_rejects_non_finite_operand(self, rk4_propagator):
         # a NaN in R dt would reach math.ceil as a ValueError through the
@@ -810,9 +899,9 @@ class TestRealCoordinates:
         with pytest.raises(NumericalFailureError, match="1-norm nan"):
             rk4_propagator(R, 0.1)
 
-    def test_pade_kernel_of_zero_is_identity(self, entries):
+    def test_taylor_kernel_of_zero_is_identity(self, entries):
         # norm 0 takes no log2 and no squaring
-        E = solver._expm_pade13(entries(np.zeros((3, 3))))
+        E = solver._expm_taylor21(entries(np.zeros((3, 3))))
         npt.assert_allclose(E, np.eye(3), rtol=0, atol=2e-16)
 
 
@@ -867,11 +956,11 @@ class TestKernelAccuracy:
     # ||R dt||_1 <= 1e4, the range in which the kernel stays within 1e-12
     # of the exact exponential: no sample is renormalized (a trace drift
     # above 1e-10 before repair) and no eigenvalue falls below -1e-12.
-    # Over 600 such draws, searched for the largest drift, it read 5.2e-12
+    # Over 600 such draws, searched for the largest drift, it read 3.8e-12
     # and the smallest eigenvalue -3.3e-16.  Past that range the drift is
     # the kernel's error summed over the samples: at nu_q 10, nu_D 1,
-    # nu_eta 0.005 and 20 samples per segment (||R dt||_1 = 1.7e5) it
-    # reaches 1.02e-10 and the repair runs.
+    # nu_eta 0.005, the base rates and 20 samples per segment
+    # (||R dt||_1 1.3e5 to 3.1e5 at cutoffs 3 to 6) it reads up to 2.0e-11.
     @settings(max_examples=30, deadline=None)
     @given(point=_walk_points(), samples=st.integers(1, 20))
     def test_two_walk_steps_stay_physical(self, point, samples):
