@@ -60,21 +60,22 @@ from .solver import evolve
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
 MAX_PHASE_FILES = 4
-# The Wigner table holds 2 x F(F+1)/2 x points^2 float64 values (2.45 GB
-# at cutoff 17 and 1001 points); 256 points caps a Wigner CSV at 65,536
-# rows, the ceiling m_phase puts on a phase CSV.
+# A Wigner call holds one k = m - n block of displacement elements,
+# 2 x F x points^2 float64 values (17.8 MB at cutoff 17 and 256 points,
+# 272 MB at 1001), next to the grids of the snapshots; 256 points caps a
+# Wigner CSV at 65,536 rows, the ceiling m_phase puts on a phase CSV.
 MAX_WIGNER_POINTS = 256
 
 # glibc serves an allocation of at least its mmap threshold by a mapping of
 # its own, which goes back to the OS when freed.  Left dynamic, the
 # threshold rises to the size of the first such block freed, a 10.7 MB
 # 1156^2 operand of the drive-on exponential, so the later operands land on
-# the heap, which keeps freed pages, and a base walk peaks about 8.5 MB
-# higher (79.2 MB against 70.7 MB).  1 MiB sits below one dense operand
-# and above the 131 KB drive-off blocks.  The fixed threshold costs page
-# faults: a base run takes about 22k minor faults after the import,
-# against 11k with the dynamic one and 36k with glibc's default 128 KiB,
-# which reaches the same peak.
+# the heap, which keeps freed pages, and a base walk peaks about 1.6 MB
+# higher (61.7 MB against 60.1 MB; verify 34.3 MB against 33.7 MB).
+# 1 MiB sits below one dense operand and above the exponential's 0.85 MiB
+# row panel and the 131 KB drive-off blocks.  The fixed threshold costs
+# page faults: a base run takes about 25k minor faults after the import,
+# against 10-11k with the dynamic one.
 _M_MMAP_THRESHOLD = -3  # mallopt's parameter number in glibc's malloc.h
 _MMAP_THRESHOLD = 1 << 20
 
@@ -326,10 +327,11 @@ def run(config: RunConfig) -> RunManifest:
     t_observables = time.perf_counter()
 
     steps, times, sharps, sigmas = [], [], [], []
-    phases, grids = {}, {}  # step -> PhaseDistribution / WignerGrid
-    for step, t_boundary, rho in traj.snapshots:
-        stage = "phase distribution"
-        try:
+    # step -> PhaseDistribution / co-rotated mode state / WignerGrid
+    phases, views, grids = {}, {}, {}
+    try:
+        for step, t_boundary, rho in traj.snapshots:
+            stage = "phase distribution"
             rho_m = reduce_boson(rho)
             sharp, sigma_h = sharpness_holevo(rho_m)
             steps.append(step)
@@ -345,16 +347,21 @@ def run(config: RunConfig) -> RunManifest:
             if step <= MAX_PHASE_FILES:
                 phases[step] = phase_distribution(rho_view, p.m_phase)
             if config.emit_wigner:
-                stage = "Wigner grid"
-                grids[step] = wigner(
-                    rho_view,
-                    x_min=config.wigner_min,
-                    x_max=config.wigner_max,
-                    points=config.wigner_points,
-                )
-        except FloatingPointError as exc:
-            msg = f"observables of step {step} ({stage}): {exc}"
-            raise NumericalFailureError(msg) from exc
+                views[step] = rho_view
+        if views:
+            # one call for every snapshot, which share the displacement
+            # elements; a failure is named after the first snapshot
+            step, stage = next(iter(views)), "Wigner grid"
+            batch = wigner(
+                np.stack(list(views.values())),
+                x_min=config.wigner_min,
+                x_max=config.wigner_max,
+                points=config.wigner_points,
+            )
+            grids = {s: WignerGrid(batch.x, batch.p, w) for s, w in zip(views, batch.w)}
+    except FloatingPointError as exc:
+        msg = f"observables of step {step} ({stage}): {exc}"
+        raise NumericalFailureError(msg) from exc
 
     fit_payload = None
     if fit_steps:

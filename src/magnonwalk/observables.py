@@ -8,7 +8,6 @@ density matrix of dimension 2*F reduces to an F-dimensional mode state.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,60 +141,7 @@ class WignerGrid:
 
     x: np.ndarray
     p: np.ndarray
-    w: np.ndarray  # shape (len(x), len(p))
-
-
-@functools.lru_cache(maxsize=4)
-def _displacement_table(
-    fock: int, x_min: float, x_max: float, points: int, p_min: float, p_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """<m|D(beta)|n> for m >= n at beta = -2 (x + i p) over one grid.
-
-    Closed form sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2),
-    evaluated with the associated-Laguerre three-term recurrence.  Using
-    the exact (untruncated) matrix elements avoids the corner artifacts a
-    truncated matrix exponential develops once |beta|^2 rivals the cutoff.
-
-    Returns (m, n, re, im): the row and column of each of the
-    fock (fock + 1) / 2 lower-triangle entries, and the real and imaginary
-    parts of the elements, shape (entries, points**2) with the grid
-    flattened x-major.  Every snapshot on the same grid shares one table,
-    so the arrays are read-only.
-    """
-    xs = np.linspace(x_min, x_max, points)
-    ps = np.linspace(p_min, p_max, points)
-    X, P = np.meshgrid(xs, ps, indexing="ij")
-    beta = (-2.0 * (X + 1j * P)).ravel()
-    x = np.abs(beta) ** 2
-    env = np.exp(-0.5 * x)
-    entries = fock * (fock + 1) // 2
-    m_idx = np.empty(entries, dtype=np.intp)
-    n_idx = np.empty(entries, dtype=np.intp)
-    re = np.empty((entries, beta.size))
-    im = np.empty((entries, beta.size))
-    row = 0
-    for k in range(fock):  # k = m - n
-        # prefactor sqrt(n!/(n+k)!) * beta^k, built up with the recurrence
-        lag_prev = np.zeros_like(x)  # L_{-1}
-        lag = np.ones_like(x)        # L_0^{(k)}
-        beta_k = beta**k
-        for n in range(fock - k):
-            m = n + k
-            if n > 0:
-                lag, lag_prev = (
-                    ((2 * n - 1 + k - x) * lag - (n - 1 + k) * lag_prev) / n,
-                    lag,
-                )
-            pref = np.sqrt(
-                np.prod(1.0 / np.arange(n + 1, n + k + 1)) if k > 0 else 1.0
-            )
-            d = pref * beta_k * env * lag
-            m_idx[row], n_idx[row] = m, n
-            re[row], im[row] = d.real, d.imag
-            row += 1
-    for arr in (m_idx, n_idx, re, im):
-        arr.flags.writeable = False
-    return m_idx, n_idx, re, im
+    w: np.ndarray  # shape (len(x), len(p)), or (K, len(x), len(p)) for K states
 
 
 def wigner(
@@ -206,29 +152,67 @@ def wigner(
     p_min: float | None = None,
     p_max: float | None = None,
 ) -> WignerGrid:
-    """Displaced-parity Wigner function W(alpha) = (2/pi) Tr[rho D(alpha) Pi D(alpha)^dag].
+    """Displaced-parity Wigner function W(alpha) = (2/pi) Tr[rho D(alpha) Pi D(alpha)^dag]
+    of one mode state, shape (F, F), or of each of a stack of K of them,
+    shape (K, F, F), which gives ``w`` of shape (K, points, points).
 
     Evaluated through the identity D(alpha) Pi D(alpha)^dag = Pi D(-2 alpha)
     with exact displacement matrix elements, so |W| <= 2/pi holds on the
     whole grid and the vacuum gives (2/pi) exp(-2|alpha|^2) to machine
     precision.  Since rho and the parity are Hermitian,
-    Tr[rho Pi D] = sum_n rho_nn (-1)^n D_nn + 2 Re sum_{m>n} rho_nm (-1)^m D_mn,
-    two real matrix-vector products of the per-grid lower-triangle table
-    with the weighted coefficients of rho.
+    Tr[rho Pi D] = sum_n rho_nn (-1)^n D_nn + 2 Re sum_{m>n} rho_nm (-1)^m D_mn.
+    The elements <m|D(beta)|n>, m >= n, at beta = -2 (x + i p) have the
+    closed form sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2),
+    evaluated with the associated-Laguerre three-term recurrence; using
+    the exact (untruncated) elements avoids the corner artifacts a
+    truncated matrix exponential develops once |beta|^2 rivals the cutoff.
+    They depend only on the grid, so they are built once per call, one
+    k = m - n at a time (at most F x points^2 values, real and imaginary
+    parts apart), and each block is contracted with the weighted
+    coefficients of every state, two real matrix products, before the
+    next is built.
     """
-    fock = rho_m.shape[0]
+    fock = rho_m.shape[-1]
     if p_min is None:
         p_min = x_min
     if p_max is None:
         p_max = x_max
-    m, n, d_re, d_im = _displacement_table(fock, x_min, x_max, points, p_min, p_max)
-    coef = np.where(m == n, 1.0, 2.0) * (-1.0) ** m * rho_m[n, m]
-    w = (coef.real @ d_re - coef.imag @ d_im).reshape(points, points)
-    return WignerGrid(
-        x=np.linspace(x_min, x_max, points),
-        p=np.linspace(p_min, p_max, points),
-        w=w * (2.0 / np.pi),
-    )
+    xs = np.linspace(x_min, x_max, points)
+    ps = np.linspace(p_min, p_max, points)
+    X, P = np.meshgrid(xs, ps, indexing="ij")
+    beta = (-2.0 * (X + 1j * P)).ravel()
+    x = np.abs(beta) ** 2
+    env = np.exp(-0.5 * x)
+    states = rho_m.reshape(-1, fock, fock)
+    signs = (-1.0) ** np.arange(fock)
+    w = np.zeros((len(states), beta.size))
+    re = np.empty((fock, beta.size))
+    im = np.empty((fock, beta.size))
+    for k in range(fock):  # k = m - n
+        # prefactor sqrt(n!/(n+k)!) * beta^k, built up with the recurrence
+        lag_prev = np.zeros_like(x)  # L_{-1}
+        lag = np.ones_like(x)        # L_0^{(k)}
+        beta_k = beta**k
+        for n in range(fock - k):
+            if n > 0:
+                lag, lag_prev = (
+                    ((2 * n - 1 + k - x) * lag - (n - 1 + k) * lag_prev) / n,
+                    lag,
+                )
+            pref = np.sqrt(
+                np.prod(1.0 / np.arange(n + 1, n + k + 1)) if k > 0 else 1.0
+            )
+            d = pref * beta_k * env * lag
+            re[n], im[n] = d.real, d.imag
+        # the coefficient of <n+k|D|n> in each state: (-1)^m rho_nm, twice
+        # off the diagonal
+        coef = (1.0 if k == 0 else 2.0) * signs[k:] * np.diagonal(
+            states, offset=k, axis1=1, axis2=2
+        )
+        w += coef.real @ re[: fock - k]
+        w -= coef.imag @ im[: fock - k]
+    w *= 2.0 / np.pi
+    return WignerGrid(x=xs, p=ps, w=w.reshape(rho_m.shape[:-2] + (points, points)))
 
 
 @dataclass(frozen=True)

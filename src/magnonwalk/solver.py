@@ -39,7 +39,7 @@ Higham (SIAM J. Sci. Comput. 33, 488 (2011)), not ``scipy.linalg.expm``:
 on the real 1156 x 1156 drive-on matrix of the base preset scipy's
 real-dtype path errs by about 1e-11 against the complex exponential of
 L, while this kernel stays near 1e-13.  It takes no solve: 6 dense
-products by Horner's rule in A^3, then the squarings, with at most three
+products by Horner's rule in A^3, then the squarings, with at most two
 dense arrays alive.  The kernel takes its operand by its entries: A^2
 and A^3 are joins of entries with the rows they meet, summed by
 ``np.bincount``, and A and A^2 enter the polynomial only at their
@@ -98,6 +98,14 @@ __all__ = [
 # J. Sci. Comput. 33, 488 (2011); derived in tests/test_solver.py).
 _TAYLOR21 = tuple(1 / math.factorial(k) for k in range(22))
 _THETA21 = 1.6237159502358214
+
+# Rows of the Horner product X A^3 formed per GEMM, into one panel buffer
+# that is then copied back over them.  96 rows of a 1156-wide operand take
+# 0.85 MiB, under the 1 MiB mmap threshold cli.main sets.  On the base
+# drive-on operand (OpenBLAS, 2 threads) the kernel then takes 502 ms
+# against 474 ms with a whole second buffer; 289 rows take 489 ms and
+# 1.8 MB more.
+_PANEL_ROWS = 96
 
 # Largest imaginary part of S A S^dag, relative to A's largest entry,
 # still taken for rounding.
@@ -268,6 +276,14 @@ def _squarings(norm: float) -> int:
     return max(0, math.ceil(math.log2(norm / _THETA21))) if norm > 0 else 0
 
 
+def _error_bound(norm: float) -> float:
+    """4 u norm + 1e-15, u = 2^-53: the bound on the largest entry error,
+    against the exact exponential, of a step matrix whose blocks have
+    1-norms of at most ``norm``, to which the tests hold the kernel
+    against a ``np.longdouble`` Taylor series over cutoffs 3 to 6."""
+    return 4 * 2.0**-53 * norm + 1e-15
+
+
 def _product(L: Generator, R: Generator) -> np.ndarray:
     """The dense n x n product L @ R of two canonical generators, from
     their entries: every entry (i, j) of L is joined with every entry of
@@ -298,12 +314,15 @@ def _expm_taylor21(A: Generator) -> np.ndarray:
     A's, A^3 from A^2's nonzeros and A's rows, so A^3 is the one dense
     power.  T_21 is evaluated by Horner's rule in A^3: with
     D_j = c_3j I + c_3j+1 A + c_3j+2 A^2 and c_k = 1/k!,
-    X = c_21 A^3 + D_6, then X = A^3 @ X + D_j for j = 5, ..., 0, each D_j
+    X = c_21 A^3 + D_6, then X = X @ A^3 + D_j for j = 5, ..., 0, each D_j
     added at its entries, A^2 first and I last.  That is 6 dense products
-    and no solve, in two buffers, so at most three dense n x n arrays are
-    alive: A^3 and the two buffers, in which the s squarings alternate
-    once A^3 is freed.  An A of non-finite 1-norm (a rate or frequency
-    beyond the float range) raises NumericalFailureError."""
+    and no solve.  X is a polynomial in A, so it commutes with A^3, and
+    each product is taken as X @ A^3, in place, ``_PANEL_ROWS`` rows of X
+    at a time through one panel buffer.  So at most two dense n x n arrays
+    are alive: A^3 and X (plus the panel), then, once A^3 is freed, X and
+    the second buffer in which the s squarings alternate.  An A of
+    non-finite 1-norm (a rate or frequency beyond the float range) raises
+    NumericalFailureError."""
     c = _TAYLOR21
     n = A.dim
     A = Generator(n, *_canonical(n, A.rows, A.cols, A.vals))
@@ -324,10 +343,14 @@ def _expm_taylor21(A: Generator) -> np.ndarray:
         return X
 
     X = add_d(np.multiply(A3, c[21]), 6)
-    Y = np.empty_like(X)
+    panel = np.empty((min(_PANEL_ROWS, n), n))
     for j in range(5, -1, -1):
-        X, Y = add_d(np.matmul(A3, X, out=Y), j), X
-    del A3
+        for k in range(0, n, _PANEL_ROWS):
+            rows = X[k : k + _PANEL_ROWS]
+            rows[...] = np.matmul(rows, A3, out=panel[: len(rows)])
+        add_d(X, j)
+    del A3, panel
+    Y = np.empty_like(X)
     for _ in range(s):
         X, Y = np.matmul(X, X, out=Y), X
     return X
@@ -442,8 +465,10 @@ class Trajectory:
     of blocks (1 block of the full size means one component); ``norm1``,
     the largest block's ||R dt||_1, and ``squarings``, the kernel's
     squarings summed over the blocks (see :func:`_squarings`), both from
-    the column norms of R dt on each block's indices; and ``build_s``, the
-    wall seconds of the :func:`propagator` call that built it.
+    the column norms of R dt on each block's indices; ``error_bound``,
+    the bound :func:`_error_bound` at ``norm1`` on the step matrix's
+    largest entry error; and ``build_s``, the wall seconds of the
+    :func:`propagator` call that built it.
     ``trace_err`` is the trace drift of each sample before ``_condition``
     repaired it, ``min_eig`` the smallest eigenvalue after and
     ``top_fock`` the population of the top Fock level (the last diagonal
@@ -537,10 +562,12 @@ def evolve(
                 build_s = time.perf_counter() - t_build
                 sums = _column_norms(R * dt_sub)
                 norms = [sums[idx].max(initial=0.0) for idx, _ in P]
+                norm1 = float(max(norms))
                 paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
                               "largest_block": max(len(idx) for idx, _ in P),
-                              "norm1": float(max(norms)),
+                              "norm1": norm1,
                               "squarings": sum(map(_squarings, norms)),
+                              "error_bound": _error_bound(norm1),
                               "build_s": build_s})
             P = propagators[key]
             for j in range(samples_per_segment):

@@ -254,6 +254,8 @@ class TestRunArtifacts:
         assert by_flag[False]["largest_block"] == 128
         # one block: the kernel's squarings at the manifest's norm
         assert by_flag[True]["squarings"] == solver._squarings(by_flag[True]["norm1"]) > 0
+        for entry in manifest.propagators:
+            assert entry["error_bound"] == solver._error_bound(entry["norm1"])
         d = model.derive(config.resolve_params())
         assert by_flag[True]["dt"] == pytest.approx(d.t_H)
         assert by_flag[False]["dt"] == pytest.approx(d.t_p - d.t_H)
@@ -568,11 +570,12 @@ class TestMainEntry:
     )
     def test_drive_on_build_returns_freed_operands(self, tmp_path, fresh_python):
         # with the mmap threshold fixed at 1 MiB every freed 1156^2 operand
-        # goes back to the OS: the peak RSS of base grows by about 3.3
-        # operands across the drive-on build, at the Taylor kernel's three
-        # dense arrays (A^3 and the two Horner buffers) plus its entry
-        # joins; the kernel calls no LAPACK routine, so ru_maxrss and
-        # tracemalloc see the same arrays
+        # goes back to the OS: the peak RSS of base grows by about 2.2
+        # operands across the drive-on build, at the Taylor kernel's two
+        # dense arrays (A^3 and the Horner buffer X, then X and the second
+        # squaring buffer) plus its row panel and entry joins; the kernel
+        # calls no LAPACK routine, so ru_maxrss and tracemalloc see the
+        # same arrays
         argv = ["run", "--preset", "base", "--steps", "1", "--no-wigner",
                 "--out", str(tmp_path / "out")]
         code = (
@@ -600,7 +603,7 @@ class TestMainEntry:
         assert proc.returncode == 0, proc.stderr
         blocks, n, kib = map(int, proc.stdout.splitlines()[-1].split())
         assert blocks == 1  # the drive-on step matrix is one dense block
-        assert kib * 1024 <= 3.8 * n * n * 8  # ru_maxrss is in KiB
+        assert kib * 1024 <= 2.8 * n * n * 8  # ru_maxrss is in KiB
 
     @pytest.mark.parametrize("library", [SimpleNamespace(), None])
     def test_runs_without_mallopt(self, tmp_path, monkeypatch, library):

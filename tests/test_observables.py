@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -356,7 +357,7 @@ def _random_density(fock, seed):
 
 
 class TestWignerTable:
-    """The per-grid displacement table against the double-loop oracle."""
+    """The blockwise displacement elements against the double-loop oracle."""
 
     @pytest.mark.parametrize("fock", [6, 17])
     @pytest.mark.parametrize(
@@ -386,28 +387,32 @@ class TestWignerTable:
             atol=1e-14,
         )
 
-    def test_grids_do_not_share_a_table(self):
-        default = obs._displacement_table(17, -4.5, 4.5, 101, -4.5, 4.5)
-        shifted = obs._displacement_table(17, -4.5, 4.5, 101, -2.0, 3.5)
-        assert shifted is not default
-        assert not np.array_equal(shifted[2], default[2])
-        assert obs._displacement_table(17, -4.5, 4.5, 101, -4.5, 4.5) is default
-        rho = _random_density(17, seed=5)
-        npt.assert_allclose(
-            obs.wigner(rho, p_min=-2.0, p_max=3.5).w,
-            _wigner_loop_oracle(rho, p_min=-2.0, p_max=3.5),
-            rtol=0,
-            atol=1e-14,
-        )
+    @pytest.mark.parametrize(
+        "grid", [{}, {"x_min": -3.0, "x_max": 2.5, "points": 15, "p_min": -1.5}]
+    )
+    def test_stack_is_the_per_state_calls(self, grid):
+        # a stack of states, each contracted with the same element blocks,
+        # against one call per state and the loop oracle
+        states = np.stack([_random_density(17, seed) for seed in range(3)])
+        got = obs.wigner(states, **grid)
+        assert got.w.shape == (3,) + obs.wigner(states[0], **grid).w.shape
+        for rho, w in zip(states, got.w):
+            npt.assert_allclose(w, obs.wigner(rho, **grid).w, rtol=0, atol=1e-14)
+            npt.assert_allclose(w, _wigner_loop_oracle(rho, **grid), rtol=0, atol=1e-14)
 
-    def test_table_is_read_only(self):
-        obs.wigner(_random_density(6, seed=1))
-        table = obs._displacement_table(6, -4.5, 4.5, 101, -4.5, 4.5)
-        assert len(table[0]) == 6 * 7 // 2
-        for arr in table:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    def test_stack_peak_memory(self):
+        # 8 snapshots at cutoff 17 on the default 101 x 101 grid: one block
+        # of at most 17 x 10201 elements (2.8 MB, real and imaginary parts)
+        # and the 8 grids (0.65 MB) are alive, not a table of all 153
+        # elements (25 MB); the bound is fixed before any run
+        states = np.stack([_random_density(17, seed) for seed in range(8)])
+        tracemalloc.start()
+        try:
+            obs.wigner(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 # step-boundary times (ns) and sigma_H of the first 7 steps of

@@ -657,7 +657,7 @@ def _plain_pade13(A):
 def _plain_taylor21(A):
     """exp(A) by the plain expressions of the kernel's Horner order, with
     its s: X = c_21 A^3 + c_20 A^2 + c_19 A + c_18 I, then
-    X = A^3 @ X + c_3j+2 A^2 + c_3j+1 A + c_3j I for j = 5..0, squared s
+    X = X @ A^3 + c_3j+2 A^2 + c_3j+1 A + c_3j I for j = 5..0, squared s
     times."""
     norm = np.abs(A).sum(axis=0).max()
     s = max(0, math.ceil(math.log2(norm / solver._THETA21))) if norm > 0 else 0
@@ -667,7 +667,7 @@ def _plain_taylor21(A):
     c, eye = solver._TAYLOR21, np.eye(len(A))
     E = c[21] * X3 + c[20] * X2 + c[19] * X + c[18] * eye
     for j in range(5, -1, -1):
-        E = X3 @ E + c[3 * j + 2] * X2 + c[3 * j + 1] * X + c[3 * j] * eye
+        E = E @ X3 + c[3 * j + 2] * X2 + c[3 * j + 1] * X + c[3 * j] * eye
     for _ in range(s):
         E = E @ E
     return E
@@ -762,9 +762,10 @@ class TestRealCoordinates:
             assert sorted(tuple(idx) for idx, _ in P) == want
 
     def test_drive_on_exponential_peak_memory(self):
-        # the 1156 x 1156 drive-on exponential of base keeps at most three
-        # dense float64 arrays alive at once (A^3 and the two Horner
-        # buffers), plus the entries of A and of A^2; it calls no LAPACK
+        # the 1156 x 1156 drive-on exponential of base keeps at most two
+        # dense float64 arrays alive at once (A^3 and the Horner buffer X,
+        # then X and the second squaring buffer), plus one panel of 96
+        # rows and the entries of A and of A^2; it calls no LAPACK
         # routine, so every array it holds is one tracemalloc sees
         p = model.preset("base")
         d = model.derive(p)
@@ -778,7 +779,7 @@ class TestRealCoordinates:
         finally:
             tracemalloc.stop()
         n = R.shape[0]
-        assert peak <= 3.5 * n * n * 8
+        assert peak <= 2.5 * n * n * 8
 
     @pytest.mark.parametrize("fock_dim", [6, 9])
     def test_taylor_kernel_matches_longdouble(self, fock_dim):
@@ -823,8 +824,8 @@ class TestRealCoordinates:
         # Only the order of the kernel's in-place sums is tested, against
         # the plain Horner expressions with the same s, on operands whose
         # powers do not depend on how BLAS or the entry join sums their
-        # terms, so A^3 @ X and the squarings are the same BLAS calls on
-        # the same operands.  At n = 40 A has integer entries of at most
+        # terms, so X @ A^3 and the squarings are the same BLAS calls on
+        # the same operands.  At n = 40 (one panel of rows) A has integer entries of at most
         # 9 times 2^-1, at most 15 per row (135^3 < 2^53), so A^2 and A^3,
         # scaled by 2^-s, are exact.
         rng = np.random.default_rng(seed)
@@ -833,8 +834,9 @@ class TestRealCoordinates:
         assert np.count_nonzero(A, axis=1).max() <= 15
         # At n = 301 A is a signed permutation of cycles of 1 to 6 indices:
         # every row of A, A^2 and A^3 holds one nonzero, so every entry of
-        # a power is one product, while the powers of the short cycles
-        # meet on the diagonal, where D_j adds three terms to one entry
+        # a power, and of X @ A^3 in each of its four panels of rows, is
+        # one product, while the powers of the short cycles meet on the
+        # diagonal, where D_j adds three terms to one entry
         m = 301
         lengths = np.cumsum(rng.integers(1, 7, m))
         cycles = np.split(rng.permutation(m), lengths[lengths < m])
@@ -951,6 +953,30 @@ class TestKernelAccuracy:
         err = np.abs(_dense(solver.propagator(R, dt))
                      - _longdouble_expm(np.asarray(R * dt))).max()
         assert err <= 4 * 2.0**-53 * solver._norm1(R * dt) + 1e-15
+
+    def test_manifest_error_bound_holds(self, monkeypatch):
+        # each propagators entry states the bound its step matrix is held
+        # to above, at its norm1, the largest block's ||R dt||_1; both step
+        # matrices of a base walk at cutoff 4 keep within it
+        p = model.preset("base", fock_dim=4, alpha=1.0, n_steps=1)
+        d = model.derive(p)
+        build, built = solver.propagator, []
+
+        def propagator(R, dt):
+            built.append((R, dt, build(R, dt)))
+            return built[-1][2]
+
+        monkeypatch.setattr(solver, "propagator", propagator)
+        traj = solver.evolve(
+            model.pulse_schedule(p, d), model.initial_state(p),
+            model.hamiltonian_rotframe(p, d, True), model.hamiltonian_rotframe(p, d, False),
+            model.dissipators(p), samples_per_segment=10,
+        )
+        assert sorted(entry["drive_on"] for entry in traj.propagators) == [False, True]
+        for entry, (R, dt, P) in zip(traj.propagators, built):
+            assert entry["error_bound"] == 4 * 2.0**-53 * entry["norm1"] + 1e-15
+            err = np.abs(_dense(P) - _longdouble_expm(np.asarray(R * dt))).max()
+            assert err <= entry["error_bound"]
 
     # Two walk steps on the same draws, where both step matrices have
     # ||R dt||_1 <= 1e4, the range in which the kernel stays within 1e-12
