@@ -4,8 +4,10 @@ operator-algebra verification report.
 
 Every run is deterministic: the pipeline contains no randomness, CSVs are
 written with 17 significant digits (lossless float round-trip), and two
-runs with the same configuration produce byte-identical artifacts except
-for the manifest's wall-clock field.
+runs with the same configuration produce byte-identical artifacts.  The
+manifest is not an artifact: it records three wall-clock entries,
+``duration_s``, ``timings`` and each ``propagators`` entry's ``build_s``,
+and matches between the runs apart from them.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure (floating-point overflow included), 3 verification failure.
@@ -70,12 +72,12 @@ MAX_WIGNER_POINTS = 256
 # its own, which goes back to the OS when freed.  Left dynamic, the
 # threshold rises to the size of the first such block freed, a 10.7 MB
 # 1156^2 operand of the drive-on exponential, so the later operands land on
-# the heap, which keeps freed pages, and a base walk peaks about 1.6 MB
-# higher (61.7 MB against 60.1 MB; verify 34.3 MB against 33.7 MB).
+# the heap, which keeps freed pages, and a base walk peaks about 2.5 MB
+# higher (60.1 MB against 57.6 MB; verify 34.1 MB against 33.6 MB).
 # 1 MiB sits below one dense operand and above the exponential's 0.85 MiB
 # row panel and the 131 KB drive-off blocks.  The fixed threshold costs
-# page faults: a base run takes about 25k minor faults after the import,
-# against 10-11k with the dynamic one.
+# page faults: a base run takes about 24k minor faults after the import,
+# against 9.8k with the dynamic one.
 _M_MMAP_THRESHOLD = -3  # mallopt's parameter number in glibc's malloc.h
 _MMAP_THRESHOLD = 1 << 20
 

@@ -101,11 +101,18 @@ _THETA21 = 1.6237159502358214
 
 # Rows of the Horner product X A^3 formed per GEMM, into one panel buffer
 # that is then copied back over them.  96 rows of a 1156-wide operand take
-# 0.85 MiB, under the 1 MiB mmap threshold cli.main sets.  On the base
-# drive-on operand (OpenBLAS, 2 threads) the kernel then takes 502 ms
-# against 474 ms with a whole second buffer; 289 rows take 489 ms and
-# 1.8 MB more.
+# 0.85 MiB, under the 1 MiB mmap threshold cli.main sets.  A taller panel
+# is faster and larger: one 1156^2 product taken 96, 289, 578 or 1156 rows
+# per GEMM took 29.5, 27.8, 27.0 and 25.7 ms (OpenBLAS, 2 threads) and made
+# OpenBLAS touch 1.7, 2.3, 3.2 and 4.9 MB of packing buffers, which stay
+# resident, besides the panel itself.
 _PANEL_ROWS = 96
+
+# Rows of X @ X formed per GEMM in each squaring, straight into the second
+# buffer: two halves of the base drive-on operand, whose 3.2 MB of packing
+# is less than the Horner steps hold besides their two arrays.  The
+# drive-off blocks, of at most 128 rows, square in one GEMM.
+_SQUARING_ROWS = 578
 
 # Largest imaginary part of S A S^dag, relative to A's largest entry,
 # still taken for rounding.
@@ -318,11 +325,13 @@ def _expm_taylor21(A: Generator) -> np.ndarray:
     added at its entries, A^2 first and I last.  That is 6 dense products
     and no solve.  X is a polynomial in A, so it commutes with A^3, and
     each product is taken as X @ A^3, in place, ``_PANEL_ROWS`` rows of X
-    at a time through one panel buffer.  So at most two dense n x n arrays
-    are alive: A^3 and X (plus the panel), then, once A^3 is freed, X and
-    the second buffer in which the s squarings alternate.  An A of
-    non-finite 1-norm (a rate or frequency beyond the float range) raises
-    NumericalFailureError."""
+    at a time through one panel buffer.  A^2's rows and cols are freed once
+    A^3 is formed, and A^3, the panel and the entries of A and A^2 once the
+    Horner steps are done; only then is the second buffer allocated, into
+    which each of the s squarings writes X @ X, ``_SQUARING_ROWS`` rows
+    per GEMM.  So at most two dense n x n arrays are alive: A^3 and X,
+    then X and the squaring buffer.  An A of non-finite 1-norm (a rate or
+    frequency beyond the float range) raises NumericalFailureError."""
     c = _TAYLOR21
     n = A.dim
     A = Generator(n, *_canonical(n, A.rows, A.cols, A.vals))
@@ -332,27 +341,26 @@ def _expm_taylor21(A: Generator) -> np.ndarray:
     pos = np.flatnonzero(A2 != 0)  # on a mask: several times faster here
     A2 = Generator(n, pos // n, pos % n, A2[pos])
     A3 = _product(A2, A)
-    at = A.rows * n + A.cols
-
-    def add_d(X, j):
-        """X + D_j, added at the entries of A^2, A and I in turn."""
-        flat = X.reshape(-1)
-        flat[pos] += c[3 * j + 2] * A2.vals
-        flat[at] += c[3 * j + 1] * A.vals
-        flat[:: n + 1] += c[3 * j]
-        return X
-
-    X = add_d(np.multiply(A3, c[21]), 6)
+    a2, a, at = A2.vals, A.vals, A.rows * n + A.cols
+    del A, A2  # their rows and cols
+    X = np.multiply(A3, c[21])
+    flat = X.reshape(-1)
     panel = np.empty((min(_PANEL_ROWS, n), n))
-    for j in range(5, -1, -1):
-        for k in range(0, n, _PANEL_ROWS):
-            rows = X[k : k + _PANEL_ROWS]
-            rows[...] = np.matmul(rows, A3, out=panel[: len(rows)])
-        add_d(X, j)
-    del A3, panel
+    for j in range(6, -1, -1):
+        if j < 6:
+            for k in range(0, n, _PANEL_ROWS):
+                rows = X[k : k + _PANEL_ROWS]
+                rows[...] = np.matmul(rows, A3, out=panel[: len(rows)])
+        # + D_j, at the entries of A^2, A and I in turn
+        flat[pos] += c[3 * j + 2] * a2
+        flat[at] += c[3 * j + 1] * a
+        flat[:: n + 1] += c[3 * j]
+    del A3, panel, pos, a2, a, at
     Y = np.empty_like(X)
     for _ in range(s):
-        X, Y = np.matmul(X, X, out=Y), X
+        for k in range(0, n, _SQUARING_ROWS):
+            np.matmul(X[k : k + _SQUARING_ROWS], X, out=Y[k : k + _SQUARING_ROWS])
+        X, Y = Y, X
     return X
 
 

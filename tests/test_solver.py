@@ -764,9 +764,12 @@ class TestRealCoordinates:
     def test_drive_on_exponential_peak_memory(self):
         # the 1156 x 1156 drive-on exponential of base keeps at most two
         # dense float64 arrays alive at once (A^3 and the Horner buffer X,
-        # then X and the second squaring buffer), plus one panel of 96
-        # rows and the entries of A and of A^2; it calls no LAPACK
-        # routine, so every array it holds is one tracemalloc sees
+        # then X and the second squaring buffer).  The Horner steps add one
+        # panel of 96 rows and the entries of A and of A^2, which are freed
+        # before the squarings, so the A^3 join (about 2.23 arrays: A^3 and
+        # the join's index and product arrays) sets the peak.  The kernel
+        # calls no LAPACK routine, so every array it holds is one
+        # tracemalloc sees
         p = model.preset("base")
         d = model.derive(p)
         R = solver.liouvillian(
@@ -825,7 +828,9 @@ class TestRealCoordinates:
         # the plain Horner expressions with the same s, on operands whose
         # powers do not depend on how BLAS or the entry join sums their
         # terms, so X @ A^3 and the squarings are the same BLAS calls on
-        # the same operands.  At n = 40 (one panel of rows) A has integer entries of at most
+        # the same operands: both operands have at most
+        # solver._SQUARING_ROWS rows, so each squaring is one GEMM, as in
+        # the plain expressions.  At n = 40 (one panel of rows) A has integer entries of at most
         # 9 times 2^-1, at most 15 per row (135^3 < 2^53), so A^2 and A^3,
         # scaled by 2^-s, are exact.
         rng = np.random.default_rng(seed)
@@ -844,6 +849,7 @@ class TestRealCoordinates:
         B = np.zeros((m, m))
         B[np.concatenate(cycles), to] = rng.integers(1, 10, m) * rng.choice([-4.0, 4.0], m)
         for X in (A, B):
+            assert len(X) <= solver._SQUARING_ROWS
             assert np.abs(X).sum(axis=0).max() > solver._THETA21  # s > 0: squarings too
             assert np.array_equal(solver._expm_taylor21(entries(X)), _plain_taylor21(X))
 
