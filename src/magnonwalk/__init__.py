@@ -29,7 +29,6 @@ from .model import (  # noqa: F401
 )
 from .observables import (  # noqa: F401
     PhaseDistribution,
-    SpreadSeries,
     WignerGrid,
     loglog_slope,
     mean_number,

@@ -4,7 +4,8 @@ operator-algebra verification report.
 
 Every run is deterministic: the pipeline contains no randomness, CSVs are
 written with 17 significant digits (lossless float round-trip), and two
-runs with the same configuration produce byte-identical artifacts.  The
+runs with the same configuration, on the same machine and BLAS thread
+count, produce byte-identical artifacts.  The
 manifest is not an artifact: it records three wall-clock entries,
 ``duration_s``, ``timings`` and each ``propagators`` entry's ``build_s``,
 and matches between the runs apart from them.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import functools
 import math
 import os
 import sys
@@ -42,7 +42,6 @@ from .model import (
     pulse_schedule,
 )
 from .observables import (
-    SpreadSeries,
     WignerGrid,
     loglog_slope,
     phase_distribution,
@@ -243,21 +242,17 @@ def _csv(header: list[str], columns: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=1)
-def _wigner_template(x: bytes, p: bytes) -> str:
-    """The long-form CSV of a grid with float64 axes ``x`` and ``p`` (their
-    bytes, so that 0.0 and -0.0 differ), x-major, with each axis value
-    formatted once and each W cell left as ``%.17g``.  Every snapshot of a
-    run shares its axes, so this is built once per run."""
-    xs, ps = _fmt(np.frombuffer(x)), _fmt(np.frombuffer(p))
-    return "x,p,W\n" + "".join(f"{xi},{pj},%.17g\n" for xi in xs for pj in ps)
-
-
-def _wigner_csv(grid: WignerGrid) -> str:
-    """The grid in long form, x-major, filled into its axes' row template
-    by one ``%``: ``%.17g`` and ``{:.17g}`` run the same float formatter."""
-    template = _wigner_template(grid.x.tobytes(), grid.p.tobytes())
-    return template % tuple(grid.w.ravel().tolist())
+def _wigner_csvs(grid: WignerGrid):
+    """Yield the long-form CSV of each state of ``grid``, whose ``w`` is a
+    stack of K grids, in stack order, x-major.  The axes are formatted once
+    per call into a row template whose W cells are ``%.17g``, which one
+    ``%`` per state fills: ``%.17g`` and ``{:.17g}`` run the same float
+    formatter.  One text is built at a time, so a caller that writes each
+    before taking the next holds one."""
+    xs, ps = _fmt(grid.x), _fmt(grid.p)
+    template = "x,p,W\n" + "".join(f"{xi},{pj},%.17g\n" for xi in xs for pj in ps)
+    for w in grid.w:
+        yield template % tuple(w.ravel().tolist())
 
 
 def _write(path: Path, text: str) -> str:
@@ -281,7 +276,11 @@ def run(config: RunConfig) -> RunManifest:
     The stages run one after another (build, evolve, observables,
     emission) and their wall times go to the manifest's ``timings``; a
     floating-point error in the model build names the operator being
-    built, and one in the observables names its walk step.
+    built, and one in the observables names its walk step.  The
+    observables and the emission each take the snapshots once, in step
+    order: the phase distributions and co-rotated mode states are lists
+    in that order, all the Wigner grids come from one ``wigner`` call, and
+    each Wigner CSV is written before the next is built.
     """
     t_start = time.monotonic()
     t_build = time.perf_counter()
@@ -329,8 +328,9 @@ def run(config: RunConfig) -> RunManifest:
     t_observables = time.perf_counter()
 
     steps, times, sharps, sigmas = [], [], [], []
-    # step -> PhaseDistribution / co-rotated mode state / WignerGrid
-    phases, views, grids = {}, {}, {}
+    # in snapshot order: the phase distributions of steps 1..MAX_PHASE_FILES
+    # and the co-rotated mode states of the Wigner grids
+    phases, views = [], []
     try:
         for step, t_boundary, rho in traj.snapshots:
             stage = "phase distribution"
@@ -347,30 +347,26 @@ def run(config: RunConfig) -> RunManifest:
             # state by many turns per step
             rho_view = rotate_mode(rho_m, -d.delta_c * t_boundary)
             if step <= MAX_PHASE_FILES:
-                phases[step] = phase_distribution(rho_view, p.m_phase)
+                phases.append(phase_distribution(rho_view, p.m_phase))
             if config.emit_wigner:
-                views[step] = rho_view
+                views.append(rho_view)
         if views:
             # one call for every snapshot, which share the displacement
             # elements; a failure is named after the first snapshot
-            step, stage = next(iter(views)), "Wigner grid"
-            batch = wigner(
-                np.stack(list(views.values())),
+            step, stage = steps[0], "Wigner grid"
+            grid = wigner(
+                np.stack(views),
                 x_min=config.wigner_min,
                 x_max=config.wigner_max,
                 points=config.wigner_points,
             )
-            grids = {s: WignerGrid(batch.x, batch.p, w) for s, w in zip(views, batch.w)}
     except FloatingPointError as exc:
         msg = f"observables of step {step} ({stage}): {exc}"
         raise NumericalFailureError(msg) from exc
 
     fit_payload = None
     if fit_steps:
-        series = SpreadSeries(
-            steps=np.asarray(steps), times=np.asarray(times), sigma_h=np.asarray(sigmas)
-        )
-        slope, stderr = loglog_slope(series, fit_steps)
+        slope, stderr = loglog_slope(times, sigmas, fit_steps)
         fit_payload = {
             "slope": slope,
             "stderr": stderr,
@@ -400,15 +396,15 @@ def run(config: RunConfig) -> RunManifest:
             ],
         ),
     )
-    for step in steps:
-        if step in phases:
-            view = phases[step]
+    wigner_csvs = _wigner_csvs(grid) if views else None
+    for i, step in enumerate(steps):
+        if i < len(phases):
             emit(
                 f"phase_step{step}.csv",
-                _csv(["phi_rad", "P"], [_fmt(view.phi), _fmt(view.p)]),
+                _csv(["phi_rad", "P"], [_fmt(phases[i].phi), _fmt(phases[i].p)]),
             )
-        if step in grids:
-            emit(f"wigner_step{step}.csv", _wigner_csv(grids[step]))
+        if wigner_csvs is not None:
+            emit(f"wigner_step{step}.csv", next(wigner_csvs))
 
     if steps:
         emit(

@@ -29,7 +29,6 @@ __all__ = [
     "sharpness_holevo",
     "WignerGrid",
     "wigner",
-    "SpreadSeries",
     "loglog_slope",
 ]
 
@@ -184,6 +183,12 @@ def wigner(
     x = np.abs(beta) ** 2
     env = np.exp(-0.5 * x)
     states = rho_m.reshape(-1, fock, fock)
+    n_states = len(states)
+    if n_states == 1:
+        # numpy hands a one-row product to gemv, which rounds otherwise than
+        # the gemm of a stack: a lone state goes in twice, so that a walk
+        # of one step takes the gemm path of a longer walk
+        states = np.concatenate([states, states])
     signs = (-1.0) ** np.arange(fock)
     w = np.zeros((len(states), beta.size))
     re = np.empty((fock, beta.size))
@@ -212,16 +217,8 @@ def wigner(
         w += coef.real @ re[: fock - k]
         w -= coef.imag @ im[: fock - k]
     w *= 2.0 / np.pi
-    return WignerGrid(x=xs, p=ps, w=w.reshape(rho_m.shape[:-2] + (points, points)))
-
-
-@dataclass(frozen=True)
-class SpreadSeries:
-    """Holevo deviation at walk-step boundaries."""
-
-    steps: np.ndarray    # consecutive from 1
-    times: np.ndarray    # boundary times, ns
-    sigma_h: np.ndarray
+    w = w[:n_states].reshape(rho_m.shape[:-2] + (points, points))
+    return WignerGrid(x=xs, p=ps, w=w)
 
 
 def _ols(x, y) -> tuple[float, float]:
@@ -239,8 +236,10 @@ def _ols(x, y) -> tuple[float, float]:
     return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)))
 
 
-def loglog_slope(series: SpreadSeries, first_k: int) -> tuple[float, float]:
-    """OLS slope of log sigma_H vs log boundary time over the first k steps.
+def loglog_slope(times, sigma_h, first_k: int) -> tuple[float, float]:
+    """OLS slope of log sigma_H vs log boundary time over the first k steps,
+    from the boundary times (ns) and the Holevo deviations at the walk-step
+    boundaries, in step order.
 
     Returns (slope, standard error of the slope).  The slope is invariant
     under rescaling all times by a constant, so the time unit is
@@ -248,12 +247,12 @@ def loglog_slope(series: SpreadSeries, first_k: int) -> tuple[float, float]:
     """
     if first_k < 2:
         raise FitDomainError("need at least two points for a slope")
-    if len(series.sigma_h) < first_k:
+    if len(sigma_h) < first_k:
         raise FitDomainError(
-            f"series has {len(series.sigma_h)} points, fit wants {first_k}"
+            f"series has {len(sigma_h)} points, fit wants {first_k}"
         )
-    sig = np.asarray(series.sigma_h[:first_k], dtype=float)
-    t = np.asarray(series.times[:first_k], dtype=float)
+    sig = np.asarray(sigma_h[:first_k], dtype=float)
+    t = np.asarray(times[:first_k], dtype=float)
     if not (np.all(np.isfinite(sig)) and np.all(sig > 0)):
         raise FitDomainError("sigma_H values must be positive and finite for the fit")
     if not np.all(t > 0):

@@ -51,10 +51,8 @@ class PresetRun:
             sharp, sigma = obs.sharpness_holevo(obs.reduce_boson(rho))
             sharps.append(sharp)
             sigmas.append(sigma)
-        steps = np.arange(1, len(sigmas) + 1)
-        self.series = obs.SpreadSeries(
-            steps=steps, times=steps * self.derived.t_p, sigma_h=np.array(sigmas)
-        )
+        self.times = np.arange(1, len(sigmas) + 1) * self.derived.t_p
+        self.sigma_h = np.array(sigmas)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +66,7 @@ def realistic_run():
 
 
 def test_criterion_1_ballistic_spreading_base(base_run):
-    slope, stderr = obs.loglog_slope(base_run.series, 7)
+    slope, stderr = obs.loglog_slope(base_run.times, base_run.sigma_h, 7)
     ok = 0.75 <= slope <= 1.15 and base_run.elapsed < RUNTIME_BUDGET_S
     _report(
         "1 (base ballistic spreading)",
@@ -91,7 +89,7 @@ def test_criterion_1_ballistic_spreading_base(base_run):
     ),
 )
 def test_criterion_2_ballistic_spreading_realistic(realistic_run):
-    slope, stderr = obs.loglog_slope(realistic_run.series, 4)
+    slope, stderr = obs.loglog_slope(realistic_run.times, realistic_run.sigma_h, 4)
     ok = 0.56 <= slope <= 1.40 and realistic_run.elapsed < RUNTIME_BUDGET_S
     _report(
         "2 (realistic ballistic spreading)",
@@ -164,7 +162,7 @@ def test_stabilization_converged_in_cutoff(realistic_run):
 
 
 def test_criterion_4_monotone_spreading(base_run):
-    sig = base_run.series.sigma_h[:7]
+    sig = base_run.sigma_h[:7]
     increasing = bool(np.all(np.diff(sig) > 0))
     _report(
         "4 (monotone spreading)",

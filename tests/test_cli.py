@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import shutil
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -722,7 +724,9 @@ def _squaring_example(preset, *overrides):
 class TestExitContract:
     """Every input exits 0, 1, 2 or 3, with no exception and no numpy
     warning; the command warns only that the dispersive regime is
-    marginal."""
+    marginal.  Exit 1 writes no output directory, and exit 0 leaves every
+    step-boundary state a density matrix and every phase distribution
+    normalized."""
 
     @pytest.mark.filterwarnings("ignore::magnonwalk.errors.DispersiveRegimeWarning")
     @settings(max_examples=150, deadline=None,
@@ -756,13 +760,36 @@ class TestExitContract:
     def test_main_exits_with_a_code(
         self, tmp_path, preset, fock_dim, steps, params, grid
     ):
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)  # the examples share tmp_path
         argv = ["run", "--preset", preset, "--steps", str(steps),
                 "--samples-per-segment", "1",
                 f"--param=fock_dim={fock_dim}", "--param=alpha=1",
                 *[f"--param={name}={value}" for name, value in params],
                 "--wigner-grid={}:{}:{}".format(*grid) if grid else "--no-wigner",
-                "--out", str(tmp_path / "out")]
-        assert cli.main(argv) in {0, 1, 2, 3}
+                "--out", str(out)]
+        trajectories = []
+
+        def evolve(*args, **kwargs):
+            trajectories.append(solver.evolve(*args, **kwargs))
+            return trajectories[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "evolve", evolve)
+            code = cli.main(argv)
+        assert code in {0, 1, 2, 3}
+        if code == 1:
+            assert not out.exists()
+        if code != 0:
+            return
+        (traj,) = trajectories
+        for _, _, rho in traj.snapshots:
+            assert np.array_equal(rho, rho.conj().T)
+            assert abs(np.trace(rho) - 1) <= 1e-8
+            assert np.linalg.eigvalsh(rho)[0] >= -1e-7
+        for path in out.glob("phase_step*.csv"):
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert abs(table[:, 1].sum() - 1) <= 1e-8
 
 
 class TestConfigErrors:
@@ -946,31 +973,42 @@ class TestEmission:
         assert sha == hashlib.sha256(data).hexdigest()
 
     def test_wigner_long_form_matches_per_cell_writer(self, tmp_path):
-        # W holds every EDGE_VALUE; the second W reuses the axes' cached
-        # row template, and the third grid's axes differ only in the sign
-        # of a zero, which the template must not share
+        # a stack of two grids on shared axes, one with a signed zero; the
+        # W cells hold every EDGE_VALUE
         xs = np.array([-0.0, 5e-324, 1e300, -4.5])
         ps = np.array([np.nan, 0.1, -2.0])
         w = np.arange(12.0).reshape(4, 3) / 7.0
         w.flat[: len(EDGE_VALUES)] = EDGE_VALUES
-        grids = [
-            obs.WignerGrid(x=xs, p=ps, w=w),
-            obs.WignerGrid(x=xs, p=ps, w=-w[::-1]),
-            obs.WignerGrid(x=np.abs(xs), p=ps, w=w),
-        ]
-        for grid in grids:
+        stack = np.stack([w, -w[::-1]])
+        texts = cli._wigner_csvs(obs.WignerGrid(x=xs, p=ps, w=stack))
+        for grid_w, text in zip(stack, texts, strict=True):
             _per_cell_csv(
                 tmp_path / "old.csv",
                 ["x", "p", "W"],
                 (
-                    (float(grid.x[i]), float(grid.p[j]), float(grid.w[i, j]))
-                    for i in range(len(grid.x))
-                    for j in range(len(grid.p))
+                    (float(xs[i]), float(ps[j]), float(grid_w[i, j]))
+                    for i in range(len(xs))
+                    for j in range(len(ps))
                 ),
             )
-            text = cli._wigner_csv(grid)
             assert text.encode() == (tmp_path / "old.csv").read_bytes()
-            assert "inf" in text and "e+300" in text
+            assert "inf" in text and "e+300" in text and "\n-0,nan," in text
+
+    def test_run_holds_one_wigner_csv_at_a_time(self, tmp_path):
+        # 32 snapshots at cutoff 4 on the default 101-point grid: each
+        # Wigner CSV is about 0.6 MB of text, and the run peaks near 7.3 MB
+        # when each is written before the next is built, against 23 MB
+        # when all 32 are built first; 12 MB sits between
+        argv = ["run", "--preset", "base", "--steps", "32",
+                "--samples-per-segment", "1", "--param", "fock_dim=4",
+                "--param", "alpha=1", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     def test_empty_columns_give_header_only(self):
         assert cli._csv(["a", "b"], [[], []]) == "a,b\n"
@@ -1026,18 +1064,23 @@ class TestManifestTelemetry:
 UNIT_PARAMS = ("nu_q", "nu_D", "nu_eta", "nu_eps0", "gamma1", "gamma_phi", "Gamma")
 
 
+def _artifacts(out, *args):
+    """The artifacts of ``run *args --out out`` by file name (the manifest
+    aside, which carries wall-clock times)."""
+    assert cli.main(["run", *args, "--out", str(out)]) == 0
+    return {f.name: f.read_text() for f in out.iterdir() if f.name != "manifest.json"}
+
+
 def _scaled_walk(out, fock_dim, steps, scale):
     """The artifacts of a base walk at cutoff ``fock_dim``, every parameter
-    of UNIT_PARAMS multiplied by ``scale``, by file name (the manifest
-    aside, which carries wall-clock times)."""
+    of UNIT_PARAMS multiplied by ``scale``."""
     p = model.preset("base")
-    argv = ["run", "--preset", "base", "--steps", str(steps),
-            "--samples-per-segment", "2", "--wigner-grid=-3:3:11",
-            f"--param=fock_dim={fock_dim}", "--param=alpha=1",
-            *[f"--param={name}={getattr(p, name) * scale!r}" for name in UNIT_PARAMS],
-            "--out", str(out)]
-    assert cli.main(argv) == 0
-    return {f.name: f.read_text() for f in out.iterdir() if f.name != "manifest.json"}
+    return _artifacts(
+        out, "--preset", "base", "--steps", str(steps),
+        "--samples-per-segment", "2", "--wigner-grid=-3:3:11",
+        f"--param=fock_dim={fock_dim}", "--param=alpha=1",
+        *[f"--param={name}={getattr(p, name) * scale!r}" for name in UNIT_PARAMS],
+    )
 
 
 class TestUnitScaling:
@@ -1075,3 +1118,42 @@ class TestUnitScaling:
             for key in ("slope", "stderr"):
                 assert abs(fit.pop(key) - ref_fit[key]) <= 1e-12 * abs(ref_fit.pop(key))
             assert fit == ref_fit
+
+
+class TestStepCountPrefix:
+    """A k-step walk is the first k steps of an n-step walk, checked with no
+    oracle: its step-boundary CSVs are the n-step run's byte for byte, and
+    its time series and Holevo table are line prefixes of the n-step ones.
+    Anything of a later step that reaches an earlier artifact, such as a
+    snapshot rotated by the last boundary time, breaks the relation, and so
+    does a Wigner grid of one snapshot computed otherwise than in a stack.
+    fit.json is excepted: its window depends on the step count."""
+
+    @pytest.fixture(scope="class")
+    def walk(self, tmp_path_factory):
+        walks = {}
+
+        def walk(fock_dim, steps):
+            if (fock_dim, steps) not in walks:
+                walks[fock_dim, steps] = _artifacts(
+                    tmp_path_factory.mktemp("walk"), "--preset", "base",
+                    "--steps", str(steps), "--wigner-grid=-3:3:21",
+                    f"--param=fock_dim={fock_dim}", "--param=alpha=1",
+                )
+            return walks[fock_dim, steps]
+
+        return walk
+
+    @settings(max_examples=30, deadline=None)
+    @given(fock_dim=st.integers(3, 6),
+           counts=st.sets(st.integers(1, 4), min_size=2, max_size=2).map(sorted))
+    def test_fewer_steps_are_a_prefix(self, walk, fock_dim, counts):
+        short, full = walk(fock_dim, counts[0]), walk(fock_dim, counts[1])
+        names = short.keys() - {"fit.json"}
+        assert names <= full.keys()
+        assert {f"wigner_step{counts[0]}.csv", "holevo.csv"} <= names
+        for name in names:
+            if name.startswith(("phase_step", "wigner_step")):
+                assert short[name] == full[name], name
+            else:
+                assert full[name].startswith(short[name]), name

@@ -279,38 +279,37 @@ class TestWigner:
 
 class TestLoglogSlope:
     def _series(self, exponent, n=8, scale=1.0):
-        steps = np.arange(1, n + 1)
-        times = steps * 25.8125 * scale
-        return obs.SpreadSeries(steps, times, (times / times[0]) ** exponent * 0.3)
+        """Boundary times and a power-law sigma_H over them."""
+        times = np.arange(1, n + 1) * 25.8125 * scale
+        return times, (times / times[0]) ** exponent * 0.3
 
     def test_exact_power_law(self):
-        slope, err = obs.loglog_slope(self._series(0.96), 7)
+        slope, err = obs.loglog_slope(*self._series(0.96), 7)
         assert slope == pytest.approx(0.96, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-6)
 
     def test_classical_reference(self):
-        slope, _ = obs.loglog_slope(self._series(0.5), 7)
+        slope, _ = obs.loglog_slope(*self._series(0.5), 7)
         assert slope == pytest.approx(0.5, abs=1e-12)
 
     def test_time_unit_invariance(self):
-        s1, e1 = obs.loglog_slope(self._series(0.96, scale=1.0), 7)
-        s2, e2 = obs.loglog_slope(self._series(0.96, scale=1e-3), 7)
+        s1, e1 = obs.loglog_slope(*self._series(0.96, scale=1.0), 7)
+        s2, e2 = obs.loglog_slope(*self._series(0.96, scale=1e-3), 7)
         assert s1 == pytest.approx(s2, abs=1e-12)
         assert e1 == pytest.approx(e2, abs=1e-6)
 
     def test_rejects_nonpositive_sigma(self):
-        steps = np.arange(1, 5)
-        series = obs.SpreadSeries(steps, steps * 1.0, np.array([0.5, 0.0, 0.7, 0.9]))
+        times = np.arange(1.0, 5.0)
         with pytest.raises(FitDomainError):
-            obs.loglog_slope(series, 4)
+            obs.loglog_slope(times, np.array([0.5, 0.0, 0.7, 0.9]), 4)
 
     def test_rejects_short_series(self):
         with pytest.raises(FitDomainError):
-            obs.loglog_slope(self._series(1.0, n=3), 7)
+            obs.loglog_slope(*self._series(1.0, n=3), 7)
 
     def test_rejects_single_point(self):
         with pytest.raises(FitDomainError):
-            obs.loglog_slope(self._series(1.0), 1)
+            obs.loglog_slope(*self._series(1.0), 1)
 
 
 def _wigner_loop_oracle(
@@ -446,10 +445,7 @@ class TestOls:
         x, y = np.log(BASE_TIMES), np.log(BASE_SIGMA_H)
         ref = linregress(x, y)
         assert obs._ols(x, y) == (ref.slope, ref.stderr)
-        series = obs.SpreadSeries(
-            steps=np.arange(1, 8), times=BASE_TIMES, sigma_h=BASE_SIGMA_H
-        )
-        assert obs.loglog_slope(series, 7) == (ref.slope, ref.stderr)
+        assert obs.loglog_slope(BASE_TIMES, BASE_SIGMA_H, 7) == (ref.slope, ref.stderr)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [2, 3, 8, 50])
