@@ -133,7 +133,7 @@ class RunManifest:
     version: str
     propagators: list  # one entry per step matrix built, see Trajectory
     health: dict  # worst solver health over the samples, see Trajectory.health
-    timings: dict  # stage -> wall seconds; not part of the artifacts
+    timings: dict  # stage, and evolve's parts -> wall seconds; not artifacts
 
 
 # The annotated type of each settable field: RunConfig for [run] .. [wigner]
@@ -274,7 +274,9 @@ def run(config: RunConfig) -> RunManifest:
     """Execute one full experiment and write the requested artifacts.
 
     The stages run one after another (build, evolve, observables,
-    emission) and their wall times go to the manifest's ``timings``; a
+    emission) and their wall times go to the manifest's ``timings``, with
+    evolve's split into ``evolve.generators``, ``evolve.step_matrices`` and
+    ``evolve.stepping`` (the rest, which sums the parts to evolve); a
     floating-point error in the model build names the operator being
     built, and one in the observables names its walk step.  The
     observables and the emission each take the snapshots once, in step
@@ -436,6 +438,12 @@ def run(config: RunConfig) -> RunManifest:
         timings={
             "build": t_evolve - t_build,
             "evolve": t_observables - t_evolve,
+            # evolve's parts: the generators, the step matrices, and the
+            # rest, which steps and samples the state
+            "evolve.generators": traj.generators_s,
+            "evolve.step_matrices": traj.step_matrices_s,
+            "evolve.stepping": t_observables - t_evolve
+            - traj.generators_s - traj.step_matrices_s,
             "observables": t_emission - t_observables,
             "emission": t_end - t_emission,
         },

@@ -476,7 +476,9 @@ class Trajectory:
     the column norms of R dt on each block's indices; ``error_bound``,
     the bound :func:`_error_bound` at ``norm1`` on the step matrix's
     largest entry error; and ``build_s``, the wall seconds of the
-    :func:`propagator` call that built it.
+    :func:`propagator` call that built it.  ``generators_s`` sums the
+    wall seconds of the :func:`liouvillian` calls, ``step_matrices_s``
+    those of the step-matrix builds with their ``propagators`` entries.
     ``trace_err`` is the trace drift of each sample before ``_condition``
     repaired it, ``min_eig`` the smallest eigenvalue after and
     ``top_fock`` the population of the top Fock level (the last diagonal
@@ -493,6 +495,8 @@ class Trajectory:
     top_fock: np.ndarray  # population of the top Fock level
     snapshots: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
     propagators: list[dict] = field(default_factory=list)
+    generators_s: float = 0.0
+    step_matrices_s: float = 0.0
 
     def health(self) -> dict:
         """Worst case over the samples: the largest trace drift before
@@ -543,6 +547,7 @@ def evolve(
         raise ValueError("samples_per_segment must be >= 1")
     propagators: dict[tuple[bool, float], list] = {}
     paths: list[dict] = []
+    generators_s = step_matrices_s = 0.0
     samples: list[tuple] = []
     snapshots: list[tuple[int, float, np.ndarray]] = []
     partner, own, other = _hermitian_basis(rho0.size)
@@ -564,6 +569,7 @@ def evolve(
         key = (seg.drive_on, dt_sub)
         try:
             if key not in propagators:
+                t_generator = time.perf_counter()
                 R = liouvillian(H_on if seg.drive_on else H_off, diss)
                 t_build = time.perf_counter()
                 P = propagators[key] = propagator(R, dt_sub)
@@ -577,6 +583,8 @@ def evolve(
                               "squarings": sum(map(_squarings, norms)),
                               "error_bound": _error_bound(norm1),
                               "build_s": build_s})
+                generators_s += t_build - t_generator
+                step_matrices_s += time.perf_counter() - t_build
             P = propagators[key]
             for j in range(samples_per_segment):
                 x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)
@@ -603,4 +611,6 @@ def evolve(
         top_fock=top_fock,
         snapshots=snapshots,
         propagators=paths,
+        generators_s=generators_s,
+        step_matrices_s=step_matrices_s,
     )

@@ -110,11 +110,18 @@ def grid_holevo():
     return _grid_holevo
 
 
-def _fresh_python(*args) -> subprocess.CompletedProcess:
+def _fresh_python(*args, env_overrides=None) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter with ``src`` first on
     ``PYTHONPATH``, as a user starts it; its output is captured as text and
-    its exit code left to the caller."""
+    its exit code left to the caller.  ``env_overrides`` maps a variable
+    name to its value in the child, or to None to remove it there; without
+    it the child inherits this process's environment."""
     env = dict(os.environ)
+    for name, value in (env_overrides or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     src = Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src), *filter(None, [env.get("PYTHONPATH")])]

@@ -2,10 +2,12 @@ import argparse
 import ctypes
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
 import shutil
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import magnonwalk
 from magnonwalk import cli, model, solver
 from magnonwalk import observables as obs
 from magnonwalk import errors
@@ -1025,10 +1028,23 @@ class TestManifestTelemetry:
         config, manifest = completed_run
         written = json.loads((config.resolve_out_dir() / "manifest.json").read_text())
         assert written["timings"] == manifest.timings
-        assert set(manifest.timings) == {"build", "evolve", "observables", "emission"}
+        stages = ("build", "evolve", "observables", "emission")
+        parts = ("evolve.generators", "evolve.step_matrices", "evolve.stepping")
+        assert set(manifest.timings) == {*stages, *parts}
         assert all(t >= 0 for t in manifest.timings.values())
-        assert sum(manifest.timings.values()) <= manifest.duration_s
+        assert sum(manifest.timings[s] for s in stages) <= manifest.duration_s
         assert not set(manifest.timings) & set(manifest.files)
+
+    def test_evolve_parts_sum_to_evolve(self, completed_run):
+        # the generators and the step matrices are timed inside evolve and
+        # the stepping is the rest of the evolve stage, so the three parts
+        # tile it: their sum is evolve to within the clock's resolution
+        _, manifest = completed_run
+        t = manifest.timings
+        parts = [t["evolve.generators"], t["evolve.step_matrices"], t["evolve.stepping"]]
+        assert all(part > 0 for part in parts)
+        resolution = time.get_clock_info("perf_counter").resolution
+        assert abs(sum(parts) - t["evolve"]) <= resolution
 
     def test_propagator_build_times(self, base_walk):
         # evolve times each step-matrix build; on base the drive-on
@@ -1157,3 +1173,86 @@ class TestStepCountPrefix:
                 assert short[name] == full[name], name
             else:
                 assert full[name].startswith(short[name]), name
+
+
+class TestBlasThreadPolicy:
+    """Importing the package sets OpenBLAS's idle-thread timeout for
+    numpy's load, keeps a value the user set, leaves the environment as it
+    found it, and changes no bits of the artifacts."""
+
+    @pytest.mark.parametrize("user_value", [None, "10"])
+    def test_set_before_numpy_loads(self, fresh_python, user_value):
+        # a meta-path hook records the variable when numpy is first
+        # imported, which is when OpenBLAS's constructor reads it
+        code = (
+            "import os, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            "seen = []\n"
+            "class Hook:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.meta_path.insert(0, Hook())\n"
+            "before = dict(os.environ)\n"
+            "import magnonwalk.cli\n"
+            "print(seen)\n"
+            "print(dict(os.environ) == before)\n"
+        )
+        proc = fresh_python(
+            "-c", code, env_overrides={"OPENBLAS_THREAD_TIMEOUT": user_value}
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = user_value or magnonwalk._OPENBLAS_THREAD_TIMEOUT
+        assert proc.stdout.splitlines() == [repr([expected]), "True"]
+
+    def test_artifacts_keep_their_bits(self, tmp_path, fresh_python):
+        # OpenBLAS's default timeout, 28, against the package's: the thread
+        # count is the same, so every product splits the same way.  The
+        # drive-on build runs at the stock cutoff, where its GEMMs and the
+        # stepping gemvs are threaded
+        files = []
+        for value in ("28", None):
+            out = tmp_path / f"timeout_{value}"
+            proc = fresh_python(
+                "-m", "magnonwalk.cli", "run", "--preset", "base", "--steps", "2",
+                "--out", str(out), env_overrides={"OPENBLAS_THREAD_TIMEOUT": value},
+            )
+            assert proc.returncode == 0, proc.stderr
+            files.append(json.loads((out / "manifest.json").read_text())["files"])
+        assert files[0] == files[1]
+        assert len(files[0]) == 7
+
+
+class TestSamplingRelation:
+    """The samples taken within a segment do not move its step boundary:
+    a walk sampled 1, 10 or 20 times per segment writes the same
+    step-boundary artifacts to rounding, checked with no oracle.  The
+    step matrix of dt/n applied n times differs from that of dt by the
+    kernel's rounding (4 u ||R dt||_1 + 1e-15 per build, see
+    ``solver._error_bound``) and n gemvs; earlier runs at the stock cutoff
+    read 1.2e-12 on holevo.csv, 8.1e-15 on the phase CSVs and 1.8e-13 on
+    the Wigner CSVs.  The bounds, fixed before this test first ran, are
+    about ten times those: 1e-11, 1e-13 and 2e-12, in absolute terms, cell
+    by cell.  Columns of step numbers and boundary times hold byte for
+    byte, since they come from the schedule alone."""
+
+    BOUNDS = {"holevo": 1e-11, "phase_step": 1e-13, "wigner_step": 2e-12}
+
+    def test_boundaries_do_not_depend_on_sampling(self, tmp_path):
+        walks = {
+            n: _artifacts(tmp_path / f"n{n}", "--preset", "base", "--steps", "6",
+                          "--samples-per-segment", str(n), "--wigner-grid=-4:4:41")
+            for n in (1, 10, 20)
+        }
+        ref = walks[1]
+        names = [name for name in ref if name.startswith(tuple(self.BOUNDS))]
+        assert len(names) == 1 + cli.MAX_PHASE_FILES + 6  # holevo, phase, Wigner
+        for n in (10, 20):
+            assert walks[n].keys() == ref.keys()
+            for name in names:
+                bound = next(b for p, b in self.BOUNDS.items() if name.startswith(p))
+                a, b = (np.loadtxt(io.StringIO(w[name]), delimiter=",", skiprows=1)
+                        for w in (ref, walks[n]))
+                if name == "holevo.csv":  # step and t_ns come from the schedule
+                    assert np.array_equal(a[:, :2], b[:, :2])
+                assert np.max(np.abs(a - b)) <= bound, (n, name)
