@@ -31,6 +31,7 @@ from .model import (
     RAISE,
     SIGMA_X,
     PhysicalParams,
+    _dense_kron,
     annihilation,
     derive,
     hamiltonian_effective,
@@ -64,7 +65,11 @@ FROHLICH_SCALES = tuple(0.125 * 2.0**k for k in range(4))
 @dataclass(frozen=True)
 class EnsembleOperators:
     """Collective transition operators X[m,n] on an N-site spin-1 ensemble
-    (or an equivalent bosonic representation restricted to one sector)."""
+    (or an equivalent bosonic representation restricted to one sector).
+
+    :func:`hubbard_ensemble` gives float64 arrays, whose entries are small
+    integers, so the checks on them run in real arithmetic;
+    :func:`schwinger_ensemble` gives complex128 arrays."""
 
     n_sites: int
     dim: int
@@ -102,7 +107,7 @@ def hubbard_ensemble(n_sites: int) -> EnsembleOperators:
     holds a 1 at each such (target, source) pair, summed over j: the
     diagonal X^{mm} counts the sites in |m>, and an off-diagonal X^{mn}
     has 0/1 entries.  Every entry is a small integer, exactly the sum of
-    the site-embedded Kronecker products.
+    the site-embedded Kronecker products, held as a float64.
     """
     if not 1 <= n_sites <= 4:
         raise DimensionError(
@@ -113,7 +118,7 @@ def hubbard_ensemble(n_sites: int) -> EnsembleOperators:
     x = {}
     for dm, m in enumerate(SPIN_LABELS):
         for dn, n in enumerate(SPIN_LABELS):
-            op = np.zeros((dim, dim), dtype=complex)
+            op = np.zeros((dim, dim))
             for j in range(n_sites):
                 place = 3 ** (n_sites - 1 - j)
                 sources = states[states // place % 3 == dn]
@@ -134,9 +139,9 @@ def schwinger_ensemble(n_sites: int, trunc: int = 3) -> EnsembleOperators:
     a = annihilation(trunc)
     eye = np.eye(trunc, dtype=complex)
     mode = {
-        "+": np.kron(np.kron(a, eye), eye),
-        "0": np.kron(np.kron(eye, a), eye),
-        "-": np.kron(np.kron(eye, eye), a),
+        "+": _dense_kron(_dense_kron(a, eye), eye),
+        "0": _dense_kron(_dense_kron(eye, a), eye),
+        "-": _dense_kron(_dense_kron(eye, eye), a),
     }
     occupations = list(itertools.product(range(trunc), repeat=3))
     sector = [i for i, occ in enumerate(occupations) if sum(occ) == n_sites]
@@ -187,18 +192,21 @@ def check_hubbard_algebra(ensemble: EnsembleOperators) -> ResidualReport:
 def contraction_deviation(ens: EnsembleOperators, k: int) -> float:
     """Norm of ([V_-, V_+] - 1)|psi> on the symmetric k-quanta state of the
     spin ensemble ``ens`` from :func:`hubbard_ensemble`; equals 2k/N
-    exactly for these states."""
+    exactly for these states.  The commutator is applied to psi by four
+    products with a vector, V_-(V_+ psi) - V_+(V_- psi) - psi, without
+    forming it."""
+    psi = _symmetric_excited_state(ens.n_sites, k)
     v_minus = ens.x[("0", "-")] / math.sqrt(ens.n_sites)
     v_plus = v_minus.conj().T
-    weyl = v_minus @ v_plus - v_plus @ v_minus - np.eye(ens.dim)
-    return float(np.linalg.norm(weyl @ _symmetric_excited_state(ens.n_sites, k)))
+    weyl_psi = v_minus @ (v_plus @ psi) - v_plus @ (v_minus @ psi) - psi
+    return float(np.linalg.norm(weyl_psi))
 
 
 def _symmetric_excited_state(n_sites: int, k: int) -> np.ndarray:
     """Normalized symmetric state with k sites in |-> and the rest in |0>."""
     dim = 3**n_sites
     minus, zero = SPIN_LABELS.index("-"), SPIN_LABELS.index("0")
-    psi = np.zeros(dim, dtype=complex)
+    psi = np.zeros(dim)
     for flipped in itertools.combinations(range(n_sites), k):
         digits = [minus if j in flipped else zero for j in range(n_sites)]
         index = 0
@@ -290,7 +298,7 @@ def _multimode(n_modes: int) -> list[np.ndarray]:
 
 def _exchange(m: np.ndarray) -> np.ndarray:
     """RAISE (x) m + LOWER (x) m^dag: the qubit exchange coupling to mode m."""
-    return np.kron(RAISE, m) + np.kron(LOWER, m.conj().T)
+    return _dense_kron(RAISE, m) + _dense_kron(LOWER, m.conj().T)
 
 
 def _collective_mode(weights: list[float]):
@@ -328,7 +336,7 @@ def _dark_mode_residual(h_int: np.ndarray, modes: list[np.ndarray]) -> float:
     dim = len(h_int) // 2  # V: columns |e, vac> and |g, vac>
     worst = 0.0
     for u in modes:
-        occ = np.kron(np.eye(2), u.conj().T @ u)
+        occ = _dense_kron(np.eye(2), u.conj().T @ u)
         worst = max(worst, _opnorm((h_int @ occ - occ @ h_int)[:, ::dim]))
     return worst
 
@@ -476,13 +484,13 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
     # cancel the coin coefficient out of a full-space projection.
     low = np.eye(p.fock_dim, dtype=complex)
     low[-1, -1] = 0.0
-    sx_low = np.kron(SIGMA_X, low)
+    sx_low = _dense_kron(SIGMA_X, low)
     sx_low_sq = 2.0 * (p.fock_dim - 1)
 
     # the generator at scale s is s g1; it is real and antisymmetric, so
     # exp(-s g1) = u^T
     g1 = (2.0 * math.pi * p.nu_eta / delta_qm) * (
-        np.kron(LOWER, c.conj().T) - np.kron(RAISE, c)
+        _dense_kron(LOWER, c.conj().T) - _dense_kron(RAISE, c)
     )
     residuals = []
     sx_coeffs = []

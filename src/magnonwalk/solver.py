@@ -119,7 +119,10 @@ _SQUARING_ROWS = 578
 _HERMITICITY_TOL = 1e-13
 
 TRACE_RENORM_THRESHOLD = 1e-10
-POSITIVITY_FLOOR = -1e-5
+# Smallest eigenvalue a sampled state may have, so a run that exits 0
+# leaves none below it.  A qubit rate of 1e20 GHz or more (gamma1 or
+# gamma_phi) at cutoff 6 gives states with eigenvalues near -1e-6.
+POSITIVITY_FLOOR = -1e-7
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

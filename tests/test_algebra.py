@@ -13,18 +13,19 @@ from magnonwalk.errors import DimensionError, InvalidParameterError
 
 def kronecker_ensemble(n_sites):
     """X^{mn} as the sum over sites of |m><n| embedded by Kronecker
-    products, the direct construction that hubbard_ensemble must equal."""
+    products of float64 arrays, the direct construction that
+    hubbard_ensemble must equal."""
     labels = algebra.SPIN_LABELS
     x = {}
     for m in labels:
         for n in labels:
-            unit = np.zeros((3, 3), dtype=complex)
+            unit = np.zeros((3, 3))
             unit[labels.index(m), labels.index(n)] = 1.0
             terms = []
             for site in range(n_sites):
-                out = np.array([[1.0 + 0j]])
+                out = np.array([[1.0]])
                 for j in range(n_sites):
-                    out = np.kron(out, unit if j == site else np.eye(3, dtype=complex))
+                    out = np.kron(out, unit if j == site else np.eye(3))
                 terms.append(out)
             x[(m, n)] = sum(terms)
     return x
@@ -138,7 +139,26 @@ def _deviation(n_sites, k):
     return algebra.contraction_deviation(algebra.hubbard_ensemble(n_sites), k)
 
 
+def _operator_deviation(ens, k):
+    """||([V_-, V_+] - 1) psi|| with the commutator formed as an operator
+    and then applied to psi, the form contraction_deviation must equal."""
+    v_minus = ens.x[("0", "-")] / math.sqrt(ens.n_sites)
+    v_plus = v_minus.conj().T
+    weyl = v_minus @ v_plus - v_plus @ v_minus - np.eye(ens.dim)
+    psi = algebra._symmetric_excited_state(ens.n_sites, k)
+    return float(np.linalg.norm(weyl @ psi))
+
+
 class TestContraction:
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in (1, 2, 3, 4) for k in range(min(2, n) + 1)]
+    )
+    def test_vector_form_matches_operator_form(self, n, k):
+        ens = algebra.hubbard_ensemble(n)
+        got = algebra.contraction_deviation(ens, k)
+        assert abs(got - _operator_deviation(ens, k)) <= 1e-14
+
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reports_pass(self, n):
         for rep in algebra.check_contraction(algebra.hubbard_ensemble(n)):

@@ -736,7 +736,7 @@ class TestExitContract:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         preset=st.sampled_from(("base", "realistic")),
-        fock_dim=st.integers(2, 4),
+        fock_dim=st.integers(2, 6),
         steps=st.integers(0, 2),
         params=st.lists(
             st.tuples(st.sampled_from(OVERRIDABLE), st.sampled_from(EDGE_VALUES)),
@@ -760,6 +760,8 @@ class TestExitContract:
              grid=None)  # R dt overflows
     @example(preset="base", fock_dim=4, steps=1, params=[("nu_q", "2.87")],
              grid=("1e308", "-1e308", 2))
+    @example(preset="base", fock_dim=6, steps=1, params=[("gamma1", "1e200")],
+             grid=None)  # exited 0 with a state of eigenvalue -1.0e-6
     def test_main_exits_with_a_code(
         self, tmp_path, preset, fock_dim, steps, params, grid
     ):
@@ -1048,8 +1050,8 @@ class TestManifestTelemetry:
 
     def test_propagator_build_times(self, base_walk):
         # evolve times each step-matrix build; on base the drive-on
-        # exponential of one 1156^2 block takes about 0.63 s and the 18
-        # drive-off blocks about 0.025 s
+        # exponential of one 1156^2 block takes about 0.45 s and the 18
+        # drive-off blocks about 0.011 s
         config, _, _ = base_walk
         written = json.loads((config.resolve_out_dir() / "manifest.json").read_text())
         build_s = {e["drive_on"]: e["build_s"] for e in written["propagators"]}
@@ -1104,9 +1106,10 @@ class TestUnitScaling:
     with no oracle.  Multiplying every frequency and rate by 2^k divides
     every time by 2^k and leaves each product of a rate and a time, R dt
     and delta_c t among them, the same bits: a product with a power of two
-    is exact.  A quantity computed in units of its own, such as a rate
-    without its 2 pi or a rotation by t in place of delta_c t, breaks the
-    relation."""
+    is exact.  Any other factor rounds them anew, so those runs agree
+    within a bound instead.  A quantity computed in units of its own, such
+    as a rate without its 2 pi or a rotation by t in place of delta_c t,
+    breaks the relation."""
 
     @pytest.mark.filterwarnings("ignore::magnonwalk.errors.DispersiveRegimeWarning")
     @settings(max_examples=50, deadline=None)
@@ -1134,6 +1137,65 @@ class TestUnitScaling:
             for key in ("slope", "stderr"):
                 assert abs(fit.pop(key) - ref_fit[key]) <= 1e-12 * abs(ref_fit.pop(key))
             assert fit == ref_fit
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, tmp_path_factory):
+        """The unscaled walk's artifacts and the larger norm1 of its two
+        step matrices, by (fock_dim, steps)."""
+        walks = {}
+
+        def unscaled(fock_dim, steps):
+            if (fock_dim, steps) not in walks:
+                out = tmp_path_factory.mktemp("unscaled")
+                files = _scaled_walk(out, fock_dim, steps, 1.0)
+                manifest = json.loads((out / "manifest.json").read_text())
+                norm1 = max(e["norm1"] for e in manifest["propagators"])
+                walks[fock_dim, steps] = files, norm1
+            return walks[fock_dim, steps]
+
+        return unscaled
+
+    @pytest.mark.filterwarnings("ignore::magnonwalk.errors.DispersiveRegimeWarning")
+    @settings(max_examples=20, deadline=None)
+    @given(fock_dim=st.integers(3, 6), steps=st.integers(1, 2),
+           exponent=st.floats(-3.0, 3.0))
+    def test_any_factor_is_a_change_of_units(
+        self, unscaled, tmp_path_factory, fock_dim, steps, exponent
+    ):
+        # A factor that is not a power of two rounds every rate and time
+        # anew, by a few u relative (u = 2^-53).  That moves each step
+        # matrix by a few u ||R dt||_1 and the co-rotation angle delta_c t
+        # by as much per step, so the bound, fixed before the test's first
+        # run, is linear in both: every CSV cell agrees with the unscaled
+        # run's within 64 * steps * u * ||R dt||_1 absolute, ||R dt||_1 the
+        # larger norm1 of the unscaled run's two step matrices.
+        # sigma_H = sqrt(1/S^2 - 1) turns an error in the sharpness S into
+        # 1/(S^3 sigma_H) times as much, so its cells get the bound times
+        # 1 + 1/(S^3 sigma_H).  t_ns, multiplied by the factor, agrees
+        # within 64 u relative.
+        scale = 10.0**exponent
+        ref, norm1 = unscaled(fock_dim, steps)
+        got = _scaled_walk(tmp_path_factory.mktemp("scaled"), fock_dim, steps, scale)
+        assert got.keys() == ref.keys()
+        u = 2.0**-53
+        bound = 64 * steps * u * norm1
+        for name in sorted(n for n in ref if n.endswith(".csv")):
+            header, *ref_rows = [line.split(",") for line in ref[name].splitlines()]
+            got_header, *rows = [line.split(",") for line in got[name].splitlines()]
+            assert got_header == header and len(rows) == len(ref_rows), name
+            want = np.array(ref_rows, dtype=float)
+            have = np.array(rows, dtype=float)
+            tol = np.full(want.shape, bound)
+            if "t_ns" in header:
+                col = header.index("t_ns")
+                have[:, col] *= scale
+                tol[:, col] = 64 * u * np.abs(want[:, col])
+            if "sigma_H" in header:
+                col = header.index("sigma_H")
+                s, sigma = want[:, header.index("sharpness")], want[:, col]
+                tol[:, col] *= 1 + 1 / (s**3 * sigma)
+            bad = np.abs(have - want) > tol
+            assert not bad.any(), (name, (have - want)[bad], tol[bad])
 
 
 class TestStepCountPrefix:

@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from magnonwalk import model
@@ -331,3 +334,92 @@ class TestInitialState:
         rho = model.initial_state(p)
         n_op = _mode_number(p.fock_dim)
         assert abs(np.trace(rho @ n_op)) < 1e-14
+
+
+# Entries of the Kronecker operands: signed zeros, infinities and nan
+# besides finite values, whose products must come out bit for bit.
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_REAL = _SPECIAL | st.floats(-1e3, 1e3)
+_ENTRIES = {np.float64: _REAL, np.complex128: st.builds(complex, _REAL, _REAL)}
+_LAYOUTS = {
+    "C": lambda a: a,
+    "transposed": lambda a: a.T,
+    "Fortran": np.asfortranarray,
+}
+
+
+@st.composite
+def _operand(draw):
+    dtype = draw(st.sampled_from(list(_ENTRIES)))
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6))
+    a = draw(hnp.arrays(dtype, shape, elements=_ENTRIES[dtype]))
+    return _LAYOUTS[draw(st.sampled_from(list(_LAYOUTS)))](a)
+
+
+def _rotframe_oracle(p, d, drive_on):
+    """hamiltonian_rotframe with every Kronecker product by np.kron."""
+    c = model.annihilation(p.fock_dim)
+    idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
+    eta = TWO_PI * p.nu_eta
+    eps = TWO_PI * p.nu_eps0 if drive_on else 0.0
+    n_b = c.conj().T @ c
+    return (
+        -d.delta_c * np.kron(idq, n_b)
+        - 0.5 * d.delta_d * np.kron(model.SIGMA_Z, idb)
+        + eta * (np.kron(model.LOWER, c.conj().T) + np.kron(model.RAISE, c))
+        + eps * np.kron(idq, c + c.conj().T)
+    )
+
+
+def _effective_oracle(p, d, drive_on):
+    """hamiltonian_effective with every Kronecker product by np.kron."""
+    c = model.annihilation(p.fock_dim)
+    idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
+    eps = TWO_PI * p.nu_eps0 if drive_on else 0.0
+    omega_r = d.Omega_R if drive_on else 0.0
+    n_b = c.conj().T @ c
+    return (
+        d.chi * np.kron(model.SIGMA_Z, n_b)
+        + 0.5 * omega_r * np.kron(model.SIGMA_X, idb)
+        + eps * np.kron(idq, c + c.conj().T)
+        - d.delta_c * np.kron(idq, n_b)
+        - 0.5 * d.delta_d * np.kron(model.SIGMA_Z, idb)
+        + 0.5 * d.chi * (np.kron(idq, idb) + np.kron(model.SIGMA_Z, idb))
+    )
+
+
+def _dissipator_oracle(p):
+    """The collapse operators of dissipators, built by np.kron."""
+    idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
+    return [
+        np.kron(idq, model.annihilation(p.fock_dim)),
+        np.kron(model.LOWER, idb),
+        np.kron(model.SIGMA_Z, idb),
+    ]
+
+
+class TestDenseKron:
+    @settings(deadline=None)
+    @given(a=_operand(), b=_operand())
+    def test_equals_numpy_kron(self, a, b):
+        with np.errstate(all="ignore"):  # 0 * inf is nan, as in np.kron
+            want = np.kron(a, b)
+            got = model._dense_kron(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["base", "realistic"])
+    @pytest.mark.parametrize("fock_dim", [2, 6, 17])
+    def test_operators_equal_numpy_kron_oracles(self, name, fock_dim):
+        p = model.preset(name, fock_dim=fock_dim, alpha=1.0)
+        d = model.derive(p)
+        for drive_on in (True, False):
+            for build, oracle in (
+                (model.hamiltonian_rotframe, _rotframe_oracle),
+                (model.hamiltonian_effective, _effective_oracle),
+            ):
+                got, want = build(p, d, drive_on), oracle(p, d, drive_on)
+                assert got.tobytes() == want.tobytes(), (build.__name__, drive_on)
+        channels = model.dissipators(p).channels
+        for (_, got), want in zip(channels, _dissipator_oracle(p), strict=True):
+            assert got.tobytes() == want.tobytes()
