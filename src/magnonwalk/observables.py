@@ -167,9 +167,9 @@ def wigner(
     truncated matrix exponential develops once |beta|^2 rivals the cutoff.
     They depend only on the grid, so they are built once per call, one
     k = m - n at a time (at most F x points^2 values, real and imaginary
-    parts apart), and each block is contracted with the weighted
-    coefficients of every state, two real matrix products, before the
-    next is built.
+    parts apart), and each block is contracted with each state's weighted
+    coefficients by two matrix-vector products before the next is built:
+    each grid is rounded on its own, whatever else the stack holds.
     """
     fock = rho_m.shape[-1]
     if p_min is None:
@@ -183,12 +183,6 @@ def wigner(
     x = np.abs(beta) ** 2
     env = np.exp(-0.5 * x)
     states = rho_m.reshape(-1, fock, fock)
-    n_states = len(states)
-    if n_states == 1:
-        # numpy hands a one-row product to gemv, which rounds otherwise than
-        # the gemm of a stack: a lone state goes in twice, so that a walk
-        # of one step takes the gemm path of a longer walk
-        states = np.concatenate([states, states])
     signs = (-1.0) ** np.arange(fock)
     w = np.zeros((len(states), beta.size))
     re = np.empty((fock, beta.size))
@@ -204,9 +198,7 @@ def wigner(
                     ((2 * n - 1 + k - x) * lag - (n - 1 + k) * lag_prev) / n,
                     lag,
                 )
-            pref = np.sqrt(
-                np.prod(1.0 / np.arange(n + 1, n + k + 1)) if k > 0 else 1.0
-            )
+            pref = np.sqrt(np.prod(1.0 / np.arange(n + 1, n + k + 1)))
             d = pref * beta_k * env * lag
             re[n], im[n] = d.real, d.imag
         # the coefficient of <n+k|D|n> in each state: (-1)^m rho_nm, twice
@@ -214,10 +206,11 @@ def wigner(
         coef = (1.0 if k == 0 else 2.0) * signs[k:] * np.diagonal(
             states, offset=k, axis1=1, axis2=2
         )
-        w += coef.real @ re[: fock - k]
-        w -= coef.imag @ im[: fock - k]
+        for w_i, c in zip(w, coef):
+            w_i += c.real @ re[: fock - k]
+            w_i -= c.imag @ im[: fock - k]
     w *= 2.0 / np.pi
-    w = w[:n_states].reshape(rho_m.shape[:-2] + (points, points))
+    w = w.reshape(rho_m.shape[:-2] + (points, points))
     return WignerGrid(x=xs, p=ps, w=w)
 
 

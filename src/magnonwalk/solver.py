@@ -543,8 +543,9 @@ def evolve(
     the builder, and ``propagators`` reads them off the step matrix.
     Floating-point errors follow the caller's numpy settings.  A
     NumericalFailureError or FloatingPointError in building a generator
-    or a step matrix or in stepping the state is raised again as
-    NumericalFailureError naming the segment and walk step.
+    or a step matrix or in stepping the state, or an ``error_bound``
+    above -POSITIVITY_FLOOR, is raised as NumericalFailureError naming
+    the segment and walk step.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
@@ -580,11 +581,16 @@ def evolve(
                 sums = _column_norms(R * dt_sub)
                 norms = [sums[idx].max(initial=0.0) for idx, _ in P]
                 norm1 = float(max(norms))
+                bound = _error_bound(norm1)
+                if bound > -POSITIVITY_FLOOR:  # too coarse to hold positivity
+                    raise NumericalFailureError(
+                        f"step-matrix error bound {bound:.3e} exceeds the "
+                        f"positivity floor {-POSITIVITY_FLOOR:g}")
                 paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
                               "largest_block": max(len(idx) for idx, _ in P),
                               "norm1": norm1,
                               "squarings": sum(map(_squarings, norms)),
-                              "error_bound": _error_bound(norm1),
+                              "error_bound": bound,
                               "build_s": build_s})
                 generators_s += t_build - t_generator
                 step_matrices_s += time.perf_counter() - t_build

@@ -796,6 +796,19 @@ class TestExitContract:
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             assert abs(table[:, 1].sum() - 1) <= 1e-8
 
+    def test_step_matrix_beyond_the_positivity_floor_exits_2(self, tmp_path, capsys):
+        # a qubit rate that dwarfs the rest of the generator: the step
+        # matrices' error bounds read 1.0e86 and 2.6e86, so the entries
+        # cannot support positivity to the floor of 1e-7
+        argv = ["run", "--preset", "base", "--steps", "1", "--samples-per-segment", "4",
+                "--param", "fock_dim=5", "--param", "alpha=1", "--param", "gamma1=1e100",
+                "--no-wigner", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: propagation failed in segment 0 (step 1): "
+            "step-matrix error bound 1.019e+86 exceeds"
+        )
+
 
 class TestConfigErrors:
     """Bad settings exit 1 with a configuration error before any state is
@@ -1204,7 +1217,7 @@ class TestStepCountPrefix:
     its time series and Holevo table are line prefixes of the n-step ones.
     Anything of a later step that reaches an earlier artifact, such as a
     snapshot rotated by the last boundary time, breaks the relation, and so
-    does a Wigner grid of one snapshot computed otherwise than in a stack.
+    does a Wigner grid that depends on how many snapshots share its call.
     fit.json is excepted: its window depends on the step count."""
 
     @pytest.fixture(scope="class")
@@ -1222,19 +1235,32 @@ class TestStepCountPrefix:
 
         return walk
 
-    @settings(max_examples=30, deadline=None)
-    @given(fock_dim=st.integers(3, 6),
-           counts=st.sets(st.integers(1, 4), min_size=2, max_size=2).map(sorted))
-    def test_fewer_steps_are_a_prefix(self, walk, fock_dim, counts):
-        short, full = walk(fock_dim, counts[0]), walk(fock_dim, counts[1])
+    @staticmethod
+    def assert_prefix(short, full, steps):
         names = short.keys() - {"fit.json"}
         assert names <= full.keys()
-        assert {f"wigner_step{counts[0]}.csv", "holevo.csv"} <= names
+        assert {f"wigner_step{steps}.csv", "holevo.csv"} <= names
         for name in names:
             if name.startswith(("phase_step", "wigner_step")):
                 assert short[name] == full[name], name
             else:
                 assert full[name].startswith(short[name]), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(fock_dim=st.integers(3, 6),
+           counts=st.sets(st.integers(1, 4), min_size=2, max_size=2).map(sorted))
+    def test_fewer_steps_are_a_prefix(self, walk, fock_dim, counts):
+        self.assert_prefix(walk(fock_dim, counts[0]), walk(fock_dim, counts[1]),
+                           counts[0])
+
+    def test_stock_walk_is_a_prefix(self, base_walk, tmp_path):
+        # the stock cutoff and grid, where the 4-step walk's snapshots share
+        # one Wigner call in a stack of 4 and the 8-step walk's in one of 8
+        config, _, _ = base_walk
+        full = {f.name: f.read_text() for f in Path(config.out_dir).iterdir()
+                if f.name != "manifest.json"}
+        self.assert_prefix(_artifacts(tmp_path, "--preset", "base", "--steps", "4"),
+                           full, 4)
 
 
 class TestBlasThreadPolicy:

@@ -390,13 +390,17 @@ class TestWignerTable:
         "grid", [{}, {"x_min": -3.0, "x_max": 2.5, "points": 15, "p_min": -1.5}]
     )
     def test_stack_is_the_per_state_calls(self, grid):
-        # a stack of states, each contracted with the same element blocks,
-        # against one call per state and the loop oracle
-        states = np.stack([_random_density(17, seed) for seed in range(3)])
-        got = obs.wigner(states, **grid)
-        assert got.w.shape == (3,) + obs.wigner(states[0], **grid).w.shape
-        for rho, w in zip(states, got.w):
-            npt.assert_allclose(w, obs.wigner(rho, **grid).w, rtol=0, atol=1e-14)
+        # every prefix of a stack of states, each contracted with the same
+        # element blocks, against one call per state bit for bit, and the
+        # whole stack against the loop oracle
+        states = np.stack([_random_density(17, seed) for seed in range(8)])
+        lone = [obs.wigner(rho, **grid).w for rho in states]
+        for k in range(1, len(states) + 1):
+            got = obs.wigner(states[:k], **grid).w
+            assert got.shape == (k,) + lone[0].shape
+            for i, w in enumerate(got):
+                assert np.array_equal(w, lone[i]), (k, i)
+        for rho, w in zip(states, got):
             npt.assert_allclose(w, _wigner_loop_oracle(rho, **grid), rtol=0, atol=1e-14)
 
     def test_stack_peak_memory(self):
