@@ -519,9 +519,9 @@ def frohlich_residual(p: PhysicalParams) -> list[ResidualReport]:
     return reports
 
 
-def run_all_checks(fock_dim: int = 6) -> list[ResidualReport]:
+def run_all_checks() -> list[ResidualReport]:
     """The full verification suite with standard sizes, as ``verify``
-    runs it."""
+    runs it; the Fröhlich check runs at a Fock cutoff of 6."""
     reports: list[ResidualReport] = []
     ens = {n: hubbard_ensemble(n) for n in (1, 2, 3, 4)}
     for n in (1, 2, 3):
@@ -541,6 +541,6 @@ def run_all_checks(fock_dim: int = 6) -> list[ResidualReport]:
     reports += check_inhomogeneous_mode([1.0, 1.0])
     reports += check_inhomogeneous_mode([1.0])
 
-    p_small = preset("base", fock_dim=fock_dim, alpha=1.0 + 0.0j)
+    p_small = preset("base", fock_dim=6, alpha=1.0 + 0.0j)
     reports += frohlich_residual(p_small)
     return reports

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configuration ingestion, the run pipeline
+"""Experiment orchestration: the command-line flags, the run pipeline
 (schedule -> evolution -> observables), plot-ready data emission, and the
 operator-algebra verification report.
 
@@ -52,11 +52,11 @@ from .observables import (
 )
 from .solver import evolve
 
-# configparser, hashlib and json are imported in the functions that use
-# them: only --config reads INI, and only run's emission hashes (hashlib
-# loads OpenSSL's libcrypto, about 3.5 MB of RSS) and writes JSON.  So
-# the import and verify load none of them, and a run loads OpenSSL after
-# the drive-on exponential, past the walk's peak RSS.
+# hashlib and json are imported in the functions that use them: only
+# run's emission hashes (hashlib loads OpenSSL's libcrypto, about 3.5 MB
+# of RSS) and writes JSON.  So the import and verify load neither, and a
+# run loads OpenSSL after the drive-on exponential, past the walk's peak
+# RSS.
 
 OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
 DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
@@ -136,99 +136,25 @@ class RunManifest:
     timings: dict  # stage, and evolve's parts -> wall seconds; not artifacts
 
 
-# The annotated type of each settable field: RunConfig for [run] .. [wigner]
-# and the run flags, PhysicalParams for [params] and --param.
-_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# The RunConfig fields the run flags set, and the annotated type of each
+# PhysicalParams field, which --param sets.
+_RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(PhysicalParams)}
 
-
-def _bool(raw: str) -> bool:
-    """``raw`` as an INI boolean (1/0, yes/no, true/false, on/off)."""
-    import configparser
-
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-
-
-# Annotated type -> parser of a raw string; "int | None" parses as int.
-_PARSERS = {"str": str, "int": int, "float": float, "complex": complex, "bool": _bool}
-
-
-def _parse(kind: str, label: str, raw: str):
-    """``raw`` as a value of the annotated field type ``kind``."""
-    parse = _PARSERS[kind.split(" | ")[0]]
-    try:
-        return parse(raw)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad value for {label}: {raw!r}") from exc
+# Annotated type -> parser of a raw string.
+_PARSERS = {"int": int, "float": float, "complex": complex}
 
 
 def _coerce_param(name: str, raw: str):
+    """``raw`` as a value of the PhysicalParams field ``name``."""
     if name not in _PARAM_FIELDS:
         raise ConfigError(
             f"unknown parameter {name!r}; valid: {', '.join(_PARAM_FIELDS)}"
         )
-    return _parse(_PARAM_FIELDS[name], name, raw)
-
-
-# INI section -> key -> the RunConfig field it sets; [params] takes the
-# PhysicalParams fields instead.
-_CONFIG_KEYS = {
-    "run": {
-        "preset": "preset",
-        "steps": "steps",
-        "samples_per_segment": "samples_per_segment",
-        "fit_steps": "fit_steps",
-        "out": "out_dir",
-    },
-    "emit": {"wigner": "emit_wigner"},
-    "wigner": {
-        "min": "wigner_min",
-        "max": "wigner_max",
-        "points": "wigner_points",
-    },
-}
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Read a flat key/value config file (INI sections) into a RunConfig.
-    Keys are case-sensitive, ``;`` and ``#`` start inline comments.  An
-    unknown section or key is a ConfigError, so that a misspelt setting
-    cannot leave its default in place unnoticed; so is a file that is not
-    UTF-8 INI (no section header, a repeated key)."""
-    import configparser
-
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.optionxform = str  # [params] takes Gamma and nu_D as written
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"config file not found: {path}")
-        names = parser.sections()
-        if parser.defaults():  # [DEFAULT] would otherwise go unchecked
-            names.insert(0, parser.default_section)
-        sections = {name: dict(parser[name]) for name in names}
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    cfg = RunConfig()
-    for name, section in sections.items():
-        if name == "params":
-            for key, raw in section.items():
-                cfg.params[key] = _coerce_param(key, raw)
-            continue
-        if name not in _CONFIG_KEYS:
-            raise ConfigError(
-                f"unknown section [{name}] in {path}; "
-                f"valid: {', '.join([*_CONFIG_KEYS, 'params'])}"
-            )
-        keys = _CONFIG_KEYS[name]
-        for key, raw in section.items():
-            if key not in keys:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{name}] of {path}; "
-                    f"valid: {', '.join(keys)}"
-                )
-            label = f"{key} in [{name}] of {path}"
-            setattr(cfg, keys[key], _parse(_RUN_FIELDS[keys[key]], label, raw))
-    return cfg
+        return _PARSERS[_PARAM_FIELDS[name]](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 
 
 def _fmt(values) -> list[str]:
@@ -458,7 +384,7 @@ def run(config: RunConfig) -> RunManifest:
 
 
 def _verify(args) -> int:
-    reports = run_all_checks(fock_dim=args.fock_dim)
+    reports = run_all_checks()
     width = max(len(r.name) for r in reports)
     all_pass = True
     for r in reports:
@@ -480,15 +406,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # Every dest but config, wigner_grid and param names a RunConfig field,
-    # and a flag left out is absent from the namespace, not None.
+    # Every dest but wigner_grid and param names a RunConfig field, and a
+    # flag left out is absent from the namespace, not None.
     runp = sub.add_parser(
         "run",
         argument_default=argparse.SUPPRESS,
         help="simulate a preset and emit data files",
     )
     runp.add_argument("--preset", choices=PRESET_NAMES)
-    runp.add_argument("--config", default=None, help="INI config file")
     runp.add_argument("--steps", type=int)
     runp.add_argument("--samples-per-segment", type=int)
     runp.add_argument("--fit-steps", type=int)
@@ -509,13 +434,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a physical parameter (repeatable)",
     )
 
-    ver = sub.add_parser("verify", help="run the operator-algebra check suite")
-    ver.add_argument("--fock-dim", type=int, default=6)
+    sub.add_parser("verify", help="run the operator-algebra check suite")
     return ap
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = RunConfig()
     for name, value in vars(args).items():
         if name in _RUN_FIELDS:
             setattr(cfg, name, value)

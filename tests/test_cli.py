@@ -61,41 +61,7 @@ def completed_run(tmp_path_factory):
 
 
 class TestConfigFile:
-    def test_load_and_override(self, tmp_path):
-        path = tmp_path / "walk.ini"
-        path.write_text(
-            "[run]\n"
-            "preset = realistic\n"
-            "steps = 3\n"
-            "samples_per_segment = 5\n"
-            "fit_steps = 3\n"
-            "out = somewhere\n"
-            "[emit]\n"
-            "wigner = false\n"
-            "[wigner]\n"
-            "points = 41\n"
-            "[params]\n"
-            "nu_eps0 = 5.0\n"
-        )
-        cfg = cli.load_config(path)
-        assert cfg.preset == "realistic"
-        assert cfg.steps == 3
-        assert cfg.samples_per_segment == 5
-        assert cfg.fit_steps == 3
-        assert cfg.out_dir == "somewhere"
-        assert cfg.emit_wigner is False
-        assert cfg.wigner_points == 41
-        assert cfg.params["nu_eps0"] == pytest.approx(5.0)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            cli.load_config(tmp_path / "absent.ini")
-
-    def test_unknown_param_rejected(self, tmp_path):
-        path = tmp_path / "walk.ini"
-        path.write_text("[params]\nnot_a_field = 1\n")
-        with pytest.raises(ConfigError):
-            cli.load_config(path)
+    """The RunConfig that the run flags fill in."""
 
     def test_unknown_preset_rejected(self, tmp_path):
         config = small_config(tmp_path, preset="bogus")
@@ -116,40 +82,8 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="fit_steps"):
             cli.RunConfig(preset="base", fit_steps=k).resolve_fit_steps(8)
 
-    def test_readme_example_config(self, tmp_path):
-        # the documented file, inline comments included, loads as documented
-        block = re.search(
-            r"### Config file\n\n```ini\n(.*?)```", README.read_text(), re.DOTALL
-        )
-        path = tmp_path / "walk.ini"
-        path.write_text(block.group(1))
-        cfg = cli.load_config(path)
-        assert cfg.samples_per_segment == 10
-        assert cfg.emit_wigner is True
-        assert cfg.wigner_points == 101
-        assert cfg.params == {"nu_eps0": 10.0}
-
-    def test_params_keys_are_case_sensitive(self, tmp_path):
-        path = tmp_path / "walk.ini"
-        path.write_text("[params]\nGamma = 2e-3\nnu_D = 2.9\n")
-        p = cli.load_config(path).resolve_params()
-        assert p.Gamma == 2e-3
-        assert p.nu_D == 2.9
-        path.write_text("[params]\ngamma = 2e-3\n")
-        with pytest.raises(ConfigError, match="'gamma'"):
-            cli.load_config(path)
-
-    def test_boolean_words(self, tmp_path):
-        # the words README promises, in any case, on the one boolean key
-        words = {"1": True, "0": False, "yes": True, "no": False, "true": True,
-                 "false": False, "on": True, "off": False, "No": False}
-        path = tmp_path / "walk.ini"
-        for word, value in words.items():
-            path.write_text(f"[emit]\nwigner = {word}\n")
-            assert cli.load_config(path).emit_wigner is value, word
-
     def test_run_flags_name_run_config_fields(self):
-        # every flag but these three is copied onto the RunConfig field of
+        # every flag but these two is copied onto the RunConfig field of
         # its dest, so a dest that is not a field would be dropped
         subparsers = next(
             a
@@ -161,14 +95,12 @@ class TestConfigFile:
             for a in subparsers.choices["run"]._actions
             if a.option_strings and a.dest != "help"
         }
-        own = {"config", "wigner_grid", "param"}
+        own = {"wigner_grid", "param"}
         assert own <= dests
         assert dests - own <= RUN_FIELDS
-
-    def test_config_keys_name_run_config_fields(self):
-        targets = [f for keys in cli._CONFIG_KEYS.values() for f in keys.values()]
-        assert set(targets) <= RUN_FIELDS
-        assert len(targets) == len(set(targets))
+        # verify takes no setting
+        verify = subparsers.choices["verify"]._actions
+        assert [a.option_strings for a in verify] == [["-h", "--help"]]
 
 
 class TestRunArtifacts:
@@ -310,7 +242,7 @@ def base_walk(tmp_path_factory):
 def runtime_modules(tmp_path_factory, fresh_python):
     """What a fresh interpreter holds after ``import magnonwalk.cli``, a
     ``verify`` and a 1-step ``run`` at cutoff 3, line by line: the modules
-    of OpenSSL, json and configparser after each command, the scipy modules
+    of OpenSSL and json after each command, the scipy modules
     at the end, and per step matrix built its block count and whether
     OpenSSL was loaded when ``solver.propagator`` returned it."""
     run = ["run", "--preset", "base", "--steps", "1", "--param", "fock_dim=3",
@@ -321,7 +253,7 @@ def runtime_modules(tmp_path_factory, fresh_python):
         "import magnonwalk.cli as cli\n"
         "from magnonwalk import solver\n"
         "def loaded():\n"
-        "    names = ('hashlib', '_hashlib', 'json', 'configparser')\n"
+        "    names = ('hashlib', '_hashlib', 'json')\n"
         "    return sorted(m for m in names if m in sys.modules)\n"
         "assert cli.main(['verify']) == 0\n"
         "print('after verify:', loaded())\n"
@@ -504,6 +436,19 @@ class TestMainEntry:
         proc = fresh_python("-W", "error", "-c", block.group(1))
         assert proc.returncode == 0, proc.stderr
 
+    def test_readme_commands_parse(self):
+        # every command of "Quick start" is a command line the parser
+        # takes, and no config file is documented
+        text = README.read_text()
+        block = re.search(r"## Quick start\n\n```sh\n(.*?)```", text, re.DOTALL)
+        commands = [line.split()[1:] for line in block.group(1).splitlines()
+                    if line.startswith("magnonwalk ")]
+        assert commands
+        for argv in commands:
+            cli._build_parser().parse_args(argv)
+        assert "```ini" not in text
+        assert "--config" not in text
+
     def test_bad_preset_exit_code(self, tmp_path, capsys):
         rc = cli.main(["run", "--param", "nu_eps0=-oops", "--out", str(tmp_path)])
         assert rc == 1
@@ -559,8 +504,8 @@ class TestMainEntry:
         assert runtime_modules["scipy modules"] == "[]"
 
     def test_emission_modules_load_only_for_emission(self, runtime_modules):
-        # OpenSSL (hashlib's _hashlib), json and configparser serve only a
-        # run's emission and --config: verify leaves them out, and a run
+        # OpenSSL (hashlib's _hashlib) and json serve only a run's
+        # emission: verify leaves them out, and a run
         # loads OpenSSL only after its step matrices are built (the
         # drive-on one first, one dense block; the drive-off one four at
         # cutoff 3), past the drive-on build, where the walk's RSS peaks
@@ -633,20 +578,14 @@ class TestMainEntry:
         assert cli.main(argv) == 0
         assert loaded == [None]
 
-    def test_rk4_sub_step_is_not_a_setting(
-        self, tmp_path, capsys, monkeypatch, rk4_propagator
+    def test_taylor_timeseries_matches_rk4_oracle(
+        self, tmp_path, monkeypatch, rk4_propagator
     ):
-        # a [model] dt_max of 1e-12 rounded the diagonal of h R away against
-        # 1 and exited 0 with n_c off by 1.5e-5; the RK4 oracle sizes its
-        # sub-step from ||R dt||_1, and the section is unknown
+        # a 1-step walk's timeseries through the Taylor-21 step matrices is
+        # within 1e-9 of the RK4 oracle's, which sizes its own sub-step
+        # from ||R dt||_1
         argv = ["run", "--steps", "1", "--samples-per-segment", "2", "--no-wigner",
                 "--param", "fock_dim=3", "--param", "alpha=1", "--param", "m_phase=4"]
-        ini = tmp_path / "walk.ini"
-        ini.write_text("[model]\ndt_max = 1e-12\n")
-        out = tmp_path / "dt_max"
-        assert cli.main([*argv, "--config", str(ini), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: unknown section [model]")
 
         def timeseries(name):
             out = tmp_path / name
@@ -658,16 +597,11 @@ class TestMainEntry:
         assert np.max(np.abs(timeseries("rk4") - expm)) <= 1e-9
 
     def test_verify_subcommand(self, capsys):
-        rc = cli.main(["verify", "--fock-dim", "5"])
+        rc = cli.main(["verify"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
         assert "all checks passed" in out
-
-    def test_verify_oversized_fock_dim_is_config_error(self, capsys):
-        rc = cli.main(["verify", "--fock-dim", "10"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("configuration error: ")
 
     @pytest.mark.parametrize(
         "exc",
@@ -687,10 +621,18 @@ class TestMainEntry:
         assert issubclass(exc, errors.NumericalFailureError)
         assert issubclass(exc, ValueError)
 
-    @pytest.mark.parametrize("argv", [["run", "--method", "rk4"], ["run", "--bogus"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--method", "rk4"],
+            ["run", "--bogus"],
+            ["run", "--config", "walk.ini"],
+            ["verify", "--fock-dim", "5"],
+        ],
+    )
     def test_usage_error_exits_1(self, capsys, argv):
         # exit 2 is kept for numerical failures; there is no integrator
-        # choice
+        # choice, no config file and no verify setting
         assert cli.main(argv) == 1
         assert "usage: " in capsys.readouterr().err
 
@@ -821,11 +763,8 @@ class TestConfigErrors:
 
         monkeypatch.setattr(cli, "evolve", evolve)
 
-    def _main(self, tmp_path, capsys, *argv, ini=None):
+    def _main(self, tmp_path, capsys, *argv):
         out = tmp_path / "out"
-        if ini is not None:
-            (tmp_path / "walk.ini").write_text(ini)
-            argv = (*argv, "--config", str(tmp_path / "walk.ini"))
         rc = cli.main(["run", *argv, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -835,10 +774,6 @@ class TestConfigErrors:
 
     # above 256 points: at cutoff 17, 257 points would be a 161 MB
     # displacement table and a 66,049-row CSV per step, 1001 points 2.45 GB
-    @pytest.mark.parametrize("points", ["-3", "0", "257"])
-    def test_bad_wigner_points_in_config(self, tmp_path, capsys, points):
-        self._main(tmp_path, capsys, ini=f"[wigner]\npoints = {points}\n")
-
     @pytest.mark.parametrize("grid", ["-2:2:-1", "-2:2:0", "-4.5:4.5:257"])
     def test_bad_wigner_grid_flag(self, tmp_path, capsys, grid):
         self._main(tmp_path, capsys, f"--wigner-grid={grid}")
@@ -879,74 +814,35 @@ class TestConfigErrors:
     def test_non_finite_wigner_grid_flag(self, tmp_path, capsys, grid):
         self._main(tmp_path, capsys, f"--wigner-grid={grid}")
 
-    @pytest.mark.parametrize("ini", ["min = nan", "max = inf", "min = -inf"])
-    def test_non_finite_wigner_range_in_config(self, tmp_path, capsys, ini):
-        self._main(tmp_path, capsys, ini=f"[wigner]\n{ini}\n")
-
-    @pytest.mark.parametrize(
-        "ini, message",
-        [
-            ("[run]\nsamples_per_segmnt = 5\n", "unknown key 'samples_per_segmnt'"),
-            ("[emitt]\nwigner = false\n", "unknown section [emitt]"),
-            ("[wigner]\npoint = 7\n", "unknown key 'point'"),
-            ("[DEFAULT]\nsamples_per_segment = 5\n", "unknown section [DEFAULT]"),
-            ("[emit]\nfit = false\n", "unknown key 'fit'"),
-            ("[run]\nmethod = expm\n", "unknown key 'method'"),
-            ("[model]\nuse_omega_r0 = yes\n", "unknown section [model]"),
-            ("[model]\ndrive_first = false\n", "unknown section [model]"),
-            ("[emit]\ncorotating = false\n", "unknown key 'corotating'"),
-            ("[emit]\ntimeseries = false\n", "unknown key 'timeseries'"),
-            ("[emit]\nholevo = false\n", "unknown key 'holevo'"),
-            ("[emit]\nphase = false\n", "unknown key 'phase'"),
-        ],
-        ids=["key", "section", "wigner_key", "default_section", "emit_fit", "method",
-             "use_omega_r0", "drive_first", "corotating", "timeseries", "holevo",
-             "phase"],
-    )
-    def test_unknown_config_entry(self, tmp_path, capsys, ini, message):
-        # a misspelt or retired setting would otherwise run on its default
-        assert message in self._main(tmp_path, capsys, ini=ini)
-
     # 0 stays the flag's way to switch the fit off
     @pytest.mark.parametrize("k", ["-3", "1"])
     def test_fit_steps_flag_below_two(self, tmp_path, capsys, k):
         self._main(tmp_path, capsys, "--fit-steps", k)
 
-    @pytest.mark.parametrize("k", ["-3", "1"])
-    def test_fit_steps_in_config_below_two(self, tmp_path, capsys, k):
-        self._main(tmp_path, capsys, ini=f"[run]\nfit_steps = {k}\n")
+    def test_unknown_param(self, tmp_path, capsys):
+        err = self._main(tmp_path, capsys, "--param", "not_a_field=1")
+        assert "unknown parameter 'not_a_field'" in err
+
+    def test_param_names_are_case_sensitive(self, tmp_path, capsys):
+        # --param takes the PhysicalParams field names as written
+        err = self._main(tmp_path, capsys, "--param", "gamma=2e-3")
+        assert "'gamma'" in err
+        argv = ["run", "--param", "Gamma=2e-3", "--param", "nu_D=2.9"]
+        p = cli._config_from_args(cli._build_parser().parse_args(argv)).resolve_params()
+        assert p.Gamma == 2e-3
+        assert p.nu_D == 2.9
 
     @pytest.mark.parametrize(
-        "ini", ["steps = 2\n", "[run]\nsteps = 2\nsteps = 3\n"],
-        ids=["no_section_header", "repeated_key"],
+        "param", ["d_sites=x", "alpha=left"], ids=["d_sites", "alpha"]
     )
-    def test_malformed_config_file(self, tmp_path, capsys, ini):
-        self._main(tmp_path, capsys, ini=ini)
-
-    def test_config_file_not_utf8(self, tmp_path, capsys):
-        path = tmp_path / "walk.ini"
-        path.write_bytes(b"[run]\nout = \xff\n")
-        self._main(tmp_path, capsys, "--config", str(path))
-
-    @pytest.mark.parametrize(
-        "ini, key, raw",
-        [
-            ("[run]\nsteps = 2.5\n", "steps", "2.5"),
-            ("[emit]\nwigner = maybe\n", "wigner", "maybe"),
-            ("[wigner]\nmin = left\n", "min", "left"),
-            ("[params]\nd_sites = x\n", "d_sites", "x"),
-        ],
-        ids=["steps", "wigner", "wigner_min", "d_sites"],
-    )
-    def test_bad_typed_value_in_config(self, tmp_path, capsys, ini, key, raw):
-        (tmp_path / "walk.ini").write_text(ini)
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(tmp_path / "walk.ini"), "--out", str(out)]
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ")
+    def test_bad_typed_param(self, tmp_path, capsys, param):
+        err = self._main(tmp_path, capsys, "--param", param)
+        key, raw = param.split("=")
         assert key in err and repr(raw) in err
-        assert not out.exists()
+
+    def test_param_without_value(self, tmp_path, capsys):
+        err = self._main(tmp_path, capsys, "--param", "fock_dim")
+        assert "--param needs NAME=VALUE, got 'fock_dim'" in err
 
 
 def _per_cell_csv(path, header, rows):
