@@ -240,7 +240,13 @@ def check_contraction(
         return v_minus, u_minus, t_plus
 
     v_minus, u_minus, t_plus = gellmann(ens)
-    u_plus = u_minus.conj().T
+    # A contiguous U_+: with the transposed view OpenBLAS hands v_minus @
+    # u_plus, 81 x 81 at N = 4, to its worker thread, which waits about 8 ms
+    # when another process holds the second CPU; a contiguous operand takes
+    # the single-threaded small-matrix kernel (0.03 ms).  At N = 4 the
+    # entries are binary fractions and the products exact; verify's report
+    # is the same, byte for byte, at every N it runs.
+    u_plus = np.ascontiguousarray(u_minus.conj().T)
     v_plus = v_minus.conj().T
     cross = v_minus @ u_plus - u_plus @ v_minus
     reports.append(

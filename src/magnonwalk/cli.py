@@ -5,7 +5,7 @@ operator-algebra verification report.
 Every run is deterministic: the pipeline contains no randomness, CSVs are
 written with 17 significant digits (lossless float round-trip), and two
 runs with the same configuration, on the same machine and BLAS thread
-count, produce byte-identical artifacts.  The
+count (the manifest's ``blas``), produce byte-identical artifacts.  The
 manifest is not an artifact: it records three wall-clock entries,
 ``duration_s``, ``timings`` and each ``propagators`` entry's ``build_s``,
 and matches between the runs apart from them.
@@ -71,8 +71,8 @@ MAX_WIGNER_POINTS = 256
 # its own, which goes back to the OS when freed.  Left dynamic, the
 # threshold rises to the size of the first such block freed, a 10.7 MB
 # 1156^2 operand of the drive-on exponential, so the later operands land on
-# the heap, which keeps freed pages, and a base walk peaks about 2.5 MB
-# higher (60.1 MB against 57.6 MB; verify 34.1 MB against 33.6 MB).
+# the heap, which keeps freed pages, and a base walk peaks about 3.2 MB
+# higher (59.6 MB against 56.4 MB; verify 34.1 MB against 33.6 MB).
 # 1 MiB sits below one dense operand and above the exponential's 0.85 MiB
 # row panel and the 131 KB drive-off blocks.  The fixed threshold costs
 # page faults: a base run takes about 24k minor faults after the import,
@@ -134,6 +134,7 @@ class RunManifest:
     propagators: list  # one entry per step matrix built, see Trajectory
     health: dict  # worst solver health over the samples, see Trajectory.health
     timings: dict  # stage, and evolve's parts -> wall seconds; not artifacts
+    blas: dict  # the BLAS numpy calls, see _blas
 
 
 # The RunConfig fields the run flags set, and the annotated type of each
@@ -194,6 +195,34 @@ def _params_dict(p: PhysicalParams) -> dict:
     d = dataclasses.asdict(p)
     d["alpha"] = [p.alpha.real, p.alpha.imag]  # JSON-safe
     return d
+
+
+# The names under which numpy's OpenBLAS exports a function: scipy-openblas
+# wheels (numpy 2) prefix it and add a 64-bit-integer suffix.
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}")
+
+
+def _blas() -> dict:
+    """The OpenBLAS that numpy calls, which sets the last bits of every
+    artifact: ``threads``, its thread count, and ``version``, its
+    configuration string (version, CPU kernel, build options).  Each is
+    None where numpy's BLAS does not export the function."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (OSError, AttributeError):
+        lib = None
+
+    def call(name, restype):
+        for symbol in _OPENBLAS_SYMBOLS:
+            function = getattr(lib, symbol.format(name), None)
+            if function is not None:
+                function.restype = restype
+                return function()
+        return None
+
+    config = call("get_config", ctypes.c_char_p)
+    return {"threads": call("get_num_threads", ctypes.c_int),
+            "version": config.decode() if config is not None else None}
 
 
 def run(config: RunConfig) -> RunManifest:
@@ -373,6 +402,7 @@ def run(config: RunConfig) -> RunManifest:
             "observables": t_emission - t_observables,
             "emission": t_end - t_emission,
         },
+        blas=_blas(),
     )
     (out / "manifest.json").write_text(
         json.dumps(

@@ -541,11 +541,23 @@ def evolve(
     real-coordinate block of the drive-off generator (see
     :func:`propagator`).  The blocks of each generator are found once, by
     the builder, and ``propagators`` reads them off the step matrix.
+
+    It runs in two passes.  The first builds the step matrix of each
+    distinct (drive flag, sub-interval), in schedule order.  The second
+    conditions rho0, takes the t=0 sample and steps every segment with
+    the matrices built.  The order changes no number.  It keeps the
+    process's first eigenvalue call, which maps about 1.1 MB of LAPACK
+    code, out of the drive-on build, where a run's RSS peaks.
+
     Floating-point errors follow the caller's numpy settings.  A
     NumericalFailureError or FloatingPointError in building a generator
     or a step matrix or in stepping the state, or an ``error_bound``
     above -POSITIVITY_FLOOR, is raised as NumericalFailureError naming
-    the segment and walk step.
+    the segment and walk step.  A failed build names the first segment
+    that uses its step matrix and is raised before any step is taken: a
+    failing drive-off build of a preset's schedule fails the walk before
+    its first drive-on segment is stepped.  A failure of the t=0 sample
+    is raised unnamed.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
@@ -563,48 +575,53 @@ def evolve(
         top = reduce_boson(rho)[-1, -1].real
         samples.append((t, mean_number(rho), pe, pg, drive_on, drift, min_eig, top))
 
-    x, rho, drift, min_eig = _condition((own * v0 + other * v0[partner]).real, S_dag)
-    first_flag = schedule.segments[0].drive_on if schedule.segments else False
-    sample(0.0, first_flag, rho, drift, min_eig)
+    segments = schedule.segments
+    first_use: dict[tuple[bool, float], int] = {}  # key -> first segment using it
+    for i, seg in enumerate(segments):
+        first_use.setdefault((seg.drive_on, seg.duration / samples_per_segment), i)
 
-    n_segments = len(schedule.segments)
-    for i, seg in enumerate(schedule.segments):
-        dt_sub = seg.duration / samples_per_segment
-        key = (seg.drive_on, dt_sub)
-        try:
-            if key not in propagators:
-                t_generator = time.perf_counter()
-                R = liouvillian(H_on if seg.drive_on else H_off, diss)
-                t_build = time.perf_counter()
-                P = propagators[key] = propagator(R, dt_sub)
-                build_s = time.perf_counter() - t_build
-                sums = _column_norms(R * dt_sub)
-                norms = [sums[idx].max(initial=0.0) for idx, _ in P]
-                norm1 = float(max(norms))
-                bound = _error_bound(norm1)
-                if bound > -POSITIVITY_FLOOR:  # too coarse to hold positivity
-                    raise NumericalFailureError(
-                        f"step-matrix error bound {bound:.3e} exceeds the "
-                        f"positivity floor {-POSITIVITY_FLOOR:g}")
-                paths.append({"drive_on": seg.drive_on, "dt": dt_sub, "blocks": len(P),
-                              "largest_block": max(len(idx) for idx, _ in P),
-                              "norm1": norm1,
-                              "squarings": sum(map(_squarings, norms)),
-                              "error_bound": bound,
-                              "build_s": build_s})
-                generators_s += t_build - t_generator
-                step_matrices_s += time.perf_counter() - t_build
-            P = propagators[key]
+    try:
+        for (drive_on, dt_sub), i in first_use.items():
+            t_generator = time.perf_counter()
+            R = liouvillian(H_on if drive_on else H_off, diss)
+            t_build = time.perf_counter()
+            P = propagators[drive_on, dt_sub] = propagator(R, dt_sub)
+            build_s = time.perf_counter() - t_build
+            sums = _column_norms(R * dt_sub)
+            norms = [sums[idx].max(initial=0.0) for idx, _ in P]
+            norm1 = float(max(norms))
+            bound = _error_bound(norm1)
+            if bound > -POSITIVITY_FLOOR:  # too coarse to hold positivity
+                raise NumericalFailureError(
+                    f"step-matrix error bound {bound:.3e} exceeds the "
+                    f"positivity floor {-POSITIVITY_FLOOR:g}")
+            paths.append({"drive_on": drive_on, "dt": dt_sub, "blocks": len(P),
+                          "largest_block": max(len(idx) for idx, _ in P),
+                          "norm1": norm1,
+                          "squarings": sum(map(_squarings, norms)),
+                          "error_bound": bound,
+                          "build_s": build_s})
+            generators_s += t_build - t_generator
+            step_matrices_s += time.perf_counter() - t_build
+
+        i = None  # the t=0 sample belongs to no segment
+        x, rho, drift, min_eig = _condition((own * v0 + other * v0[partner]).real, S_dag)
+        sample(0.0, segments[0].drive_on if segments else False, rho, drift, min_eig)
+
+        for i, seg in enumerate(segments):
+            dt_sub = seg.duration / samples_per_segment
+            P = propagators[seg.drive_on, dt_sub]
             for j in range(samples_per_segment):
                 x, rho, drift, min_eig = _condition(_apply(P, x), S_dag)
                 sample(seg.t_start + (j + 1) * dt_sub, seg.drive_on, rho, drift, min_eig)
-        except (NumericalFailureError, FloatingPointError) as exc:
-            raise NumericalFailureError(
-                f"propagation failed in segment {i} (step {seg.step}): {exc}"
-            ) from exc
-        last_of_step = i + 1 == n_segments or schedule.segments[i + 1].step != seg.step
-        if last_of_step:
-            snapshots.append((seg.step, seg.t_start + seg.duration, rho))
+            if i + 1 == len(segments) or segments[i + 1].step != seg.step:
+                snapshots.append((seg.step, seg.t_start + seg.duration, rho))
+    except (NumericalFailureError, FloatingPointError) as exc:
+        if i is None:
+            raise
+        raise NumericalFailureError(
+            f"propagation failed in segment {i} (step {segments[i].step}): {exc}"
+        ) from exc
 
     times, n_c, p_e, p_g, flags, trace_err, min_eigs, top_fock = map(
         np.asarray, zip(*samples)

@@ -514,6 +514,25 @@ class TestMainEntry:
         assert runtime_modules["after run"] == "['_hashlib', 'hashlib', 'json']"
 
     @pytest.mark.skipif(
+        cli._blas()["threads"] is None,
+        reason="numpy's BLAS reports no OpenBLAS thread count",
+    )
+    def test_manifest_records_blas_threads(self, tmp_path, fresh_python):
+        # the thread count moves the last bits of every artifact, so the
+        # manifest records the one the run took, here set for OpenBLAS's load
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "base", "--steps", "1", "--param", "fock_dim=3",
+                "--param", "alpha=1", "--no-wigner", "--out", str(out)]
+        proc = fresh_python(
+            "-c", f"import magnonwalk.cli as cli; raise SystemExit(cli.main({argv!r}))",
+            env_overrides={"OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        blas = json.loads((out / "manifest.json").read_text())["blas"]
+        assert blas["threads"] == 1
+        assert blas["version"] == cli._blas()["version"]
+
+    @pytest.mark.skipif(
         _mallopt() is None,
         reason="no mallopt in the C library: cli.main leaves the allocator's own"
         " policy, and the growth measured here depends on that allocator",
@@ -562,7 +581,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("library", [SimpleNamespace(), None])
     def test_runs_without_mallopt(self, tmp_path, monkeypatch, library):
         # a C library without mallopt, or none that ctypes loads, keeps its
-        # own allocator policy, and the command runs as before
+        # own allocator policy, and the command runs as before; the manifest
+        # then finds no OpenBLAS function in numpy's library either
         loaded = []
 
         def load(name):
@@ -576,7 +596,9 @@ class TestMainEntry:
                 "--param", "fock_dim=3", "--param", "alpha=1", "--param", "m_phase=4",
                 "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
-        assert loaded == [None]
+        assert loaded == [None, np._core._multiarray_umath.__file__]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["blas"] == {"threads": None, "version": None}
 
     def test_taylor_timeseries_matches_rk4_oracle(
         self, tmp_path, monkeypatch, rk4_propagator

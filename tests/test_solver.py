@@ -471,6 +471,30 @@ class TestEvolve:
         )
         assert np.all(traj.trace_err < 1e-8)
 
+    def test_step_matrices_built_before_first_condition(self, monkeypatch):
+        # every step matrix is built before the state is first conditioned,
+        # so the eigensolver's first call comes after the drive-on build,
+        # where a run's RSS peaks
+        p = model.preset("base", fock_dim=6, alpha=1.0, n_steps=2)
+        d = model.derive(p)
+        calls, propagator, condition = [], solver.propagator, solver._condition
+
+        def built(R, dt):
+            calls.append("propagator")
+            return propagator(R, dt)
+
+        def conditioned(x, S_dag):
+            calls.append("_condition")
+            return condition(x, S_dag)
+
+        monkeypatch.setattr(solver, "propagator", built)
+        monkeypatch.setattr(solver, "_condition", conditioned)
+        solver.evolve(model.pulse_schedule(p, d), model.initial_state(p),
+                      model.hamiltonian_rotframe(p, d, True),
+                      model.hamiltonian_rotframe(p, d, False),
+                      model.dissipators(p), samples_per_segment=2)
+        assert calls == ["propagator"] * 2 + ["_condition"] * (1 + 2 * 2 * 2)
+
     def test_populations_sum_to_one(self, small):
         p2 = model.preset("base", fock_dim=6, alpha=1.0, n_steps=2)
         d = model.derive(p2)
