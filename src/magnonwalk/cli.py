@@ -20,7 +20,6 @@ import argparse
 import ctypes
 import dataclasses
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -58,8 +57,10 @@ from .solver import evolve
 # run loads OpenSSL after the drive-on exponential, past the walk's peak
 # RSS.
 
-OUTPUT_ROOT_ENV = "MAGNONWALK_OUTPUT_ROOT"
-DEFAULT_FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
+# The step boundaries in each preset's spreading fit: acceptance criterion
+# 1 fits base's exponent over steps 1-7, criterion 2 the strong-drive
+# presets' over steps 1-4.
+FIT_STEPS = {"base": 7, "realistic": 4, "realistic_gamma1": 4}
 MAX_PHASE_FILES = 4
 # A Wigner call holds one k = m - n block of displacement elements,
 # 2 x F x points^2 float64 values (17.8 MB at cutoff 17 and 256 points,
@@ -87,7 +88,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)  # overrides for PhysicalParams
     steps: int | None = None
     samples_per_segment: int = 10
-    fit_steps: int | None = None
     wigner_min: float = -4.5
     wigner_max: float = 4.5
     wigner_points: int = 101
@@ -104,22 +104,15 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def resolve_fit_steps(self, n_steps: int) -> int:
-        """The number of step boundaries in the fit; 0 when there is no fit
-        (``fit_steps = 0``, or fewer than two boundaries to fit).  A window
-        of 1 or below 0 is a ConfigError."""
-        k = self.fit_steps
-        if k is None:
-            k = DEFAULT_FIT_STEPS.get(self.preset, max(2, n_steps - 1))
-        elif k < 0 or k == 1:
-            raise ConfigError(f"fit_steps must be >= 2, or 0 for no fit, got {k}")
-        k = min(k, n_steps)
+        """The number of step boundaries in the fit: the preset's window, or
+        every step of a shorter walk; 0, no fit, below two boundaries."""
+        k = min(FIT_STEPS[self.preset], n_steps)
         return k if k >= 2 else 0
 
     def resolve_out_dir(self) -> Path:
         if self.out_dir is not None:
             return Path(self.out_dir)
-        root = os.environ.get(OUTPUT_ROOT_ENV, ".")
-        return Path(root) / f"run_{self.preset}"
+        return Path(f"run_{self.preset}")
 
 
 @dataclass
@@ -446,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--preset", choices=PRESET_NAMES)
     runp.add_argument("--steps", type=int)
     runp.add_argument("--samples-per-segment", type=int)
-    runp.add_argument("--fit-steps", type=int)
     runp.add_argument(
         "--wigner-grid",
         default=None,

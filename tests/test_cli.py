@@ -31,7 +31,6 @@ def small_config(tmp_path, **kw):
         params={"fock_dim": 8, "alpha": 1.5 + 0.0j},
         steps=2,
         samples_per_segment=2,
-        fit_steps=2,
         wigner_points=11,
         out_dir=str(tmp_path / "out"),
     )
@@ -70,17 +69,12 @@ class TestConfigFile:
 
     def test_default_fit_window_per_preset(self):
         # 7 boundary points enter the benchmark fit, 4 the strong-drive one
+        assert set(cli.FIT_STEPS) == set(model.PRESET_NAMES)
         assert cli.RunConfig(preset="base").resolve_fit_steps(8) == 7
         assert cli.RunConfig(preset="realistic").resolve_fit_steps(8) == 4
         assert cli.RunConfig(preset="base").resolve_fit_steps(3) == 3
         # no fit is recorded as a window of 0, not as a window too short to fit
         assert cli.RunConfig(preset="base").resolve_fit_steps(1) == 0
-        assert cli.RunConfig(preset="base", fit_steps=0).resolve_fit_steps(8) == 0
-
-    @pytest.mark.parametrize("k", [-3, 1])
-    def test_fit_window_below_two_rejected(self, k):
-        with pytest.raises(ConfigError, match="fit_steps"):
-            cli.RunConfig(preset="base", fit_steps=k).resolve_fit_steps(8)
 
     def test_run_flags_name_run_config_fields(self):
         # every flag but these two is copied onto the RunConfig field of
@@ -142,6 +136,11 @@ class TestRunArtifacts:
         assert fit["steps"] == [1, 2]
         assert fit["abscissa"] == "step_boundary_time_ns"
         assert math.isfinite(fit["slope"]) and math.isfinite(fit["stderr"])
+        # holevo.csv's 17-digit cells round-trip, so a fit taken again from
+        # them, over this window or any other, is the run's to the bit
+        table = np.loadtxt(out / "holevo.csv", delimiter=",", skiprows=1)
+        refit = obs.loglog_slope(table[:, 1], table[:, 3], fit["n_points"])
+        assert refit == (fit["slope"], fit["stderr"])
 
     def test_csv_roundtrip_lossless(self, completed_run):
         config, _ = completed_run
@@ -334,8 +333,6 @@ class TestMainEntry:
                 "1",
                 "--samples-per-segment",
                 "1",
-                "--fit-steps",
-                "0",
                 "--no-wigner",
                 "--param",
                 "fock_dim=6",
@@ -349,7 +346,7 @@ class TestMainEntry:
         )
         assert rc == 0
         written = json.loads((tmp_path / "cli_out" / "manifest.json").read_text())
-        assert written["options"]["fit_steps"] == 0  # --fit-steps 0: no fit
+        assert written["options"]["fit_steps"] == 0  # one step: no fit
         assert not (tmp_path / "cli_out" / "fit.json").exists()
         assert not (tmp_path / "cli_out" / "wigner_step1.csv").exists()
 
@@ -467,8 +464,6 @@ class TestMainEntry:
                 "1",
                 "--samples-per-segment",
                 "1",
-                "--fit-steps",
-                "0",
                 "--param",
                 "fock_dim=6",
                 "--param",
@@ -489,8 +484,7 @@ class TestMainEntry:
         assert cli.main(["run", "--help"]) == 0
         example = re.search(r"--wigner-grid=[^\s;]+", capsys.readouterr().out).group(0)
         argv = ["run", "--preset", "base", "--steps", "1", "--samples-per-segment", "1",
-                "--fit-steps", "0", "--param", "fock_dim=3", "--param", "alpha=1",
-                "--out", str(tmp_path / "out")]
+                "--param", "fock_dim=3", "--param", "alpha=1", "--out", str(tmp_path / "out")]
         assert cli.main([*argv, example]) == 0
         points = int(example.rsplit(":", 1)[1])
         lines = (tmp_path / "out" / "wigner_step1.csv").read_text().splitlines()
@@ -650,11 +644,13 @@ class TestMainEntry:
             ["run", "--bogus"],
             ["run", "--config", "walk.ini"],
             ["verify", "--fock-dim", "5"],
+            ["run", "--fit-steps", "3"],
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
         # exit 2 is kept for numerical failures; there is no integrator
-        # choice, no config file and no verify setting
+        # choice, no config file, no verify setting and no fit window
+        # other than the preset's
         assert cli.main(argv) == 1
         assert "usage: " in capsys.readouterr().err
 
@@ -662,10 +658,17 @@ class TestMainEntry:
         assert cli.main(["run", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: ")
 
-    def test_output_root_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-        cfg = cli.RunConfig(preset="base")
-        assert cfg.resolve_out_dir() == tmp_path / "run_base"
+    def test_output_directory_without_out(self, tmp_path, monkeypatch):
+        # --out is the one way to move the output: without it a run writes
+        # ./run_<preset>, whatever the environment holds
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MAGNONWALK_OUTPUT_ROOT", str(tmp_path / "root"))
+        assert cli.RunConfig(preset="base").resolve_out_dir() == Path("run_base")
+        argv = ["run", "--steps", "1", "--no-wigner", "--param", "fock_dim=3",
+                "--param", "alpha=1", "--param", "m_phase=8"]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "run_base" / "manifest.json").exists()
+        assert not (tmp_path / "root").exists()
 
 
 # Edge values of a --param override and of a Wigner range end.
@@ -835,11 +838,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize("grid", ["nan:2:5", "-2:inf:5", "-inf:2:5"])
     def test_non_finite_wigner_grid_flag(self, tmp_path, capsys, grid):
         self._main(tmp_path, capsys, f"--wigner-grid={grid}")
-
-    # 0 stays the flag's way to switch the fit off
-    @pytest.mark.parametrize("k", ["-3", "1"])
-    def test_fit_steps_flag_below_two(self, tmp_path, capsys, k):
-        self._main(tmp_path, capsys, "--fit-steps", k)
 
     def test_unknown_param(self, tmp_path, capsys):
         err = self._main(tmp_path, capsys, "--param", "not_a_field=1")
@@ -1032,6 +1030,32 @@ def _scaled_walk(out, fock_dim, steps, scale):
     )
 
 
+def _assert_cells_agree(got, ref, bound, scale=1.0):
+    """Every cell of ``got``'s CSVs agrees with ``ref``'s within ``bound``
+    absolute, but a t_ns cell, which agrees times ``scale`` within 64 u
+    relative, and a sigma_H cell, within the bound times 1 + 1/(S^3
+    sigma_H) at the row's sharpness S (see TestUnitScaling)."""
+    assert got.keys() == ref.keys()
+    u = 2.0**-53
+    for name in sorted(n for n in ref if n.endswith(".csv")):
+        header, *ref_rows = [line.split(",") for line in ref[name].splitlines()]
+        got_header, *rows = [line.split(",") for line in got[name].splitlines()]
+        assert got_header == header and len(rows) == len(ref_rows), name
+        want = np.array(ref_rows, dtype=float)
+        have = np.array(rows, dtype=float)
+        tol = np.full(want.shape, bound)
+        if "t_ns" in header:
+            col = header.index("t_ns")
+            have[:, col] *= scale
+            tol[:, col] = 64 * u * np.abs(want[:, col])
+        if "sigma_H" in header:
+            col = header.index("sigma_H")
+            s, sigma = want[:, header.index("sharpness")], want[:, col]
+            tol[:, col] *= 1 + 1 / (s**3 * sigma)
+        bad = np.abs(have - want) > tol
+        assert not bad.any(), (name, (have - want)[bad], tol[bad])
+
+
 class TestUnitScaling:
     """Two runs related by a change of units, checked against each other
     with no oracle.  Multiplying every frequency and rate by 2^k divides
@@ -1107,26 +1131,7 @@ class TestUnitScaling:
         scale = 10.0**exponent
         ref, norm1 = unscaled(fock_dim, steps)
         got = _scaled_walk(tmp_path_factory.mktemp("scaled"), fock_dim, steps, scale)
-        assert got.keys() == ref.keys()
-        u = 2.0**-53
-        bound = 64 * steps * u * norm1
-        for name in sorted(n for n in ref if n.endswith(".csv")):
-            header, *ref_rows = [line.split(",") for line in ref[name].splitlines()]
-            got_header, *rows = [line.split(",") for line in got[name].splitlines()]
-            assert got_header == header and len(rows) == len(ref_rows), name
-            want = np.array(ref_rows, dtype=float)
-            have = np.array(rows, dtype=float)
-            tol = np.full(want.shape, bound)
-            if "t_ns" in header:
-                col = header.index("t_ns")
-                have[:, col] *= scale
-                tol[:, col] = 64 * u * np.abs(want[:, col])
-            if "sigma_H" in header:
-                col = header.index("sigma_H")
-                s, sigma = want[:, header.index("sharpness")], want[:, col]
-                tol[:, col] *= 1 + 1 / (s**3 * sigma)
-            bad = np.abs(have - want) > tol
-            assert not bad.any(), (name, (have - want)[bad], tol[bad])
+        _assert_cells_agree(got, ref, 64 * steps * 2.0**-53 * norm1, scale)
 
 
 class TestStepCountPrefix:
@@ -1184,7 +1189,33 @@ class TestStepCountPrefix:
 class TestBlasThreadPolicy:
     """Importing the package sets OpenBLAS's idle-thread timeout for
     numpy's load, keeps a value the user set, leaves the environment as it
-    found it, and changes no bits of the artifacts."""
+    found it, and changes no bits of the artifacts.  OpenBLAS's thread
+    count does change the last bits, within a bound, and the manifest
+    names it."""
+
+    @pytest.fixture(scope="class")
+    def stock_walk(self, tmp_path_factory, fresh_python):
+        """The text of each file, manifest included, that a 1-step
+        stock-cutoff base walk writes in a fresh interpreter, by OpenBLAS's
+        thread count and idle-thread timeout (None: the package's); each
+        setting runs once.  The drive-on build runs at the stock cutoff,
+        where its GEMMs and the stepping gemvs are threaded."""
+        walks = {}
+
+        def stock_walk(threads, timeout=None):
+            if (threads, timeout) not in walks:
+                out = tmp_path_factory.mktemp("blas")
+                proc = fresh_python(
+                    "-m", "magnonwalk.cli", "run", "--preset", "base", "--steps", "1",
+                    "--out", str(out),
+                    env_overrides={"OPENBLAS_NUM_THREADS": threads,
+                                   "OPENBLAS_THREAD_TIMEOUT": timeout},
+                )
+                assert proc.returncode == 0, proc.stderr
+                walks[threads, timeout] = {f.name: f.read_text() for f in out.iterdir()}
+            return walks[threads, timeout]
+
+        return stock_walk
 
     @pytest.mark.parametrize("user_value", [None, "10"])
     def test_set_before_numpy_loads(self, fresh_python, user_value):
@@ -1211,22 +1242,47 @@ class TestBlasThreadPolicy:
         expected = user_value or magnonwalk._OPENBLAS_THREAD_TIMEOUT
         assert proc.stdout.splitlines() == [repr([expected]), "True"]
 
-    def test_artifacts_keep_their_bits(self, tmp_path, fresh_python):
+    def test_artifacts_keep_their_bits(self, stock_walk):
         # OpenBLAS's default timeout, 28, against the package's: the thread
-        # count is the same, so every product splits the same way.  The
-        # drive-on build runs at the stock cutoff, where its GEMMs and the
-        # stepping gemvs are threaded
-        files = []
-        for value in ("28", None):
-            out = tmp_path / f"timeout_{value}"
-            proc = fresh_python(
-                "-m", "magnonwalk.cli", "run", "--preset", "base", "--steps", "2",
-                "--out", str(out), env_overrides={"OPENBLAS_THREAD_TIMEOUT": value},
-            )
-            assert proc.returncode == 0, proc.stderr
-            files.append(json.loads((out / "manifest.json").read_text())["files"])
-        assert files[0] == files[1]
-        assert len(files[0]) == 7
+        # count is the same, so every product splits the same way
+        default, package = (json.loads(stock_walk("2", timeout)["manifest.json"])
+                            for timeout in ("28", None))
+        assert package["files"] == default["files"]
+        assert len(default["files"]) == 4
+
+    @pytest.mark.skipif(
+        cli._blas()["threads"] is None,
+        reason="numpy's BLAS reports no OpenBLAS thread count",
+    )
+    def test_thread_count_moves_last_bits_within_bound(self, stock_walk):
+        # One thread against two splits and orders the sums of every GEMM
+        # and gemv differently, so each product rounds anew by a few u
+        # relative to its operands: each step matrix moves by a few
+        # u ||R dt||_1, and the state by as much per step.  That is the
+        # perturbation of a change of units, so the bound, fixed before the
+        # test's first run, is TestUnitScaling's: every CSV cell within
+        # 64 * steps * u * ||R dt||_1 absolute, ||R dt||_1 the larger norm1
+        # of the two step matrices.  The manifest's health reads the same
+        # state, so its trace drift and smallest eigenvalue get that bound
+        # too; the rest of the manifest is equal, but for the thread count
+        # and the wall-clock entries.
+        files_1, files_2 = stock_walk("1"), stock_walk("2")
+        one, two = (json.loads(files["manifest.json"]) for files in (files_1, files_2))
+        threads = one["blas"].pop("threads"), two["blas"].pop("threads")
+        if threads[1] < 2:  # OpenBLAS takes no more threads than CPUs
+            pytest.skip(f"OpenBLAS runs {threads[1]} thread where 2 were asked for")
+        assert threads == (1, 2)
+        steps, norm1 = 1, max(e["norm1"] for e in two["propagators"])
+        bound = 64 * steps * 2.0**-53 * norm1
+        _assert_cells_agree(files_1, files_2, bound)
+        for manifest in (one, two):
+            for key in ("files", "duration_s", "timings"):
+                del manifest[key]
+            for entry in manifest["propagators"]:
+                del entry["build_s"]
+        for key in ("max_trace_drift", "min_eigenvalue"):
+            assert abs(one["health"].pop(key) - two["health"].pop(key)) <= bound
+        assert one == two
 
 
 class TestSamplingRelation:
