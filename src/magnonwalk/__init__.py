@@ -46,9 +46,7 @@ _import_numpy()
 
 from .model import (  # noqa: F401
     DerivedParams,
-    DissipatorSpec,
     PhysicalParams,
-    PulseSchedule,
     derive,
     dissipators,
     hamiltonian_effective,

@@ -20,6 +20,7 @@ import argparse
 import ctypes
 import dataclasses
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -67,6 +68,9 @@ MAX_PHASE_FILES = 4
 # 272 MB at 1001), next to the grids of the snapshots; 256 points caps a
 # Wigner CSV at 65,536 rows, the ceiling m_phase puts on a phase CSV.
 MAX_WIGNER_POINTS = 256
+# The artifacts that a run writes or not, by its settings: emission first
+# removes any that an earlier run left in the output directory.
+_OPTIONAL_ARTIFACT = re.compile(r"fit\.json|holevo\.csv|(phase|wigner)_step[0-9]+\.csv")
 
 # glibc serves an allocation of at least its mmap threshold by a mapping of
 # its own, which goes back to the OS when freed.  Left dynamic, the
@@ -84,22 +88,20 @@ _MMAP_THRESHOLD = 1 << 20
 
 @dataclass
 class RunConfig:
+    """One run's settings.  ``params`` overrides ``PhysicalParams`` fields,
+    the step count ``n_steps`` among them; ``wigner`` is the phase-space
+    grid as (min, max, points), and ``wigner=None`` writes no Wigner CSVs;
+    ``out_dir=None`` writes to ./run_<preset>."""
+
     preset: str = "base"
-    params: dict = field(default_factory=dict)  # overrides for PhysicalParams
-    steps: int | None = None
+    params: dict = field(default_factory=dict)
     samples_per_segment: int = 10
-    wigner_min: float = -4.5
-    wigner_max: float = 4.5
-    wigner_points: int = 101
-    emit_wigner: bool = True
+    wigner: tuple[float, float, int] | None = (-4.5, 4.5, 101)
     out_dir: str | None = None
 
     def resolve_params(self) -> PhysicalParams:
-        overrides = dict(self.params)
-        if self.steps is not None:
-            overrides["n_steps"] = self.steps
         try:
-            return preset(self.preset, **overrides)
+            return preset(self.preset, **self.params)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -230,21 +232,22 @@ def run(config: RunConfig) -> RunManifest:
     observables and the emission each take the snapshots once, in step
     order: the phase distributions and co-rotated mode states are lists
     in that order, all the Wigner grids come from one ``wigner`` call, and
-    each Wigner CSV is written before the next is built.
+    each Wigner CSV is written before the next is built.  Emission first
+    removes the files of ``_OPTIONAL_ARTIFACT`` from the output directory,
+    so that it holds exactly this run's artifacts and manifest besides any
+    file the program does not write.
     """
     t_start = time.monotonic()
     t_build = time.perf_counter()
     p = config.resolve_params()
     if config.samples_per_segment < 1:
         raise ConfigError("samples_per_segment must be >= 1")
-    if not 1 <= config.wigner_points <= MAX_WIGNER_POINTS:
-        raise ConfigError(
-            f"wigner points must be 1..{MAX_WIGNER_POINTS}, got {config.wigner_points}"
-        )
-    if not (math.isfinite(config.wigner_min) and math.isfinite(config.wigner_max)):
-        raise ConfigError(
-            f"wigner range must be finite, got {config.wigner_min}:{config.wigner_max}"
-        )
+    if config.wigner is not None:
+        lo, hi, points = config.wigner
+        if not 1 <= points <= MAX_WIGNER_POINTS:
+            raise ConfigError(f"wigner points must be 1..{MAX_WIGNER_POINTS}, got {points}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"wigner range must be finite, got {lo}:{hi}")
     fit_steps = config.resolve_fit_steps(p.n_steps)
 
     d = derive(p)
@@ -290,7 +293,7 @@ def run(config: RunConfig) -> RunManifest:
             times.append(t_boundary)
             sharps.append(sharp)
             sigmas.append(sigma_h)
-            if step > MAX_PHASE_FILES and not config.emit_wigner:
+            if step > MAX_PHASE_FILES and config.wigner is None:
                 continue  # no phase CSV and no Wigner grid reads the view
             # the snapshots are reported in the frame co-rotating with the
             # mode: the drive-mode detuning winds the raw rotating-frame
@@ -298,18 +301,13 @@ def run(config: RunConfig) -> RunManifest:
             rho_view = rotate_mode(rho_m, -d.delta_c * t_boundary)
             if step <= MAX_PHASE_FILES:
                 phases.append(phase_distribution(rho_view, p.m_phase))
-            if config.emit_wigner:
+            if config.wigner is not None:
                 views.append(rho_view)
         if views:
             # one call for every snapshot, which share the displacement
             # elements; a failure is named after the first snapshot
             step, stage = steps[0], "Wigner grid"
-            grid = wigner(
-                np.stack(views),
-                x_min=config.wigner_min,
-                x_max=config.wigner_max,
-                points=config.wigner_points,
-            )
+            grid = wigner(np.stack(views), x_min=lo, x_max=hi, points=points)
     except FloatingPointError as exc:
         msg = f"observables of step {step} ({stage}): {exc}"
         raise NumericalFailureError(msg) from exc
@@ -329,6 +327,9 @@ def run(config: RunConfig) -> RunManifest:
     import json
 
     files: dict[str, str] = {}
+    for path in out.iterdir():
+        if _OPTIONAL_ARTIFACT.fullmatch(path.name):
+            path.unlink()
 
     def emit(name: str, text: str) -> None:
         files[name] = _write(out / name, text)
@@ -376,7 +377,7 @@ def run(config: RunConfig) -> RunManifest:
         options={
             "samples_per_segment": config.samples_per_segment,
             "fit_steps": fit_steps,
-            "wigner_grid": [config.wigner_min, config.wigner_max, config.wigner_points],
+            "wigner_grid": config.wigner if views else None,
         },
         files=files,
         duration_s=time.monotonic() - t_start,
@@ -421,6 +422,12 @@ def _verify(args) -> int:
     return 0 if all_pass else 3
 
 
+def _wigner_grid(raw: str) -> tuple[float, float, int]:
+    """``MIN:MAX:POINTS`` as the (min, max, points) of ``RunConfig.wigner``."""
+    lo, hi, n = raw.split(":")
+    return float(lo), float(hi), int(n)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="magnonwalk",
@@ -429,24 +436,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # Every dest but wigner_grid and param names a RunConfig field, and a
-    # flag left out is absent from the namespace, not None.
+    # Every dest but param names a RunConfig field, and a flag left out is
+    # absent from the namespace, not None.  --steps N is a spelling of
+    # --param n_steps=N: both append to param, in command-line order.
+    # --wigner-grid and --no-wigner both set wigner, the one to a grid and
+    # the other to None.
     runp = sub.add_parser(
         "run",
         argument_default=argparse.SUPPRESS,
         help="simulate a preset and emit data files",
     )
     runp.add_argument("--preset", choices=PRESET_NAMES)
-    runp.add_argument("--steps", type=int)
-    runp.add_argument("--samples-per-segment", type=int)
     runp.add_argument(
+        "--steps",
+        dest="param",
+        action="append",
+        type="n_steps={}".format,
+        metavar="N",
+        help="number of walk steps, as --param n_steps=N",
+    )
+    runp.add_argument("--samples-per-segment", type=int)
+    grid = runp.add_mutually_exclusive_group()
+    grid.add_argument(
         "--wigner-grid",
-        default=None,
+        dest="wigner",
+        type=_wigner_grid,
         metavar="MIN:MAX:POINTS",
         help="phase-space grid, as in --wigner-grid=-4.5:4.5:101; the '=' is "
         "needed because a separate value that starts with '-' is read as an option",
     )
-    runp.add_argument("--no-wigner", dest="emit_wigner", action="store_false")
+    grid.add_argument("--no-wigner", dest="wigner", action="store_const", const=None)
     runp.add_argument("--out", dest="out_dir", help="output directory")
     runp.add_argument(
         "--param",
@@ -465,13 +484,6 @@ def _config_from_args(args) -> RunConfig:
     for name, value in vars(args).items():
         if name in _RUN_FIELDS:
             setattr(cfg, name, value)
-    if args.wigner_grid is not None:
-        try:
-            lo, hi, n = args.wigner_grid.split(":")
-            cfg.wigner_min, cfg.wigner_max = float(lo), float(hi)
-            cfg.wigner_points = int(n)
-        except ValueError as exc:
-            raise ConfigError(f"bad --wigner-grid {args.wigner_grid!r}") from exc
     for item in args.param:
         if "=" not in item:
             raise ConfigError(f"--param needs NAME=VALUE, got {item!r}")

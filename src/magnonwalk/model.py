@@ -59,9 +59,7 @@ __all__ = [
     "coherent_state",
     "PhysicalParams",
     "DerivedParams",
-    "DissipatorSpec",
     "Segment",
-    "PulseSchedule",
     "derive",
     "hamiltonian_rotframe",
     "hamiltonian_effective",
@@ -328,34 +326,24 @@ def hamiltonian_effective(
     )
 
 
-@dataclass(frozen=True)
-class DissipatorSpec:
-    """Lindblad channels as (rate, collapse operator) pairs.
+def dissipators(p: PhysicalParams) -> tuple[tuple[float, np.ndarray], ...]:
+    """The three decay channels, mode decay, qubit relaxation and qubit
+    dephasing, as (rate, collapse operator) pairs on the composite qubit (x)
+    boson space.
 
     Rates are angular (rad/ns) and each multiplies
-    D[x] rho = (2 x rho x^dag - x^dag x rho - rho x^dag x)/2; channels act
-    on the composite qubit (x) boson space.
-    """
-
-    channels: tuple[tuple[float, np.ndarray], ...]
-
-
-def dissipators(p: PhysicalParams) -> DissipatorSpec:
-    """The three decay channels: mode decay, qubit relaxation, qubit dephasing.
-
-    The rates are non-negative: ``PhysicalParams`` rejects negative ones.
+    D[x] rho = (2 x rho x^dag - x^dag x rho - rho x^dag x)/2.  They are
+    non-negative: ``PhysicalParams`` rejects negative ones.
     A rate whose 2 pi rate overflows the float range raises
     InvalidParameterError."""
     for name in ("Gamma", "gamma1", "gamma_phi"):
         if not math.isfinite(TWO_PI * getattr(p, name)):
             raise InvalidParameterError(f"2 pi {name} overflows the float range")
     idq, idb = np.eye(2, dtype=complex), np.eye(p.fock_dim, dtype=complex)
-    return DissipatorSpec(
-        channels=(
-            (TWO_PI * p.Gamma, _dense_kron(idq, annihilation(p.fock_dim))),
-            (TWO_PI * p.gamma1, _dense_kron(LOWER, idb)),
-            (0.5 * TWO_PI * p.gamma_phi, _dense_kron(SIGMA_Z, idb)),
-        )
+    return (
+        (TWO_PI * p.Gamma, _dense_kron(idq, annihilation(p.fock_dim))),
+        (TWO_PI * p.gamma1, _dense_kron(LOWER, idb)),
+        (0.5 * TWO_PI * p.gamma_phi, _dense_kron(SIGMA_Z, idb)),
     )
 
 
@@ -367,12 +355,7 @@ class Segment:
     drive_on: bool
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
-    segments: tuple[Segment, ...]
-
-
-def pulse_schedule(p: PhysicalParams, d: DerivedParams) -> PulseSchedule:
+def pulse_schedule(p: PhysicalParams, d: DerivedParams) -> tuple[Segment, ...]:
     """Square-wave schedule: each step is the coin toss, a drive-on stretch
     of t_H, then the shift, a drive-off stretch of t_p - t_H."""
     if d.t_H >= d.t_p:
@@ -382,7 +365,7 @@ def pulse_schedule(p: PhysicalParams, d: DerivedParams) -> PulseSchedule:
         t0 = k * d.t_p
         segments.append(Segment(k + 1, t0, d.t_H, True))
         segments.append(Segment(k + 1, t0 + d.t_H, d.t_p - d.t_H, False))
-    return PulseSchedule(tuple(segments))
+    return tuple(segments)
 
 
 def initial_state(p: PhysicalParams) -> np.ndarray:

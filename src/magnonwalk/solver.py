@@ -79,7 +79,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericalFailureError
-from .model import DissipatorSpec, PulseSchedule
 from .observables import mean_number, qubit_populations, reduce_boson
 
 __all__ = [
@@ -193,13 +192,15 @@ def _kron(A: np.ndarray, B: np.ndarray):
     )
 
 
-def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> Generator:
+def liouvillian(H: np.ndarray, channels: tuple) -> Generator:
     """The real generator R = S L S^dag (S from :func:`_hermitian_basis`)
     of the Liouvillian L on column-vectorized density matrices, as a
-    :class:`Generator`: the operand of :func:`propagator`.  L is summed
-    from the entries of the Kronecker products of its terms, and each of
-    its entries reaches at most four entries of R, since S has at most
-    two nonzeros per row and per column.  A generator that does not map
+    :class:`Generator`: the operand of :func:`propagator`.  L is that of H
+    and of the Lindblad ``channels``, (rate, collapse operator) pairs as
+    ``model.dissipators`` returns them.  L is summed from the entries of
+    the Kronecker products of its terms, and each of its entries reaches
+    at most four entries of R, since S has at most two nonzeros per row
+    and per column.  A generator that does not map
     Hermitian matrices to Hermitian matrices, such as that of a
     non-Hermitian H, has no real R and raises ValueError.  Overflow
     follows the caller's numpy floating-point settings; a non-finite R
@@ -209,7 +210,7 @@ def liouvillian(H: np.ndarray, diss: DissipatorSpec) -> Generator:
         raise DimensionError("Hamiltonian must be square")
     eye = np.eye(dim)
     terms = [_kron(eye, -1j * H), _kron(1j * H.T, eye)]
-    for rate, x in diss.channels:
+    for rate, x in channels:
         if x.shape != (dim, dim):
             raise DimensionError(
                 f"dissipator channel shape {x.shape} does not match dim {dim}"
@@ -517,16 +518,18 @@ class Trajectory:
 
 
 def evolve(
-    schedule: PulseSchedule,
+    segments: tuple,
     rho0: np.ndarray,
     H_on: np.ndarray,
     H_off: np.ndarray,
-    diss: DissipatorSpec,
+    channels: tuple,
     samples_per_segment: int = 10,
 ) -> Trajectory:
-    """Propagate through the schedule, sampling observables on the way.
-    This is the one driver of the state: a single interval of constant
-    generator is a one-segment schedule.
+    """Propagate through ``segments``, the schedule's ``model.Segment``s
+    in time order, sampling observables on the way; ``channels`` are the
+    Lindblad (rate, operator) pairs of :func:`liouvillian`.  This is the
+    one driver of the state: a single interval of constant generator is a
+    one-segment schedule.
 
     Each segment uses the generator built from H_on or H_off and is
     subdivided into ``samples_per_segment`` equal sub-intervals; the state
@@ -575,7 +578,6 @@ def evolve(
         top = reduce_boson(rho)[-1, -1].real
         samples.append((t, mean_number(rho), pe, pg, drive_on, drift, min_eig, top))
 
-    segments = schedule.segments
     first_use: dict[tuple[bool, float], int] = {}  # key -> first segment using it
     for i, seg in enumerate(segments):
         first_use.setdefault((seg.drive_on, seg.duration / samples_per_segment), i)
@@ -583,7 +585,7 @@ def evolve(
     try:
         for (drive_on, dt_sub), i in first_use.items():
             t_generator = time.perf_counter()
-            R = liouvillian(H_on if drive_on else H_off, diss)
+            R = liouvillian(H_on if drive_on else H_off, channels)
             t_build = time.perf_counter()
             P = propagators[drive_on, dt_sub] = propagator(R, dt_sub)
             build_s = time.perf_counter() - t_build

@@ -246,7 +246,7 @@ def test_criterion_6_solver_invariants(
     # sample per segment, plus invariants of the rk4-propagated state.  The
     # RK4 oracle (conftest) sizes its sub-steps from ||R dt||_1.
     for run in (base_run, realistic_run):
-        step_1 = model.PulseSchedule(run.schedule.segments[:2])
+        step_1 = run.schedule[:2]
         args = (step_1, model.initial_state(run.params), run.h_on, run.h_off, run.diss)
         a = solver.evolve(*args, samples_per_segment=1).snapshots[0][2]
         with monkeypatch.context() as patch:
@@ -437,7 +437,7 @@ def test_rk4_two_steps_track_expm(name, request, monkeypatch, rk4_propagator):
     assert run.samples_per_segment == 10
     monkeypatch.setattr(solver, "propagator", rk4_propagator)
     traj = solver.evolve(
-        model.PulseSchedule(run.schedule.segments[:4]),
+        run.schedule[:4],
         model.initial_state(run.params),
         run.h_on,
         run.h_off,

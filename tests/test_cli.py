@@ -2,6 +2,7 @@ import argparse
 import ctypes
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -28,10 +29,9 @@ def small_config(tmp_path, **kw):
     """Fast run: trimmed Fock space, few steps, coarse Wigner grid."""
     defaults = dict(
         preset="base",
-        params={"fock_dim": 8, "alpha": 1.5 + 0.0j},
-        steps=2,
+        params={"fock_dim": 8, "alpha": 1.5 + 0.0j, "n_steps": 2},
         samples_per_segment=2,
-        wigner_points=11,
+        wigner=(-4.5, 4.5, 11),
         out_dir=str(tmp_path / "out"),
     )
     defaults.update(kw)
@@ -77,8 +77,9 @@ class TestConfigFile:
         assert cli.RunConfig(preset="base").resolve_fit_steps(1) == 0
 
     def test_run_flags_name_run_config_fields(self):
-        # every flag but these two is copied onto the RunConfig field of
-        # its dest, so a dest that is not a field would be dropped
+        # every flag but --param and --steps, which appends to it, is
+        # copied onto the RunConfig field of its dest, so a dest that is
+        # not a field would be dropped
         subparsers = next(
             a
             for a in cli._build_parser()._actions
@@ -89,12 +90,23 @@ class TestConfigFile:
             for a in subparsers.choices["run"]._actions
             if a.option_strings and a.dest != "help"
         }
-        own = {"wigner_grid", "param"}
-        assert own <= dests
-        assert dests - own <= RUN_FIELDS
+        assert "param" in dests
+        assert dests - {"param"} <= RUN_FIELDS
+        assert RUN_FIELDS == {"preset", "params", "samples_per_segment", "wigner", "out_dir"}
         # verify takes no setting
         verify = subparsers.choices["verify"]._actions
         assert [a.option_strings for a in verify] == [["-h", "--help"]]
+
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [(["--param", "n_steps=2", "--steps", "3"], 3),
+         (["--steps", "3", "--param", "n_steps=2"], 2)],
+    )
+    def test_steps_is_an_n_steps_override(self, argv, steps):
+        # --steps N spells --param n_steps=N, so the later of the two wins,
+        # as between two --param items
+        args = cli._build_parser().parse_args(["run", *argv])
+        assert cli._config_from_args(args).resolve_params().n_steps == steps
 
 
 class TestRunArtifacts:
@@ -174,9 +186,9 @@ class TestRunArtifacts:
         # 2 x 64 for k = +-1
         config = cli.RunConfig(
             preset="base",
-            steps=1,
+            params={"n_steps": 1},
             samples_per_segment=1,
-            emit_wigner=False,
+            wigner=None,
             out_dir=str(tmp_path / "base"),
         )
         manifest = cli.run(config)
@@ -202,6 +214,22 @@ class TestRunArtifacts:
         lines = (out / "wigner_step1.csv").read_text().splitlines()
         assert lines[0] == "x,p,W"
         assert len(lines) == 1 + 11 * 11
+
+    def test_rerun_replaces_the_older_artifacts(self, tmp_path):
+        # a shorter run without Wigner grids into the directory of a longer
+        # one leaves none of the older phase, Wigner and fit files: the
+        # directory holds exactly the manifest's files and the manifest.  A
+        # file the program does not write is kept.
+        out = tmp_path / "out"
+        argv = ["run", "--param", "fock_dim=5", "--param", "alpha=1",
+                "--param", "m_phase=8", "--out", str(out)]
+        assert cli.main([*argv, "--steps", "3", "--wigner-grid=-2:2:5"]) == 0
+        (out / "notes.txt").write_text("kept")
+        assert cli.main([*argv, "--steps", "1", "--no-wigner"]) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert set(files) == {"timeseries.csv", "holevo.csv", "phase_step1.csv"}
+        names = {f.name for f in out.iterdir()}
+        assert names == {*files, "manifest.json", "notes.txt"}
 
     def test_deterministic_reruns(self, tmp_path):
         cfg_a = small_config(tmp_path, out_dir=str(tmp_path / "a"))
@@ -612,6 +640,15 @@ class TestMainEntry:
         monkeypatch.setattr(solver, "propagator", rk4_propagator)
         assert np.max(np.abs(timeseries("rk4") - expm)) <= 1e-9
 
+    def test_console_script_runs_verify(self, capsys):
+        # the [project.scripts] entry point that an install puts on PATH
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        module, _, attr = pyproject["project"]["scripts"]["magnonwalk"].partition(":")
+        main = getattr(importlib.import_module(module), attr)
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.endswith("all checks passed\n")
+
     def test_verify_subcommand(self, capsys):
         rc = cli.main(["verify"])
         out = capsys.readouterr().out
@@ -645,12 +682,15 @@ class TestMainEntry:
             ["run", "--config", "walk.ini"],
             ["verify", "--fock-dim", "5"],
             ["run", "--fit-steps", "3"],
+            ["run", "--no-wigner", "--wigner-grid=-1:1:5"],
+            ["run", "--wigner-grid=1:2"],
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
         # exit 2 is kept for numerical failures; there is no integrator
         # choice, no config file, no verify setting and no fit window
-        # other than the preset's
+        # other than the preset's; a grid is either given, well formed, or
+        # switched off
         assert cli.main(argv) == 1
         assert "usage: " in capsys.readouterr().err
 
@@ -754,6 +794,13 @@ class TestExitContract:
             assert not out.exists()
         if code != 0:
             return
+        # the manifest records a Wigner grid and a fit window exactly when
+        # it wrote their files
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = set(manifest["files"])
+        has_wigner = any(name.startswith("wigner_step") for name in names)
+        assert (manifest["options"]["wigner_grid"] is None) == (not has_wigner)
+        assert (manifest["options"]["fit_steps"] == 0) == ("fit.json" not in names)
         (traj,) = trajectories
         for _, _, rho in traj.snapshots:
             assert np.array_equal(rho, rho.conj().T)

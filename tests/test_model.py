@@ -255,23 +255,23 @@ class TestCoinHamiltonian:
 class TestDissipators:
     def test_base_rates(self, base):
         p, _ = base
-        spec = model.dissipators(p)
-        rates = [r for r, _ in spec.channels]
+        channels = model.dissipators(p)
+        rates = [r for r, _ in channels]
         assert rates[0] == pytest.approx(TWO_PI * 0.1e-3)   # mode decay
         assert rates[1] == pytest.approx(TWO_PI * 0.02e-3)  # qubit relaxation
         assert rates[2] == pytest.approx(TWO_PI * 0.31e-3 / 2)  # dephasing / 2
 
     def test_channels_annihilate_targets(self, base):
         p, _ = base
-        spec = model.dissipators(p)
+        channels = model.dissipators(p)
         vac = np.kron(np.eye(2)[1], np.eye(p.fock_dim)[0])  # |g> (x) |0>
-        for _, x in spec.channels[:2]:
+        for _, x in channels[:2]:
             assert np.linalg.norm(x @ vac) < 1e-14
 
     def test_zero_rates_allowed(self):
         p = model.preset("base", gamma1=0.0, gamma_phi=0.0, Gamma=0.0)
-        spec = model.dissipators(p)
-        assert all(r == 0 for r, _ in spec.channels)
+        channels = model.dissipators(p)
+        assert all(r == 0 for r, _ in channels)
 
     @pytest.mark.parametrize("name", ["Gamma", "gamma1", "gamma_phi"])
     def test_overflowing_rate_rejected(self, name):
@@ -285,19 +285,19 @@ class TestPulseSchedule:
     def test_eight_steps_contract(self, base):
         p, d = base
         sched = model.pulse_schedule(p, d)
-        assert len(sched.segments) == 16
-        total = sum(s.duration for s in sched.segments)
+        assert len(sched) == 16
+        total = sum(s.duration for s in sched)
         assert total == pytest.approx(8 * d.t_p, rel=1e-12)
         assert round(total, 1) == 206.5
         # the coin toss opens every step, the shift closes it
-        assert [s.drive_on for s in sched.segments] == [True, False] * 8
-        assert sched.segments[0].t_start == 0.0
+        assert [s.drive_on for s in sched] == [True, False] * 8
+        assert sched[0].t_start == 0.0
 
     def test_segments_tile_without_gaps(self, base):
         p, d = base
         sched = model.pulse_schedule(p, d)
         t = 0.0
-        for seg in sched.segments:
+        for seg in sched:
             assert seg.t_start == pytest.approx(t, rel=1e-12, abs=1e-12)
             t = seg.t_start + seg.duration
         assert t == pytest.approx(8 * d.t_p, rel=1e-12)
@@ -309,8 +309,8 @@ class TestPulseSchedule:
     def test_zero_steps(self, base):
         p, d = base
         sched = model.pulse_schedule(model.preset("base", n_steps=0), d)
-        assert sched.segments == ()
-        assert max((s.step for s in sched.segments), default=0) == 0
+        assert sched == ()
+        assert max((s.step for s in sched), default=0) == 0
 
 
 class TestInitialState:
@@ -420,6 +420,6 @@ class TestDenseKron:
             ):
                 got, want = build(p, d, drive_on), oracle(p, d, drive_on)
                 assert got.tobytes() == want.tobytes(), (build.__name__, drive_on)
-        channels = model.dissipators(p).channels
+        channels = model.dissipators(p)
         for (_, got), want in zip(channels, _dissipator_oracle(p), strict=True):
             assert got.tobytes() == want.tobytes()

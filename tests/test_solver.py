@@ -39,7 +39,7 @@ def _vec_liouvillian(H, diss):
     real generator and step matrices are mapped back to."""
     eye = np.eye(len(H))
     L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
-    for rate, x in diss.channels:
+    for rate, x in diss:
         xdx = x.conj().T @ x
         L = L + rate * (
             np.kron(x.conj(), x) - 0.5 * (np.kron(eye, xdx) + np.kron(xdx.T, eye))
@@ -109,7 +109,7 @@ def _coordinates(rho):
 class TestLiouvillian:
     def test_diagonal_hamiltonian_gives_diagonal_liouvillian(self):
         h = np.diag([0.0, 1.0, 3.5]).astype(complex)
-        R = solver.liouvillian(h, model.DissipatorSpec(channels=()))
+        R = solver.liouvillian(h, ())
         assert R.vals.dtype == np.float64
         L = _vec_form(_csr(R))
         npt.assert_allclose(L, np.diag(np.diag(L)), atol=1e-14)
@@ -122,8 +122,8 @@ class TestLiouvillian:
     def test_vacuum_is_steady_under_decay(self):
         dim = 5
         c = model.annihilation(dim)
-        spec = model.DissipatorSpec(channels=((0.3, c),))
-        R = solver.liouvillian(np.zeros((dim, dim), dtype=complex), spec)
+        channels = ((0.3, c),)
+        R = solver.liouvillian(np.zeros((dim, dim), dtype=complex), channels)
         vac = _density(np.eye(dim, dtype=complex)[0])
         npt.assert_allclose(np.asarray(R) @ _coordinates(vac)[0], 0, atol=1e-14)
 
@@ -147,9 +147,9 @@ class TestLiouvillian:
 
     def test_dimension_mismatch(self):
         c = model.annihilation(4)
-        spec = model.DissipatorSpec(channels=((0.1, c),))
+        channels = ((0.1, c),)
         with pytest.raises(Exception):
-            solver.liouvillian(np.zeros((6, 6), dtype=complex), spec)
+            solver.liouvillian(np.zeros((6, 6), dtype=complex), channels)
 
 
 def _excitation_difference(fock_dim):
@@ -307,7 +307,7 @@ class TestStepMatrixProperties:
 
 def _single_segment(duration):
     """A one-segment schedule: a single interval of constant generator."""
-    return model.PulseSchedule((model.Segment(1, 0.0, duration, False),))
+    return (model.Segment(1, 0.0, duration, False),)
 
 
 class TestPropagate:
@@ -319,7 +319,7 @@ class TestPropagate:
         rho = model.initial_state(p)
         e0 = np.trace(rho @ h).real
         traj = solver.evolve(
-            _single_segment(d.t_p), rho, h, h, model.DissipatorSpec(channels=()),
+            _single_segment(d.t_p), rho, h, h, (),
             samples_per_segment=4,
         )
         rho = traj.snapshots[0][2]
@@ -387,7 +387,7 @@ class TestPropagate:
             NumericalFailureError, match=r"segment 0 \(step 1\): overflow"
         ), np.errstate(over="raise", invalid="raise"):
             solver.evolve(_single_segment(1e10), rho, h, h,
-                          model.DissipatorSpec(channels=()), samples_per_segment=1)
+                          (), samples_per_segment=1)
 
     def test_positivity_failure_detected(self):
         # an anti-Lindblad channel (negative rate) on the qubit (x) mode
@@ -400,7 +400,7 @@ class TestPropagate:
         with pytest.raises(NumericalFailureError, match="segment 0"):
             solver.evolve(
                 _single_segment(100.0), rho, h, h,
-                model.DissipatorSpec(channels=((-1.0, c),)),
+                ((-1.0, c),),
                 samples_per_segment=50,
             )
 
@@ -448,12 +448,12 @@ class TestEvolve:
         h_on = model.hamiltonian_rotframe(p, d, True)
         h_off = model.hamiltonian_rotframe(p, d, False)
         off = d.t_p - d.t_H
-        sched = model.PulseSchedule(tuple(
+        sched = tuple(
             seg
             for k in range(3)
             for seg in (model.Segment(k + 1, k * d.t_p, off, False),
                         model.Segment(k + 1, k * d.t_p + off, d.t_H, True))
-        ))
+        )
         built, liouvillian = [], solver.liouvillian
 
         def counted(H, diss):
@@ -740,7 +740,7 @@ class TestRealCoordinates:
         # -i[H, rho] of a non-Hermitian H leaves the Hermitian matrices
         h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermiticity"):
-            solver.liouvillian(h, model.DissipatorSpec(channels=()))
+            solver.liouvillian(h, ())
         # a complex operand is no real generator
         eye = _generator(16, np.arange(16), np.arange(16), np.ones(16))
         for build in (solver.propagator, rk4_propagator):
